@@ -9,9 +9,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,22 +20,6 @@ from .susy_hierarchy import (EliminationPlan, IllegalPlanError,
                              build_hierarchy, hierarchy_relations_check)
 from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatch
 from .wavefunctions import chebyshev_grid, limit_form
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    coupling: float = 0.0
-    levels: int = 8
-    depth: int = 2
-    plan: str = ""
-    samples: int = 101
-    fmt: str = "json"
-    out: str = None
-    tol: float = 1e-6
-    index: int = 0
-    m: int = 1
-    n: int = 0
 
 
 def _fmt_float(x: float) -> str:
@@ -69,9 +51,9 @@ def _render(obj, indent=0) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+def _emit(args, text: str):
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -83,21 +65,26 @@ def _level_row(lv) -> dict:
             "branch": lv.branch.value, "s": k.real, "t": -k.imag}
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    spec = classify_spectrum(cfg.coupling, cfg.levels)
+def _sample_row(potential, x: float) -> dict:
+    v = potential(x)
+    return {"x": x, "re_v": v.real, "im_v": v.imag}
+
+
+def cmd_spectrum(args) -> int:
+    spec = classify_spectrum(args.coupling, args.levels)
     out = {
-        "coupling": cfg.coupling,
+        "coupling": args.coupling,
         "levels": [_level_row(lv) for lv in spec.levels],
         "broken_pairs": [list(p) for p in spec.broken_pairs],
-        "residuals": [abs(kappa_condition_residual(lv.energy, cfg.coupling))
+        "residuals": [abs(kappa_condition_residual(lv.energy, args.coupling))
                       for lv in spec.levels],
     }
-    _emit(cfg, _render(out))
+    _emit(args, _render(out))
     return 0
 
 
-def cmd_critical(cfg: RunConfig) -> int:
-    crit = find_critical_coupling(cfg.index)
+def cmd_critical(args) -> int:
+    crit = find_critical_coupling(args.index)
     out = {
         "nu": crit.nu,
         "z_crit": crit.z_crit,
@@ -108,63 +95,60 @@ def cmd_critical(cfg: RunConfig) -> int:
             "tangency": abs(matching_residual_dt(crit.t_merge, crit.z_crit)),
         },
     }
-    _emit(cfg, _render(out))
+    _emit(args, _render(out))
     return 0
 
 
-def _parse_plan(cfg: RunConfig, needed: int) -> EliminationPlan:
-    if needed == 0 and not cfg.plan:
+def _parse_plan(args, needed: int) -> EliminationPlan:
+    if needed == 0 and not args.plan:
         return EliminationPlan(())
-    text = cfg.plan if cfg.plan else ",".join(["real"] * needed)
+    text = args.plan if args.plan else ",".join(["real"] * needed)
     return EliminationPlan.from_text(text)
 
 
-def cmd_hierarchy(cfg: RunConfig) -> int:
-    plan = _parse_plan(cfg, cfg.depth - 1)
-    levels = max(cfg.levels, cfg.depth + 1)
-    members = build_hierarchy(cfg.coupling, plan, cfg.depth, levels)
-    xs = np.linspace(-0.999, 0.999, cfg.samples)
-    if cfg.fmt == "csv":
+def cmd_hierarchy(args) -> int:
+    plan = _parse_plan(args, args.depth - 1)
+    levels = max(8, args.depth + 1)
+    members = build_hierarchy(args.coupling, plan, args.depth, levels)
+    xs = [float(x) for x in np.linspace(-0.999, 0.999, args.samples)]
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["member", "x", "re_v", "im_v"])
         for mem in members:
             for x in xs:
-                v = mem.potential(float(x))
-                writer.writerow([mem.depth, _fmt_float(float(x)),
+                v = mem.potential(x)
+                writer.writerow([mem.depth, _fmt_float(x),
                                  _fmt_float(v.real), _fmt_float(v.imag)])
-        _emit(cfg, buf.getvalue().rstrip("\n"))
+        _emit(args, buf.getvalue().rstrip("\n"))
         return 0
     report = None
     c0 = find_critical_coupling(0)
     c1 = find_critical_coupling(1)
-    if c0.z_crit < cfg.coupling < c1.z_crit:
-        report = hierarchy_relations_check(cfg.coupling)
+    if c0.z_crit < args.coupling < c1.z_crit:
+        report = hierarchy_relations_check(args.coupling)
     out = {
-        "coupling": cfg.coupling,
-        "depth": cfg.depth,
+        "coupling": args.coupling,
+        "depth": args.depth,
         "plan": ",".join(c.value for c in plan.choices),
         "members": [{
             "depth": mem.depth,
             "pt_symmetric": mem.potential.pt_symmetric,
             "endpoint_exponent": mem.potential.endpoint_exponent,
             "spectrum": [_level_row(lv) for lv in mem.spectrum.levels],
-            "samples": [{"x": float(x),
-                         "re_v": mem.potential(float(x)).real,
-                         "im_v": mem.potential(float(x)).imag} for x in xs],
+            "samples": [_sample_row(mem.potential, x) for x in xs],
         } for mem in members],
         "relations": report,
     }
-    _emit(cfg, _render(out))
+    _emit(args, _render(out))
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    tol = cfg.tol * float(os.environ.get("PTWELL_TOL_OVERRIDE", "1"))
-    plan = _parse_plan(cfg, cfg.depth - 1)
-    members = build_hierarchy(cfg.coupling, plan, cfg.depth, cfg.levels + cfg.depth - 1)
+def cmd_verify(args) -> int:
+    plan = _parse_plan(args, args.depth - 1)
+    members = build_hierarchy(args.coupling, plan, args.depth, args.levels + args.depth - 1)
     member = members[-1]
-    closed = [lv.energy for lv in member.spectrum.levels[:cfg.levels]]
+    closed = [lv.energy for lv in member.spectrum.levels[:args.levels]]
     sh = ShootingConfig(p=member.potential.endpoint_exponent)
     res = [abs(mismatch(member.potential, E, sh).normalized) for E in closed]
     lo_re = min(E.real for E in closed) - 2.0
@@ -179,13 +163,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     ok = True
     for n, (Ec, Eo, r) in enumerate(zip(closed, oracle, res)):
         dev = abs(Ec - Eo)
-        good = dev < tol
+        good = dev < args.tol
         ok = ok and good
         rows.append({"n": n, "closed": Ec, "oracle": Eo,
                      "abs_dev": dev, "mismatch_residual": r, "pass": good})
-    out = {"coupling": cfg.coupling, "member_depth": cfg.depth,
-           "tolerance": tol, "levels": rows, "all_pass": ok}
-    _emit(cfg, _render(out))
+    out = {"coupling": args.coupling, "member_depth": args.depth,
+           "tolerance": args.tol, "levels": rows, "all_pass": ok}
+    _emit(args, _render(out))
     return 0 if ok else 3
 
 
@@ -210,11 +194,11 @@ def _limit_stats(Z: float, m: int, n: int) -> dict:
     return out
 
 
-def cmd_limit(cfg: RunConfig) -> int:
-    out = {"member_depth": cfg.m, "level": cfg.n,
-           "at_zero": _limit_stats(0.0, cfg.m, cfg.n),
-           "near_zero": _limit_stats(1e-6, cfg.m, cfg.n)}
-    _emit(cfg, _render(out))
+def cmd_limit(args) -> int:
+    out = {"member_depth": args.m, "level": args.n,
+           "at_zero": _limit_stats(0.0, args.m, args.n),
+           "near_zero": _limit_stats(1e-6, args.m, args.n)}
+    _emit(args, _render(out))
     return 0
 
 
@@ -228,14 +212,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptwell", description=__doc__.splitlines()[0])
+    parser.set_defaults(out=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("spectrum", help="eigenvalues at a coupling")
     sp.add_argument("--coupling", type=float, required=True)
     sp.add_argument("--levels", type=int, default=8)
+    sp.set_defaults(run=cmd_spectrum)
 
     cr = sub.add_parser("critical", help="pair-merge coupling for one band")
     cr.add_argument("--index", type=int, default=0)
+    cr.set_defaults(run=cmd_critical)
 
     hi = sub.add_parser("hierarchy", help="partner-chain potentials and spectra")
     hi.add_argument("--coupling", type=float, required=True)
@@ -244,6 +231,7 @@ def _build_parser() -> _Parser:
     hi.add_argument("--samples", type=int, default=101)
     hi.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     hi.add_argument("--out", type=str, default=None)
+    hi.set_defaults(run=cmd_hierarchy)
 
     ve = sub.add_parser("verify", help="closed forms against the shooting oracle")
     ve.add_argument("--coupling", type=float, required=True)
@@ -251,20 +239,13 @@ def _build_parser() -> _Parser:
     ve.add_argument("--levels", type=int, default=6)
     ve.add_argument("--plan", type=str, default="")
     ve.add_argument("--tol", type=float, default=1e-6)
+    ve.set_defaults(run=cmd_verify)
 
     li = sub.add_parser("limit", help="zero-coupling closed-form checks")
     li.add_argument("--m", type=int, choices=(1, 2, 3), required=True)
     li.add_argument("--n", type=int, default=0)
+    li.set_defaults(run=cmd_limit)
     return parser
-
-
-_DISPATCH = {
-    "spectrum": cmd_spectrum,
-    "critical": cmd_critical,
-    "hierarchy": cmd_hierarchy,
-    "verify": cmd_verify,
-    "limit": cmd_limit,
-}
 
 
 def _validate(parser: _Parser, args) -> None:
@@ -287,20 +268,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    cfg = RunConfig(command=args.command,
-                    coupling=getattr(args, "coupling", 0.0),
-                    levels=getattr(args, "levels", 8),
-                    depth=getattr(args, "depth", 2),
-                    plan=getattr(args, "plan", ""),
-                    samples=getattr(args, "samples", 101),
-                    fmt=getattr(args, "fmt", "json"),
-                    out=getattr(args, "out", None),
-                    tol=getattr(args, "tol", 1e-6),
-                    index=getattr(args, "index", 0),
-                    m=getattr(args, "m", 1),
-                    n=getattr(args, "n", 0))
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return args.run(args)
     except (ConvergenceError, IllegalPlanError, ZeroDivisionError) as exc:
         print(_render({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)

@@ -165,74 +165,75 @@ def kappa_condition_residual(E: complex, Z: float) -> complex:
     return rho * coth(rho) + sigma * coth(sigma)
 
 
-def _newton_refine_t(t0: float, Z: float, tol: float = 1e-12, itmax: int = 100) -> float:
-    t = t0
-    for _ in range(itmax):
-        g = matching_residual(t, Z)
-        if abs(g) < tol:
-            # one extra plain step: push the residual to its rounding floor,
-            # which the ill-conditioned wavenumber form downstream needs
-            dg = matching_residual_dt(t, Z)
-            if dg != 0:
-                tn = t - g / dg
-                if abs(matching_residual(tn, Z)) <= abs(g):
-                    t = tn
-            return t
-        dg = matching_residual_dt(t, Z)
-        if dg == 0:
+def _newton(f, df, x, tol: float, what: str):
+    """Damped Newton for a real or complex scalar root of f, df its derivative.
+
+    Each step is halved until |f| decreases.  Once |f| < tol, one more plain
+    step is taken if it does not raise |f|: it pushes the residual to its
+    rounding floor, which the ill-conditioned wavenumber form downstream
+    needs.  A step that no halving improves is a stall.
+    """
+    fx = f(x)
+    for _ in range(100):
+        d = df(x)
+        if abs(fx) < tol:
+            if d != 0:
+                xn = x - fx / d
+                if abs(f(xn)) <= abs(fx):
+                    x = xn
+            return x
+        if d == 0:
             break
-        step = g / dg
-        # stay inside the band; damp on residual increase
-        lam = 1.0
+        step = fx / d
         for _ in range(60):
-            tn = t - lam * step
-            if tn > 0 and abs(matching_residual(tn, Z)) < abs(g):
+            xn = x - step
+            fn = f(xn)
+            if abs(fn) < abs(fx):
                 break
-            lam *= 0.5
-        t = t - lam * step
-    if abs(matching_residual(t, Z)) < tol:
-        return t
-    raise ConvergenceError(f"matching-residual Newton stalled at t={t}, Z={Z}")
+            step *= 0.5
+        else:
+            break
+        x, fx = xn, fn
+    raise ConvergenceError(f"{what} Newton stalled at {x}")
 
 
-def _band_roots(Z: float, nu: int, n_grid: int = 512):
-    """Roots of G in band nu: sign scan, bisection to 1e-8, Newton to 1e-12."""
+def _bisect(f, neg: float, pos: float, width: float) -> float:
+    """Midpoint of a sign change of f, f(neg) < 0 < f(pos), bracketed to `width`.
+
+    The ends may come in either order; f is never evaluated at them.
+    """
+    while abs(pos - neg) > width:
+        mid = 0.5 * (neg + pos)
+        if f(mid) < 0:
+            neg = mid
+        else:
+            pos = mid
+    return 0.5 * (neg + pos)
+
+
+def _band_roots(Z: float, nu: int):
+    """Roots of G in band nu, increasing; none once Z exceeds the band's critical coupling.
+
+    For 0 < Z <= Z_crit, G > 0 at both band ends and G < 0 at the merge
+    point, so [lo, t_merge] and [t_merge, hi] each bracket one root:
+    bisection to 1e-8, then Newton to 1e-12.
+    """
     lo, hi = band_bounds(nu)
     if Z == 0:
         # exact endpoint roots t = (2 nu + 1) pi / 2 and (nu + 1) pi
         return [lo, hi]
-    dt = (hi - lo) / (n_grid - 1)
-    ts = [lo + k * dt for k in range(n_grid)]
-    vals = [matching_residual(t, Z) for t in ts]
-    brackets = []
-    for k in range(n_grid - 1):
-        if vals[k] == 0.0:
-            brackets.append((ts[k], ts[k]))
-        elif vals[k] * vals[k + 1] < 0:
-            brackets.append((ts[k], ts[k + 1]))
-    roots = []
-    for a, b in brackets:
-        fa = matching_residual(a, Z)
-        while b - a > 1e-8:
-            m = 0.5 * (a + b)
-            fm = matching_residual(m, Z)
-            if fa * fm <= 0:
-                b = m
-            else:
-                a, fa = m, fm
-        roots.append(0.5 * (a + b))
-    if len(roots) == 2 and roots[1] - roots[0] < 1e-4:
-        # near tangency the brackets collapse: locate the minimum of G^2 by
-        # quadratic fit, then Newton from both flanks of the vertex
-        tc = 0.5 * (roots[0] + roots[1])
-        d = max(roots[1] - roots[0], 1e-7)
-        g2 = [matching_residual(tc + k * d, Z) ** 2 for k in (-1, 0, 1)]
-        denom = g2[0] - 2 * g2[1] + g2[2]
-        if denom > 0:
-            tc += 0.5 * d * (g2[0] - g2[2]) / denom
-        half = max(abs(roots[1] - roots[0]) / 2, 1e-9)
-        roots = [tc - half, tc + half]
-    return [_newton_refine_t(r, Z) for r in roots]
+    crit = find_critical_coupling(nu)
+    if Z > crit.z_crit:
+        return []
+
+    def G(t):
+        return matching_residual(t, Z)
+
+    def dG(t):
+        return matching_residual_dt(t, Z)
+
+    return [_newton(G, dG, _bisect(G, crit.t_merge, end, 1e-8), 1e-12,
+                    f"matching-residual (Z={Z})") for end in (lo, hi)]
 
 
 def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
@@ -266,105 +267,72 @@ def solve_real_spectrum(Z: float, count: int):
     return levels
 
 
-def _two_roots_in_band(Z: float, nu: int) -> bool:
-    lo, hi = band_bounds(nu)
-    n = 512
-    dt = (hi - lo) / (n - 1)
-    prev = matching_residual(lo, Z)
-    changes = 0
-    for k in range(1, n):
-        cur = matching_residual(lo + k * dt, Z)
-        if prev * cur < 0:
-            changes += 1
-        prev = cur
-    return changes >= 2
+def _curve_s(t: float) -> float:
+    """s >= 0 with s sinh 2s = -t sin 2t: the G = 0 curve at t, inside a band."""
+    r = max(-t * math.sin(2 * t), 0.0)
+    # s sinh 2s is convex and exceeds both 2 s^2 and, for s >= 1/2, sinh(2s)/2,
+    # so Newton runs down to the root from this upper bound without overshoot
+    s0 = min(math.sqrt(r / 2), max(0.5, math.asinh(2 * r) / 2))
+    return _newton(lambda s: s * math.sinh(2 * s) - r,
+                   lambda s: math.sinh(2 * s) + 2 * s * math.cosh(2 * s),
+                   s0, 1e-13 * (1 + r), "G = 0 curve")
+
+
+def _merge_residual(t: float) -> float:
+    """dG/dt on the G = 0 curve Z(t) = 2 t s(t).
+
+    There dZ/dt = -2t dG/dt / (sinh 2s + 2s cosh 2s), so this vanishes at
+    the peak of Z(t).  It runs from -2 lo at the lower band edge to 2 hi at
+    the upper one.
+    """
+    return matching_residual_dt(t, 2 * t * _curve_s(t))
+
+
+def _merge_residual_dt(t: float) -> float:
+    """d/dt of _merge_residual, with ds/dt = -q/D from s sinh 2s = -t sin 2t."""
+    s = _curve_s(t)
+    D = math.sinh(2 * s) + 2 * s * math.cosh(2 * s)  # d(s sinh 2s)/ds
+    dD = 4 * (math.cosh(2 * s) + s * math.sinh(2 * s))
+    q = math.sin(2 * t) + 2 * t * math.cos(2 * t)  # d(t sin 2t)/dt
+    return (q / t + s * q * dD / (t * D) + s * D / t ** 2
+            + 4 * (math.cos(2 * t) - t * math.sin(2 * t)))
 
 
 @lru_cache(maxsize=None)
 def find_critical_coupling(nu: int) -> CriticalCoupling:
-    """Coupling where the band-nu root pair merges: G = 0 and dG/dt = 0 jointly.
+    """Coupling where the band-nu root pair merges: the peak of the G = 0 curve.
 
-    A Z-bisection on the loss of the two-sign-change pattern brackets the
-    merge to 1e-3, then a damped two-dimensional Newton polishes (t, Z).
+    In band nu, G = 0 is the curve Z(t) = 2 t s(t) with s sinh 2s = -t sin 2t.
+    It rises from 0 at the lower band edge and falls to 0 at the upper one,
+    and is tangent to a constant-Z line only at its peak, where dG/dt = 0
+    as well.  Bisection brackets that zero to 0.1, then Newton polishes it.
     """
     if nu < 0:
         raise ValueError("band index must be nonnegative")
-    z_lo = 1e-3
-    z_hi = 4.0 + 9.0 * nu
-    while _two_roots_in_band(z_hi, nu):
-        z_hi *= 1.5
-        if z_hi > 1e4:
-            raise ConvergenceError("no merge found while raising the coupling")
-    while z_hi - z_lo > 1e-3:
-        zm = 0.5 * (z_lo + z_hi)
-        if _two_roots_in_band(zm, nu):
-            z_lo = zm
-        else:
-            z_hi = zm
-    roots = _band_roots(z_lo, nu)
-    t = 0.5 * (roots[0] + roots[-1])
-    Z = 0.5 * (z_lo + z_hi)
-
-    def F(t_, Z_):
-        return matching_residual(t_, Z_), matching_residual_dt(t_, Z_)
-
-    f1, f2 = F(t, Z)
-    for _ in range(100):
-        if abs(f1) < 1e-12 and abs(f2) < 1e-10:
-            break
-        ht = 1e-7 * (1 + abs(t))
-        hz = 1e-7 * (1 + abs(Z))
-        a1, a2 = F(t + ht, Z)
-        b1, b2 = F(t, Z + hz)
-        j11, j12 = (a1 - f1) / ht, (b1 - f1) / hz
-        j21, j22 = (a2 - f2) / ht, (b2 - f2) / hz
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            raise ConvergenceError("singular Jacobian in the tangency Newton")
-        dt_ = (-f1 * j22 + f2 * j12) / det
-        dz_ = (-f2 * j11 + f1 * j21) / det
-        lam = 1.0
-        for _ in range(8):
-            n1, n2 = F(t + lam * dt_, Z + lam * dz_)
-            if abs(n1) + abs(n2) < abs(f1) + abs(f2):
-                break
-            lam *= 0.5
-        t, Z = t + lam * dt_, Z + lam * dz_
-        f1, f2 = n1, n2
-    if not (abs(f1) < 1e-10 and abs(f2) < 1e-8):
-        raise ConvergenceError(f"tangency Newton did not converge for band {nu}")
-    s = Z / (2 * t)
-    return CriticalCoupling(nu, Z, t, t * t - s * s)
+    lo, hi = band_bounds(nu)
+    t = _newton(_merge_residual, _merge_residual_dt, _bisect(_merge_residual, lo, hi, 0.1),
+                2e-11 * hi, f"tangency (band {nu})")
+    s = _curve_s(t)
+    return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
 
-def _pair_residual(e: float, eps: float, Z: float) -> complex:
-    return kappa_condition_residual(complex(e, -eps), Z)
+def _kappa_condition_dE(E: complex, Z: float) -> complex:
+    """d/dE of kappa_condition_residual: sum of (coth r - r csch^2 r)(-1/2r).
+
+    Each term r coth r is even in r, so the sum is holomorphic in E whatever
+    square-root branch gives rho and sigma.
+    """
+    total = 0j
+    for r in (halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)):
+        total += (coth(r) - r * cosech(r) ** 2) / (-2 * r)
+    return total
 
 
-def _pair_newton(e: float, eps: float, Z: float, tol: float = 1e-10, itmax: int = 100):
-    f = _pair_residual(e, eps, Z)
-    for _ in range(itmax):
-        if abs(f) < tol:
-            return e, abs(eps)
-        he = 1e-7 * (1 + abs(e))
-        hp = 1e-7 * (1 + abs(eps))
-        fe = _pair_residual(e + he, eps, Z)
-        fp = _pair_residual(e, eps + hp, Z)
-        j11, j12 = (fe.real - f.real) / he, (fp.real - f.real) / hp
-        j21, j22 = (fe.imag - f.imag) / he, (fp.imag - f.imag) / hp
-        det = j11 * j22 - j12 * j21
-        if det == 0:
-            raise ConvergenceError("singular Jacobian in the pair Newton")
-        de = (-f.real * j22 + f.imag * j12) / det
-        dp = (-f.imag * j11 + f.real * j21) / det
-        lam = 1.0
-        for _ in range(8):
-            fn = _pair_residual(e + lam * de, eps + lam * dp, Z)
-            if abs(fn) < abs(f):
-                break
-            lam *= 0.5
-        e, eps, f = e + lam * de, eps + lam * dp, fn
-    raise ConvergenceError(f"complex-pair Newton did not converge at Z={Z}")
+def _pair_newton(E: complex, Z: float) -> complex:
+    """The pair member near E, returned as the lower one (Im E <= 0)."""
+    E = _newton(lambda E: kappa_condition_residual(E, Z), lambda E: _kappa_condition_dE(E, Z),
+                E, 1e-10, f"complex-pair (Z={Z})")
+    return complex(E.real, -abs(E.imag))
 
 
 def solve_complex_pair(Z: float, nu: int, seed=None):
@@ -378,17 +346,15 @@ def solve_complex_pair(Z: float, nu: int, seed=None):
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
     if seed is not None:
-        e, eps = seed
+        E0 = complex(seed[0], -seed[1])
     else:
-        e, eps = crit.e_merge, 1e-3
-        zc = crit.z_crit
+        E0, zc = complex(crit.e_merge, -1e-3), crit.z_crit
         while zc < Z:
             zc = min(zc + 0.05, Z)
-            e, eps = _pair_newton(e, eps, zc)
-    e, eps = _pair_newton(e, eps, Z)
-    if eps <= 0:
-        raise ConvergenceError("pair solver landed on a nonpositive eps")
-    E0 = complex(e, -eps)
+            E0 = _pair_newton(E0, zc)
+    E0 = _pair_newton(E0, Z)
+    if E0.imag == 0:
+        raise ConvergenceError("pair solver landed on a real energy")
     E1 = E0.conjugate()
     lower = SpectralLevel(0, E0, WaveNumber(halfplane_sqrt(-E0 - 1j * Z)),
                           WaveNumber(halfplane_sqrt(1j * Z - E0)), Branch.COMPLEX_PAIR_LOWER)

@@ -12,7 +12,7 @@ from enum import Enum
 
 from .spectral_core import (Branch, SpectralLevel, Spectrum, classify_spectrum,
                             cosech, coth, find_critical_coupling)
-from .wavefunctions import (PiecewiseEigenfunction, chebyshev_grid,
+from .wavefunctions import (Piecewise, PiecewiseEigenfunction, chebyshev_grid,
                             normalize_sides, pt_defect,
                             square_well_eigenfunction)
 
@@ -49,29 +49,20 @@ class EliminationPlan:
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewisePotential:
+class PiecewisePotential(Piecewise):
     right_eval: object
     left_eval: object
     endpoint_exponent: int
     pt_symmetric: bool
 
-    def __call__(self, x: float) -> complex:
-        return self.right_eval(x) if x >= 0 else self.left_eval(x)
-
 
 @dataclass(frozen=True, eq=False)
-class Superpotential:
+class Superpotential(Piecewise):
     right_eval: object
     left_eval: object
     factorization_energy: complex
     right_deriv: object = None
     left_deriv: object = None
-
-    def __call__(self, x: float) -> complex:
-        return self.right_eval(x) if x >= 0 else self.left_eval(x)
-
-    def derivative(self, x: float) -> complex:
-        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +446,6 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         eig = _eig_builder(m + 1, child, eliminated, prev_builder=eig,
                            W=member.superpotential, e_idx=e_idx)
         spectrum = child
-        prev_e_idx = e_idx
     return members
 
 

@@ -8,7 +8,6 @@ pinned instead, psi'(0) = i alpha.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .spectral_core import SpectralLevel, coth
 
@@ -20,8 +19,23 @@ class OriginData:
     beta: complex
 
 
+class Piecewise:
+    """A function of x with a right branch on x >= 0 and a left one on x < 0.
+
+    Subclasses provide right_eval and left_eval, and right_deriv and
+    left_deriv where they have a derivative.
+    """
+
+    def __call__(self, x: float) -> complex:
+        # x = 0 takes the right branch; for eigenfunctions continuity makes this immaterial
+        return self.right_eval(x) if x >= 0 else self.left_eval(x)
+
+    def derivative(self, x: float) -> complex:
+        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
+
+
 @dataclass(frozen=True, eq=False)
-class PiecewiseEigenfunction:
+class PiecewiseEigenfunction(Piecewise):
     level: SpectralLevel
     member_depth: int
     right_eval: object
@@ -30,13 +44,6 @@ class PiecewiseEigenfunction:
     coefficients: tuple
     right_deriv: object = None
     left_deriv: object = None
-
-    def __call__(self, x: float) -> complex:
-        # x = 0 evaluates the right branch; continuity makes this immaterial
-        return self.right_eval(x) if x >= 0 else self.left_eval(x)
-
-    def derivative(self, x: float) -> complex:
-        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,6 @@ def schrodinger_residual(f, V, E: complex, x: float, h: float) -> complex:
     return -lap + (complex(V(x)) - E) * complex(f(x))
 
 
-@lru_cache(maxsize=4096)
 def gegenbauer_eval(n: int, m: int, x: float) -> float:
     """C_n^(m)(x) by the three-term recurrence."""
     if n < 0 or m < 1:

@@ -106,14 +106,6 @@ def test_verify_fails_at_unreachable_tolerance(capsys):
     assert json.loads(out)["all_pass"] is False
 
 
-def test_verify_tolerance_override(monkeypatch, capsys):
-    monkeypatch.setenv("PTWELL_TOL_OVERRIDE", "1e6")
-    code, out, _ = run_cli(capsys, "verify", "--coupling", "2", "--member", "1",
-                           "--levels", "2", "--tol", "1e-13")
-    assert code == 0
-    assert json.loads(out)["tolerance"] == pytest.approx(1e-7)
-
-
 def test_limit_json(capsys):
     code, out, _ = run_cli(capsys, "limit", "--m", "2", "--n", "1")
     assert code == 0

@@ -16,6 +16,8 @@ from ptwell import (
     solve_real_spectrum,
 )
 from ptwell.spectral_core import (
+    _band_roots,
+    _kappa_condition_dE,
     band_bounds,
     cosech,
     coth,
@@ -82,6 +84,15 @@ def test_matching_residual_dt_against_difference_quotient():
         assert matching_residual_dt(t, Z) == pytest.approx(fd, rel=1e-7)
 
 
+def test_pair_derivative_against_difference_quotient():
+    # along the real and the imaginary direction alike: the residual is holomorphic in E
+    for E, Z in ((6.45 - 1.89j, 5.0), (31.1 - 4.4j, 14.0), (3.0 + 0.5j, 2.0)):
+        h = 1e-6
+        for dz in (h, 1j * h):
+            fd = (kappa_condition_residual(E + dz, Z) - kappa_condition_residual(E - dz, Z)) / (2 * dz)
+            assert _kappa_condition_dE(E, Z) == pytest.approx(fd, rel=1e-7)
+
+
 def test_curve_x_frozen_and_band_domain():
     assert curve_X(1.5) == pytest.approx(0.9404913963875541, rel=1e-15)
     assert curve_X(1.0) == pytest.approx(0.0, abs=1e-8)
@@ -120,6 +131,13 @@ def test_zero_coupling_spectrum_is_exact():
         assert level.energy.imag == 0.0
 
 
+@pytest.mark.parametrize("Z", [1e-8, 1e-6])
+def test_near_zero_coupling_keeps_every_level(Z):
+    # G sits at its rounding floor near the band edges here; no level may go missing
+    for n, level in enumerate(solve_real_spectrum(Z, 14)):
+        assert level.energy.real == pytest.approx((n + 1) ** 2 * math.pi**2 / 4, rel=1e-12)
+
+
 def test_real_spectrum_frozen_z2():
     expected = [
         2.8941620684721343,
@@ -155,12 +173,34 @@ def test_critical_couplings_frozen():
     assert c2.z_crit == pytest.approx(22.633436438001297, rel=1e-10)
 
 
-def test_critical_point_sits_on_tangency():
-    c = find_critical_coupling(0)
+@pytest.mark.parametrize("nu", [0, 1, 2, 5, 10, 20, 40])
+def test_critical_point_sits_on_tangency(nu):
+    c = find_critical_coupling(nu)
     assert abs(matching_residual(c.t_merge, c.z_crit)) < 1e-10
     assert abs(matching_residual_dt(c.t_merge, c.z_crit)) < 1e-8
-    lo, hi = band_bounds(0)
+    lo, hi = band_bounds(nu)
     assert lo < c.t_merge < hi
+
+
+@pytest.mark.parametrize("nu", [0, 3, 10])
+def test_band_roots_straddle_merge_just_below_critical(nu):
+    c = find_critical_coupling(nu)
+    Z = c.z_crit * (1 - 1e-8)
+    roots = _band_roots(Z, nu)
+    assert len(roots) == 2
+    assert roots[0] < c.t_merge < roots[1]
+    assert all(abs(matching_residual(t, Z)) < 1e-12 for t in roots)
+
+
+@pytest.mark.parametrize("nu", [0, 3, 10])
+def test_pair_appears_just_above_critical(nu):
+    c = find_critical_coupling(nu)
+    Z = c.z_crit * (1 + 1e-8)
+    assert _band_roots(Z, nu) == []
+    lower, upper = solve_complex_pair(Z, nu)
+    assert lower.energy.imag < 0 < upper.energy.imag
+    assert lower.energy.real == pytest.approx(c.e_merge, rel=1e-6)
+    assert abs(kappa_condition_residual(lower.energy, Z)) < 1e-10
 
 
 def test_critical_coupling_rejects_negative_band():
