@@ -210,64 +210,63 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _checked(kind, good, rule: str):
+    """argparse type: kind(text), refused unless good(value); the parser names the flag."""
+    def parse(text: str):
+        value = kind(text)
+        if not good(value):  # NaN fails every comparison, so it is refused too
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_COUPLING = _checked(float, lambda v: v >= 0.0, ">= 0")
+_COUNT = _checked(int, lambda v: v >= 1, ">= 1")
+_INDEX = _checked(int, lambda v: v >= 0, ">= 0")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ptwell", description=__doc__.splitlines()[0])
     parser.set_defaults(out=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("spectrum", help="eigenvalues at a coupling")
-    sp.add_argument("--coupling", type=float, required=True)
-    sp.add_argument("--levels", type=int, default=8)
+    sp.add_argument("--coupling", type=_COUPLING, required=True)
+    sp.add_argument("--levels", type=_COUNT, default=8)
     sp.set_defaults(run=cmd_spectrum)
 
     cr = sub.add_parser("critical", help="pair-merge coupling for one band")
-    cr.add_argument("--index", type=int, default=0)
+    cr.add_argument("--index", type=_INDEX, default=0)
     cr.set_defaults(run=cmd_critical)
 
     hi = sub.add_parser("hierarchy", help="partner-chain potentials and spectra")
-    hi.add_argument("--coupling", type=float, required=True)
-    hi.add_argument("--depth", type=int, default=2)
+    hi.add_argument("--coupling", type=_COUPLING, required=True)
+    hi.add_argument("--depth", type=_COUNT, default=2)
     hi.add_argument("--plan", type=str, default="")
-    hi.add_argument("--samples", type=int, default=101)
+    hi.add_argument("--samples", type=_checked(int, lambda v: v >= 2, ">= 2"), default=101)
     hi.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     hi.add_argument("--out", type=str, default=None)
     hi.set_defaults(run=cmd_hierarchy)
 
     ve = sub.add_parser("verify", help="closed forms against the shooting oracle")
-    ve.add_argument("--coupling", type=float, required=True)
-    ve.add_argument("--member", dest="depth", type=int, default=1)
-    ve.add_argument("--levels", type=int, default=6)
+    ve.add_argument("--coupling", type=_COUPLING, required=True)
+    ve.add_argument("--member", dest="depth", metavar="MEMBER", type=_COUNT, default=1)
+    ve.add_argument("--levels", type=_COUNT, default=6)
     ve.add_argument("--plan", type=str, default="")
-    ve.add_argument("--tol", type=float, default=1e-6)
+    ve.add_argument("--tol", type=_checked(float, lambda v: v > 0.0, "> 0"), default=1e-6)
     ve.set_defaults(run=cmd_verify)
 
     li = sub.add_parser("limit", help="zero-coupling closed-form checks")
     li.add_argument("--m", type=int, choices=(1, 2, 3), required=True)
-    li.add_argument("--n", type=int, default=0)
+    li.add_argument("--n", type=_INDEX, default=0)
     li.set_defaults(run=cmd_limit)
     return parser
-
-
-def _validate(parser: _Parser, args) -> None:
-    checks = {
-        "coupling": lambda v: v >= 0.0,
-        "levels": lambda v: v >= 1,
-        "depth": lambda v: v >= 1,
-        "samples": lambda v: v >= 2,
-        "index": lambda v: v >= 0,
-        "n": lambda v: v >= 0,
-        "tol": lambda v: v > 0.0,
-    }
-    for name, good in checks.items():
-        value = getattr(args, name, None)
-        if value is not None and not good(value):
-            parser.error(f"invalid --{name.replace('fmt', 'format')}: {value}")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
     try:
         return args.run(args)
     except (ConvergenceError, IllegalPlanError, ZeroDivisionError) as exc:

@@ -6,13 +6,14 @@ normalized Wronskian mismatch at x = 0.  The integrator consumes only a
 potential's side evaluators and its endpoint exponent, never eigenfunction
 formulas, so agreement with the closed forms is a genuine cross-check.
 
-A side whose samples all share one value (every side of the bare well) is
-integrated as the n-th power of the single RK4 step matrix; any other side
-runs the per-step loop, compiled with numba when numba imports.
+The ODE is linear, so each RK4 step is a fixed 2x2 matrix and a side is the
+ordered product of its step matrices: the n-th power of one matrix when all
+samples share one value (the bare well), else a pairwise tree product of the
+n matrices, built at once in numpy (the partner potentials).
 """
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -20,10 +21,8 @@ import numpy as np
 
 from .spectral_core import ConvergenceError
 
-try:
-    from numba import njit
-except ImportError:  # numba is an optional extra; the loop then runs as plain Python
-    njit = None
+# no compiled backend; the name stays because the benchmark's report reads it
+njit = None
 
 
 class Side(Enum):
@@ -64,35 +63,6 @@ class MismatchValue:
         return self.wronskian / self.scale
 
 
-def _rk4_kernel_py(vnodes, vmids, E, hh, psi, dpsi):
-    logscale = 0.0
-    half = hh / 2.0
-    sixth = hh / 6.0
-    for k in range(vmids.shape[0]):
-        q1 = vnodes[k] - E
-        qm = vmids[k] - E
-        q2 = vnodes[k + 1] - E
-        k1p = dpsi
-        k1d = q1 * psi
-        k2p = dpsi + half * k1d
-        k2d = qm * (psi + half * k1p)
-        k3p = dpsi + half * k2d
-        k3d = qm * (psi + half * k2p)
-        k4p = dpsi + hh * k3d
-        k4d = q2 * (psi + hh * k3p)
-        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        dpsi = dpsi + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        m = abs(psi) + abs(dpsi)
-        if m > 1e100:
-            psi /= m
-            dpsi /= m
-            logscale += math.log(m)
-    return psi, dpsi, logscale
-
-
-_rk4_kernel = njit(cache=True)(_rk4_kernel_py) if njit is not None else _rk4_kernel_py
-
-
 def _rk4_constant_power(q, n, hh, psi, dpsi):
     """n RK4 steps of psi'' = q psi for constant q, as a power of one step matrix.
 
@@ -101,8 +71,7 @@ def _rk4_constant_power(q, n, hh, psi, dpsi):
     products of such matrices stay in that form, so M^n is built by repeated
     squaring on the pair (a, b).  Every operation is odd or even in h, which
     keeps M(-h) = D M(h) D (D = diag(1, -1)) exact in floating point.  Powers
-    and the result are renormalized past 1e100 as in the per-step loop, and
-    the returned triple has the loop's meaning: the solution is
+    and the result are renormalized past 1e100, and the solution is
     (psi, dpsi) * exp(logscale).
     """
     h2q = hh * hh * q
@@ -129,6 +98,40 @@ def _rk4_constant_power(q, n, hh, psi, dpsi):
     return psi, dpsi, plog
 
 
+def _rk4_step_product(vnodes, vmids, E, hh, psi, dpsi):
+    """All RK4 steps of psi'' = (V - E) psi as the ordered product M[n-1]...M[1] M[0].
+
+    The RK4 stage arithmetic runs on both unit vectors at once, giving rows
+    a, b, c, d of every step matrix [[a, b], [c, d]].  Neighbours multiply
+    pairwise up a tree, carrying an odd tail; once a partial product passes
+    1e100, its level is scaled by exact powers of two, summed up the tree.
+    The solution is (psi, dpsi) * exp(logscale).
+    """
+    q1, qm, q2 = vnodes[:-1] - E, vmids - E, vnodes[1:] - E
+    p, d = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+    k1p, k1d = d, q1 * p
+    k2p, k2d = d + hh / 2.0 * k1d, qm * (p + hh / 2.0 * k1p)
+    k3p, k3d = d + hh / 2.0 * k2d, qm * (p + hh / 2.0 * k2p)
+    k4p, k4d = d + hh * k3d, q2 * (p + hh * k3p)
+    m = np.concatenate((p + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+                        d + hh / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)))
+    e = np.zeros(m.shape[1], dtype=np.int64)
+    while m.shape[1] > 1:
+        k = m.shape[1] & ~1
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = m[:, 0:k:2], m[:, 1:k:2]
+        pm = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
+                       c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
+        pe = e[0:k:2] + e[1:k:2]
+        size = np.abs(pm).sum(axis=0)
+        if (size > 1e100).any():  # rescaling every level would cost far more than this test
+            shift = np.frexp(size)[1]
+            pm *= np.ldexp(1.0, -shift)
+            pe += shift
+        m, e = np.concatenate((pm, m[:, k:]), axis=1), np.concatenate((pe, e[k:]))
+    a, b, c, d = m[:, 0].tolist()
+    return a * psi + b * dpsi, c * psi + d * dpsi, int(e[0]) * math.log(2.0)
+
+
 def _samples(ev, xs):
     """Samples of ev at xs as an array, and their common value if they share one."""
     vals = [ev(x) for x in xs]
@@ -137,7 +140,8 @@ def _samples(ev, xs):
         (complex(v) if all(u == v for u in vals) else None)
 
 
-@lru_cache(maxsize=64)
+# one potential's two sides are all its callers reuse; more keeps old ones alive
+@lru_cache(maxsize=2)
 def _sampled_side(V, side: Side, h: float, delta: float):
     """Potential samples on the integration nodes and midpoints of one side.
 
@@ -163,7 +167,7 @@ def _integrate(V, E: complex, side: Side, cfg: ShootingConfig):
     dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
     if constant is not None:
         return _rk4_constant_power(constant - complex(E), mids.shape[0], hh, psi0, dpsi0)
-    return _rk4_kernel(nodes, mids, complex(E), hh, psi0, dpsi0)
+    return _rk4_step_product(nodes, mids, complex(E), hh, psi0, dpsi0)
 
 
 def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConfig()):
@@ -335,11 +339,7 @@ def rk4_order_estimate(V, E: complex, cfg: ShootingConfig = ShootingConfig(),
     E should sit near, not on, an eigenvalue: at a root the leading error
     terms cancel and the ratio turns into noise.
     """
-    vals = []
-    for h in ladder:
-        c = ShootingConfig(h=h, delta=cfg.delta, p=cfg.p,
-                           grid_resolution=cfg.grid_resolution, newton_tol=cfg.newton_tol)
-        vals.append(mismatch(V, E, c).normalized)
+    vals = [mismatch(V, E, replace(cfg, h=h)).normalized for h in ladder]
     diffs = [abs(vals[i] - vals[i + 1]) for i in range(len(vals) - 1)]
     exps = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
     return sum(exps) / len(exps)

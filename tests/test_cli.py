@@ -123,11 +123,19 @@ def test_limit_json(capsys):
     ["hierarchy", "--coupling", "2", "--samples", "1"],
     ["limit", "--m", "4", "--n", "0"],
     ["bogus"],
+    ["verify", "--coupling", "2", "--member", "0"],
 ])
-def test_usage_errors_exit_1(argv):
+def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 1
+    err_text = capsys.readouterr().err
+    if argv[0] != "bogus":
+        # the subcommand's own parser reports the error, with its own usage
+        assert f"usage: ptwell {argv[0]}" in err_text
+        assert f"ptwell {argv[0]}: error:" in err_text
+    if "--member" in argv:
+        assert "argument --member:" in err_text
 
 
 def test_solver_failures_exit_2(capsys):

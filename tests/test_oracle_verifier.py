@@ -17,7 +17,7 @@ from ptwell import (
     solve_real_spectrum,
     square_well_potential,
 )
-from ptwell.oracle_verifier import _ordered_levels, _rk4_kernel_py, _sampled_side
+from ptwell.oracle_verifier import _ordered_levels, _sampled_side
 
 
 def test_config_validation():
@@ -57,29 +57,65 @@ def test_side_solutions_share_parity_at_zero_coupling():
     assert dR == -dL
 
 
+def _step_loop(vnodes, vmids, E, hh, psi, dpsi):
+    """Reference RK4, one step at a time, renormalized past 1e100 like the integrators."""
+    logscale = 0.0
+    half = hh / 2.0
+    sixth = hh / 6.0
+    for k in range(vmids.shape[0]):
+        q1 = vnodes[k] - E
+        qm = vmids[k] - E
+        q2 = vnodes[k + 1] - E
+        k1p = dpsi
+        k1d = q1 * psi
+        k2p = dpsi + half * k1d
+        k2d = qm * (psi + half * k1p)
+        k3p = dpsi + half * k2d
+        k3d = qm * (psi + half * k2p)
+        k4p = dpsi + hh * k3d
+        k4d = q2 * (psi + hh * k3p)
+        psi = psi + sixth * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        dpsi = dpsi + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        m = abs(psi) + abs(dpsi)
+        if m > 1e100:
+            psi /= m
+            dpsi /= m
+            logscale += math.log(m)
+    return psi, dpsi, logscale
+
+
 def _restored(psi, dpsi, logscale):
     f = math.exp(logscale) if logscale < 700.0 else 1.0
     return psi * f, dpsi * f
 
 
+# members 2-4 of a real-phase chain, and of a broken-phase one at Z = 8
+_PLANS = {0.0: "real,real,real", 2.0: "real,real,real", 8.0: "clower,cupper,real"}
+
+
 @pytest.mark.parametrize("Z", [0.0, 2.0, 8.0])
 @pytest.mark.parametrize("E", [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -1e5])
 def test_constant_side_power_matches_step_loop(Z, E):
-    # E = -1e5 grows past 1e100 and exercises the renormalization
-    V = square_well_potential(Z)
-    cfg = ShootingConfig.for_potential(V)
-    for side, sgn in ((Side.RIGHT, -1.0), (Side.LEFT, 1.0)):
-        nodes, mids, hh, constant = _sampled_side(V, side, cfg.h, cfg.delta)
-        assert constant is not None
-        loop = _rk4_kernel_py(nodes, mids, complex(E), hh, complex(cfg.delta), complex(sgn))
-        if E == -1e5:
-            assert loop[2] > 0.0
-        p0, d0 = _restored(*loop)
-        p1, d1 = integrate_side(V, E, side, cfg)
-        assert math.hypot(abs(p1 - p0), abs(d1 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
+    # the bare well takes the constant power, members 2-4 the step-matrix
+    # product; E = -1e5 grows past 1e100 and exercises the renormalization
+    members = build_hierarchy(Z, EliminationPlan.from_text(_PLANS[Z]), 4, levels=8)
+    for mem in members:
+        V = mem.potential
+        cfg = ShootingConfig.for_potential(V)
+        for side, sgn in ((Side.RIGHT, -1.0), (Side.LEFT, 1.0)):
+            nodes, mids, hh, constant = _sampled_side(V, side, cfg.h, cfg.delta)
+            assert (constant is not None) == (mem.depth == 1)
+            psi0 = complex(cfg.delta ** cfg.p)
+            dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
+            loop = _step_loop(nodes, mids, complex(E), hh, psi0, dpsi0)
+            if E == -1e5:
+                assert loop[2] > 0.0
+            p0, d0 = _restored(*loop)
+            p1, d1 = integrate_side(V, E, side, cfg)
+            assert math.hypot(abs(p1 - p0), abs(d1 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
 
 
-def test_partner_sides_keep_step_loop():
+def test_partner_sides_are_not_constant():
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
     for side in Side:
         assert _sampled_side(V2, side, 2e-4, 1e-6)[3] is None
