@@ -155,7 +155,9 @@ def cmd_verify(args) -> int:
     hi_re = max(E.real for E in closed) + 5.0
     lo_im = min(0.0, min(E.imag for E in closed)) - 1.0
     hi_im = max(0.0, max(E.imag for E in closed)) + 1.0
-    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12]
+    # only a PT-symmetric member's real levels are found by the real-axis scan
+    pt = member.potential.pt_symmetric
+    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12 or not pt]
     oracle = find_spectrum_numeric(member.potential, len(closed),
                                    (complex(lo_re, lo_im), complex(hi_re, hi_im)),
                                    sh, seeds=seeds or None)

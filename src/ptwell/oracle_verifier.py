@@ -24,6 +24,9 @@ from .spectral_core import ConvergenceError
 # no compiled backend; the name stays because the benchmark's report reads it
 njit = None
 
+GRID_RESOLUTION = 240  # real-axis scan points
+ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
+
 
 class Side(Enum):
     RIGHT = "R"
@@ -35,8 +38,6 @@ class ShootingConfig:
     h: float = 2e-4
     delta: float = 1e-6
     p: int = 1
-    grid_resolution: int = 240
-    newton_tol: float = 1e-10
 
     def __post_init__(self):
         assert 0.0 < self.h < 1e-2
@@ -199,65 +200,52 @@ def mismatch(V, E: complex, cfg: ShootingConfig = ShootingConfig()) -> MismatchV
     return MismatchValue(complex(E), w, scale)
 
 
-def _newton_polish(V, seed: complex, cfg: ShootingConfig):
-    """Damped 2-D Newton on (Re, Im) of the normalized mismatch."""
-    E = complex(seed)
-    f = mismatch(V, E, cfg).normalized
+def _secant(f, E0, E1, f0, f1):
+    """Damped secant on a real or complex scalar f, from (E0, f0) and (E1, f1).
+
+    Starts from the end with the smaller |f|.  Each step is capped at
+    0.5 (1 + |E|) and halved up to 8 times until |f| falls.  Once
+    |f| < ROOT_TOL, one more step is kept if |f| does not rise: it takes E to
+    the rounding floor of f.  Stops at once when f1 == f0 (no secant line).
+    Returns (E, |f(E)|); a residual >= ROOT_TOL means no convergence.
+    """
+    if abs(f0) < abs(f1):
+        E0, E1, f0, f1 = E1, E0, f1, f0
     for _ in range(60):
-        if abs(f) < cfg.newton_tol:
-            return E, abs(f)
-        step = 1e-7 * (1.0 + abs(E))
-        fx = mismatch(V, E + step, cfg).normalized
-        fy = mismatch(V, E + 1j * step, cfg).normalized
-        j11, j12 = (fx.real - f.real) / step, (fy.real - f.real) / step
-        j21, j22 = (fx.imag - f.imag) / step, (fy.imag - f.imag) / step
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
+        if f1 == f0:
             break
-        dE = complex((-f.real * j22 + f.imag * j12) / det,
-                     (-f.imag * j11 + f.real * j21) / det)
-        cap = 0.5 * (1.0 + abs(E))
-        if abs(dE) > cap:
-            dE *= cap / abs(dE)
+        step = f1 * (E1 - E0) / (f0 - f1)
+        cap = 0.5 * (1.0 + abs(E1))
+        if abs(step) > cap:
+            step *= cap / abs(step)
+        if abs(f1) < ROOT_TOL:
+            f2 = f(E1 + step)
+            return (E1 + step, abs(f2)) if abs(f2) <= abs(f1) else (E1, abs(f1))
         lam = 1.0
-        fnew = f
-        Enew = E
         for _ in range(8):
-            Enew = E + lam * dE
-            fnew = mismatch(V, Enew, cfg).normalized
-            if abs(fnew) < abs(f):
+            E2 = E1 + lam * step
+            f2 = f(E2)
+            if abs(f2) < abs(f1):
                 break
             lam /= 2.0
-        E, f = Enew, fnew
-    return E, abs(f)
+        E0, E1, f0, f1 = E1, E2, f1, f2
+    return E1, abs(f1)
 
 
-def _real_axis_candidates(V, lo: float, hi: float, cfg: ShootingConfig):
-    # PT-symmetric potential: the normalized mismatch is real on the real
-    # axis, so plain sign changes bracket eigenvalues
-    Es = np.linspace(lo, hi, cfg.grid_resolution)
+def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):
+    """Neighbouring scan points (E0, E1, f0, f1) whose values bracket a real root.
+
+    PT-symmetric potential: the normalized mismatch is real on the real
+    axis, so sign changes (or an exact zero) bracket eigenvalues.
+    """
+    Es = [float(E) for E in np.linspace(lo, hi, GRID_RESOLUTION)]
     vals = [mismatch(V, complex(E), cfg).normalized.real for E in Es]
-    out = []
-    for k in range(len(Es) - 1):
-        if vals[k] == 0.0:
-            out.append(float(Es[k]))
-        elif vals[k] * vals[k + 1] < 0.0:
-            a, b, fa = float(Es[k]), float(Es[k + 1]), vals[k]
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = mismatch(V, complex(mid), cfg).normalized.real
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-                if b - a < 1e-12 * (1.0 + abs(b)):
-                    break
-            out.append(0.5 * (a + b))
-    return [complex(E) for E in out]
+    return [(Es[k], Es[k + 1], vals[k], vals[k + 1]) for k in range(len(Es) - 1)
+            if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0]
 
 
 def _box_minima_candidates(V, lo: complex, hi: complex, cfg: ShootingConfig):
-    # coarse |mismatch| landscape; local minima become Newton seeds
+    # coarse |mismatch| landscape; local minima become secant starts
     nr, ni = 48, 25
     res = np.linspace(lo.real, hi.real, nr)
     ims = np.linspace(lo.imag, hi.imag, ni)
@@ -299,25 +287,37 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     the lower member of a conjugate pair always comes first.
 
     search_box is a pair of complex corners.  PT-symmetric potentials whose
-    box straddles the real axis are scanned for real roots; otherwise the
-    box is sampled for mismatch minima.  Extra complex seeds (e.g. closed
-    predictions perturbed by a few percent) are polished alongside.
-    Seeds that fail to converge are skipped; falling short of `count`
-    converged levels raises ConvergenceError.
+    box straddles the real axis are scanned for real roots; otherwise, when
+    no seeds are given, the box is sampled for mismatch minima.  Extra
+    complex seeds (e.g. closed predictions perturbed by a few percent) are
+    solved first.  Every root comes from one damped secant (`_secant`):
+    on the real mismatch from a scan bracket's two points, so real roots
+    stay exactly real, and on the complex mismatch from E and
+    E + 1e-7 (1 + |E|) for a seed or box minimum.  Starts that fail to
+    converge are skipped; falling short of `count` converged levels raises
+    ConvergenceError.
     """
     lo, hi = complex(search_box[0]), complex(search_box[1])
     lo, hi = complex(min(lo.real, hi.real), min(lo.imag, hi.imag)), \
         complex(max(lo.real, hi.real), max(lo.imag, hi.imag))
-    candidates = list(seeds) if seeds is not None else []
-    if getattr(V, "pt_symmetric", False) and lo.imag <= 0.0 <= hi.imag:
-        candidates += _real_axis_candidates(V, lo.real, hi.real, cfg)
-    elif not candidates:
-        candidates += _box_minima_candidates(V, lo, hi, cfg)
+    on_plane = lambda E: mismatch(V, E, cfg).normalized
+    on_axis = lambda E: mismatch(V, complex(E), cfg).normalized.real
+    scan = getattr(V, "pt_symmetric", False) and lo.imag <= 0.0 <= hi.imag
+    seeds = list(seeds) if seeds is not None else []
+    if not scan and not seeds:
+        seeds = _box_minima_candidates(V, lo, hi, cfg)
+    roots = []
+    for seed in seeds:
+        E0 = complex(seed)
+        E1 = E0 + 1e-7 * (1.0 + abs(E0))
+        roots.append(_secant(on_plane, E0, E1, on_plane(E0), on_plane(E1)))
+    if scan:
+        roots += [_secant(on_axis, *start) for start in _real_axis_starts(V, lo.real, hi.real, cfg)]
     found = []
-    for seed in candidates:
-        E, res = _newton_polish(V, seed, cfg)
-        if res >= cfg.newton_tol:
+    for E, res in roots:
+        if res >= ROOT_TOL:
             continue
+        E = complex(E)
         margin = 1e-6 * (1.0 + abs(hi - lo))
         if not (lo.real - margin <= E.real <= hi.real + margin
                 and lo.imag - margin <= E.imag <= hi.imag + margin):

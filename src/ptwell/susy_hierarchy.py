@@ -192,7 +192,7 @@ def _pair_correction(w: complex, ra: complex, rb: complex) -> complex:
         return -2.0 * (rb ** 2 - ra ** 2) * num / _pair_denominator(w, ra, rb) ** 2
     A, B = ra * ra, rb * rb
     w2 = 4.0 * w * w
-    n_sum, c, h, bpow = 1.0 + 0j, w2 * w2 / 24.0, 1.0 + 0j, 1.0 + 0j
+    c, h, bpow = w2 * w2 / 24.0, 1.0 + 0j, 1.0 + 0j
     n_sum = c * h
     for k in range(3, 30):
         c *= w2 / ((2 * k - 1) * (2 * k))
@@ -256,8 +256,7 @@ def _psi2(level: SpectralLevel, a: SpectralLevel) -> PiecewiseEigenfunction:
 
     fR, dR = side(rj, ra)
     fL, dL = side(sj, sa)
-    re, le, rd, ld, origin, coef = normalize_sides(fR, dR, fL, dL)
-    return PiecewiseEigenfunction(level, 2, re, le, origin, coef, rd, ld)
+    return normalize_sides(level, 2, fR, dR, fL, dL)
 
 
 def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> PiecewiseEigenfunction:
@@ -287,8 +286,7 @@ def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> Piecewise
 
     fR, dR = side(rj, ra, rb)
     fL, dL = side(sj, sa, sb)
-    re, le, rd, ld, origin, coef = normalize_sides(fR, dR, fL, dL)
-    return PiecewiseEigenfunction(level, 3, re, le, origin, coef, rd, ld)
+    return normalize_sides(level, 3, fR, dR, fL, dL)
 
 
 def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigenfunction:
@@ -321,13 +319,13 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     if max(vals) < 1e-10 * scale:
         raise LevelAnnihilated(f"level {psi.level.index} is the factorization level")
 
-    re, le, rd, ld, origin, coef = normalize_sides(
-        lambda w: phiR(1.0 - w), lambda w: -dphiR(1.0 - w),
-        lambda v: phiL(v - 1.0), lambda v: dphiL(v - 1.0))
     key_new = (E.real, E.imag) > (Ef.real, Ef.imag)
     lvl = SpectralLevel(psi.level.index - 1 if key_new else psi.level.index,
                         E, psi.level.kappa_right, psi.level.kappa_left, psi.level.branch)
-    return PiecewiseEigenfunction(lvl, psi.member_depth + 1, re, le, origin, coef, rd, ld)
+    return normalize_sides(
+        lvl, psi.member_depth + 1,
+        lambda w: phiR(1.0 - w), lambda w: -dphiR(1.0 - w),
+        lambda v: phiL(v - 1.0), lambda v: dphiL(v - 1.0))
 
 
 def _logderiv_superpotential(psi: PiecewiseEigenfunction, V: PiecewisePotential) -> Superpotential:

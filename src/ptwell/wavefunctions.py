@@ -41,7 +41,6 @@ class PiecewiseEigenfunction(Piecewise):
     right_eval: object
     left_eval: object
     origin: OriginData
-    coefficients: tuple
     right_deriv: object = None
     left_deriv: object = None
 
@@ -59,17 +58,16 @@ class GegenbauerPoly:
         return gegenbauer_eval(self.degree, self.order, x)
 
 
-def normalize_sides(fR, dR, fL, dL, alpha=1.0):
-    """Per-side origin normalization of wall-coordinate evaluators.
+def normalize_sides(level: SpectralLevel, depth: int, fR, dR, fL, dL,
+                    alpha=1.0) -> PiecewiseEigenfunction:
+    """The depth-`depth` eigenfunction of `level` from wall-coordinate evaluators.
 
     fR(w), dR(w) are the right-side function and its d/dw derivative; fL, dL
     the same in v.  Each side is divided by its own origin value so the match
     psi(0+) = psi(0-) = alpha is exact by construction.  When the origin value
     is negligible against the slope the beta branch takes over: the side is
-    divided by its origin slope over i, giving psi'(0) = i alpha.
-
-    Returns (right_eval, left_eval, right_deriv, left_deriv, OriginData),
-    all in the physical coordinate x.
+    divided by its origin slope over i, giving psi'(0) = i alpha.  The
+    result's evaluators and derivatives are in the physical coordinate x.
     """
     val0R, der0R = fR(1.0), -dR(1.0)
     val0L, der0L = fL(1.0), dL(1.0)
@@ -91,7 +89,8 @@ def normalize_sides(fR, dR, fL, dL, alpha=1.0):
         return dL(1.0 + x) / cL
 
     origin = OriginData(right_eval(0.0), right_deriv(0.0) / 1j)
-    return right_eval, left_eval, right_deriv, left_deriv, origin, (cR, cL)
+    return PiecewiseEigenfunction(level, depth, right_eval, left_eval, origin,
+                                  right_deriv, left_deriv)
 
 
 def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> PiecewiseEigenfunction:
@@ -112,14 +111,13 @@ def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> Piece
         origin = OriginData(0.0, complex(alpha))
         return PiecewiseEigenfunction(
             level, 1,
-            lambda x: fR(1.0 - x), lambda x: fL(1.0 + x), origin, (1.0, 1.0),
+            lambda x: fR(1.0 - x), lambda x: fL(1.0 + x), origin,
             lambda x: -dR(1.0 - x), lambda x: dL(1.0 + x))
     fR = lambda w: cmath.sinh(rho * w)
     dR = lambda w: rho * cmath.cosh(rho * w)
     fL = lambda v: cmath.sinh(sigma * v)
     dL = lambda v: sigma * cmath.cosh(sigma * v)
-    re, le, rd, ld, origin, coef = normalize_sides(fR, dR, fL, dL, alpha)
-    return PiecewiseEigenfunction(level, 1, re, le, origin, coef, rd, ld)
+    return normalize_sides(level, 1, fR, dR, fL, dL, alpha)
 
 
 def eval_sw_eigenfunction(level: SpectralLevel, alpha: float, x: float) -> complex:

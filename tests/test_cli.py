@@ -90,18 +90,22 @@ def test_hierarchy_out_file(tmp_path, capsys):
 
 
 def test_verify_passes_at_default_tolerance(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--coupling", "2", "--member", "2",
-                           "--levels", "2")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["all_pass"] is True
-    assert all(row["pass"] for row in doc["levels"])
-    assert all(row["abs_dev"] < 1e-6 for row in doc["levels"])
+    # the Z = 8 clower member is not PT-symmetric but has real levels; the
+    # real-axis scan does not run for it, so every closed level must seed it
+    for argv in (("--coupling", "2", "--member", "2", "--levels", "2"),
+                 ("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3")):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_pass"] is True
+        assert all(row["pass"] for row in doc["levels"])
+        assert all(row["abs_dev"] < 1e-6 for row in doc["levels"])
 
 
 def test_verify_fails_at_unreachable_tolerance(capsys):
+    # below the energies' rounding: the oracle's deviations here are about 1e-15 and 1e-14
     code, out, _ = run_cli(capsys, "verify", "--coupling", "2", "--member", "1",
-                           "--levels", "2", "--tol", "1e-13")
+                           "--levels", "2", "--tol", "1e-16")
     assert code == 3
     assert json.loads(out)["all_pass"] is False
 

@@ -17,7 +17,9 @@ from ptwell import (
     solve_real_spectrum,
     square_well_potential,
 )
-from ptwell.oracle_verifier import _ordered_levels, _sampled_side
+from ptwell import oracle_verifier
+from ptwell.oracle_verifier import (ROOT_TOL, _ordered_levels, _real_axis_starts,
+                                    _sampled_side, _secant)
 
 
 def test_config_validation():
@@ -189,3 +191,52 @@ def test_overfull_request_raises():
     cfg = ShootingConfig.for_potential(V)
     with pytest.raises(ConvergenceError):
         find_spectrum_numeric(V, 3, (complex(1.0, -0.5), complex(5.0, 0.5)), cfg)
+
+
+def test_secant_from_scan_brackets_stays_in_bracket():
+    V = square_well_potential(2.0)
+    cfg = ShootingConfig.for_potential(V)
+    closed = [lv.energy.real for lv in solve_real_spectrum(2.0, 12)]
+    starts = _real_axis_starts(V, closed[0] - 2.0, closed[-1] + 5.0, cfg)
+    assert len(starts) >= 12
+
+    def f(E):
+        return mismatch(V, complex(E), cfg).normalized.real
+
+    for E0, E1, f0, f1 in starts:
+        E, res = _secant(f, E0, E1, f0, f1)
+        assert res < ROOT_TOL
+        assert isinstance(E, float)
+        assert E0 <= E <= E1
+    roots = [_secant(f, *start)[0] for start in starts[:12]]
+    for E, want in zip(roots, closed):
+        assert abs(E - want) < 1e-9 * want
+
+
+def test_secant_stops_when_both_values_are_equal():
+    def f(E):
+        raise AssertionError("no secant line, so no evaluation")
+
+    # the breakdown sentinel returns 1.0 at both starts
+    assert _secant(f, 1.0, 2.0, 1.0, 1.0)[1] == 1.0
+    assert _secant(f, 3.0 + 1.0j, 3.5 + 1.0j, complex(1.0), complex(1.0))[1] == 1.0
+
+
+def test_zero_coupling_search_mismatch_count(monkeypatch):
+    # work counts are deterministic, so they catch regressions noisy timings miss
+    calls = []
+    counted = oracle_verifier.mismatch
+
+    def counting(*args, **kw):
+        calls.append(args[1])
+        return counted(*args, **kw)
+
+    monkeypatch.setattr(oracle_verifier, "mismatch", counting)
+    V = square_well_potential(0.0)
+    cfg = ShootingConfig.for_potential(V)
+    found = find_spectrum_numeric(V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), cfg)
+    assert len(found) == 10
+    for n, E in enumerate(found):
+        assert E.imag == 0.0
+        assert abs(E.real - ((n + 1) * math.pi / 2.0) ** 2) < 1e-8 * E.real
+    assert len(calls) <= 300
