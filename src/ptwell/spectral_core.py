@@ -316,16 +316,27 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
 
+def _r_coth_r_dr(r: complex) -> complex:
+    """d(r coth r)/dr = coth r - r csch^2 r."""
+    return coth(r) - r * cosech(r) ** 2
+
+
 def _kappa_condition_dE(E: complex, Z: float) -> complex:
-    """d/dE of kappa_condition_residual: sum of (coth r - r csch^2 r)(-1/2r).
+    """d/dE of kappa_condition_residual: sum of d(r coth r)/dr (-1/2r).
 
     Each term r coth r is even in r, so the sum is holomorphic in E whatever
     square-root branch gives rho and sigma.
     """
     total = 0j
     for r in (halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)):
-        total += (coth(r) - r * cosech(r) ** 2) / (-2 * r)
+        total += _r_coth_r_dr(r) / (-2 * r)
     return total
+
+
+def _kappa_condition_dZ(E: complex, Z: float) -> complex:
+    """d/dZ of kappa_condition_residual, from d rho/dZ = -i/2rho, d sigma/dZ = i/2sigma."""
+    rho, sigma = halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)
+    return 0.5j * (_r_coth_r_dr(sigma) / sigma - _r_coth_r_dr(rho) / rho)
 
 
 def _pair_newton(E: complex, Z: float) -> complex:
@@ -335,23 +346,55 @@ def _pair_newton(E: complex, Z: float) -> complex:
     return complex(E.real, -abs(E.imag))
 
 
+def _continue_pair(crit: CriticalCoupling, Z: float) -> complex:
+    """Lower pair energy of band crit.nu at Z, continued from the merge point.
+
+    The first point is Newton from e_merge - 1e-3 i at z_crit + 0.05 (or Z).
+    Each step predicts along the tangent dE/dZ = -F_Z/F_E and corrects by
+    Newton at the new coupling.  A step is accepted when the correction is
+    under a tenth of the predicted move, which rejects a jump onto a
+    neighbouring pair; the step then doubles, otherwise it halves.
+    """
+    def stalled(z):
+        return ConvergenceError(f"pair {crit.nu} continuation stalled at Z={z} on the way to Z={Z}")
+
+    z = min(crit.z_crit + 0.05, Z)
+    try:
+        E = _pair_newton(complex(crit.e_merge, -1e-3), z)
+    except ConvergenceError as exc:
+        raise stalled(crit.z_crit) from exc
+    dz = 0.05
+    while z < Z:
+        zn = min(z + dz, Z)
+        pred = E - (zn - z) * _kappa_condition_dZ(E, z) / _kappa_condition_dE(E, z)
+        try:
+            En = _pair_newton(pred, zn)
+            accept = abs(En - pred) <= 0.1 * abs(pred - E) + 1e-9 * (1 + abs(E))
+        except ConvergenceError:
+            accept = False
+        if accept:
+            z, E = zn, En
+            dz *= 2
+        else:
+            dz *= 0.5
+            if dz < 1e-6:
+                raise stalled(z)
+    return E
+
+
 def solve_complex_pair(Z: float, nu: int, seed=None):
     """The complex-conjugate pair of band nu for Z above its critical coupling.
 
     Returns (lower, upper) SpectralLevels with energies e0 -+ i eps0, eps0 > 0.
-    Without a seed, continues from the merge point in coupling steps of 0.05.
+    With a seed (e0, eps0), Newton starts there.  Without one, the pair is
+    continued from the merge point by tangent predictor and Newton corrector,
+    with coupling steps doubled on success and halved on a stall or a jump.
     """
     crit = find_critical_coupling(nu)
     if Z <= crit.z_crit:
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    if seed is not None:
-        E0 = complex(seed[0], -seed[1])
-    else:
-        E0, zc = complex(crit.e_merge, -1e-3), crit.z_crit
-        while zc < Z:
-            zc = min(zc + 0.05, Z)
-            E0 = _pair_newton(E0, zc)
+    E0 = complex(seed[0], -seed[1]) if seed is not None else _continue_pair(crit, Z)
     E0 = _pair_newton(E0, Z)
     if E0.imag == 0:
         raise ConvergenceError("pair solver landed on a real energy")

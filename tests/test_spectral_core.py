@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwell import (
     Branch,
@@ -14,10 +16,12 @@ from ptwell import (
     find_critical_coupling,
     solve_complex_pair,
     solve_real_spectrum,
+    spectral_core,
 )
 from ptwell.spectral_core import (
     _band_roots,
     _kappa_condition_dE,
+    _kappa_condition_dZ,
     band_bounds,
     cosech,
     coth,
@@ -91,6 +95,8 @@ def test_pair_derivative_against_difference_quotient():
         for dz in (h, 1j * h):
             fd = (kappa_condition_residual(E + dz, Z) - kappa_condition_residual(E - dz, Z)) / (2 * dz)
             assert _kappa_condition_dE(E, Z) == pytest.approx(fd, rel=1e-7)
+        fd = (kappa_condition_residual(E, Z + h) - kappa_condition_residual(E, Z - h)) / (2 * h)
+        assert _kappa_condition_dZ(E, Z) == pytest.approx(fd, rel=1e-7)
 
 
 def test_curve_x_frozen_and_band_domain():
@@ -258,3 +264,76 @@ def test_classify_second_pair_appears_past_second_critical():
     spec = classify_spectrum(14.0, 8)
     assert spec.broken_pairs == ((0, 1), (2, 3))
     assert spec.levels[2].energy.imag < 0 < spec.levels[3].energy.imag
+
+
+@pytest.mark.parametrize("good_calls", [0, 1])
+def test_pair_continuation_stall_names_band(monkeypatch, good_calls):
+    # a corrector that never converges (from the first point, or after it) must end
+    # in a typed error naming the band and the target, after a bounded number of tries
+    real_newton = spectral_core._pair_newton
+    calls = []
+
+    def failing(E, Z):
+        calls.append(Z)
+        if len(calls) <= good_calls:
+            return real_newton(E, Z)
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(spectral_core, "_pair_newton", failing)
+    with pytest.raises(ConvergenceError, match=r"pair 0 continuation stalled at Z=.* to Z=8\.0"):
+        solve_complex_pair(8.0, 0)
+    assert len(calls) < 40
+
+
+@pytest.mark.parametrize("Z, budget", [(100.0, 2000), (300.0, 5000)])
+def test_pair_continuation_residual_count(monkeypatch, Z, budget):
+    # fixed 0.05 steps took 47,086 and 330,113 residual calls here
+    spectral_core.find_critical_coupling.cache_clear()
+    real_residual = spectral_core.kappa_condition_residual
+    calls = [0]
+
+    def counting(E, Z):
+        calls[0] += 1
+        return real_residual(E, Z)
+
+    monkeypatch.setattr(spectral_core, "kappa_condition_residual", counting)
+    classify_spectrum(Z, 8)
+    assert calls[0] <= budget
+
+
+@pytest.mark.parametrize("Z", ["near_critical", 100.0, 300.0])
+def test_pair_energies_against_mpmath(Z):
+    mp = pytest.importorskip("mpmath")
+    if Z == "near_critical":
+        Z = find_critical_coupling(0).z_crit * (1 + 1e-8)
+
+    def residual(E):
+        rho, sigma = mp.sqrt(-E - 1j * Z), mp.sqrt(1j * Z - E)
+        return rho * mp.coth(rho) + sigma * mp.coth(sigma)
+
+    nu = 0
+    with mp.workdps(40):
+        while find_critical_coupling(nu).z_crit < Z:
+            E = solve_complex_pair(Z, nu)[0].energy
+            ref = complex(mp.findroot(residual, mp.mpc(E)))
+            assert abs(E - ref) <= 1e-12 * abs(ref), (nu, E, ref)
+            nu += 1
+    assert nu >= 1
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=find_critical_coupling(0).z_crit * (1 + 1e-6), max_value=300.0))
+def test_broken_pairs_property(Z):
+    n = 0
+    while find_critical_coupling(n).z_crit < Z:
+        n += 1
+    spec = classify_spectrum(Z, 2 * n)
+    assert spec.broken_pairs == tuple((2 * k, 2 * k + 1) for k in range(n))
+    lowers = [solve_complex_pair(Z, nu)[0].energy for nu in range(n)]
+    # distinct bands give distinct pairs, in band order
+    assert all(a.real < b.real for a, b in zip(lowers, lowers[1:]))
+    for k, (i, j) in enumerate(spec.broken_pairs):
+        lower, upper = spec.levels[i].energy, spec.levels[j].energy
+        assert lower == lowers[k]
+        assert lower.imag < 0 and upper == lower.conjugate()
+        assert abs(kappa_condition_residual(lower, Z)) < 1e-10
