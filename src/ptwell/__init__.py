@@ -15,7 +15,7 @@ from .susy_hierarchy import (EliminationPlan, HierarchyMember,
                              IllegalPlanError, LevelAnnihilated,
                              PiecewisePotential, PlanChoice, Superpotential,
                              build_hierarchy, hierarchy_relations_check,
-                             intertwine, partner_potential, potential_V3,
+                             intertwine, partner_potential,
                              square_well_potential, superpotential_W1,
                              superpotential_next)
 from .oracle_verifier import (MismatchValue, ShootingConfig, Side,

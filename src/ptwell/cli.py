@@ -19,7 +19,7 @@ from .spectral_core import (ConvergenceError, classify_spectrum,
 from .susy_hierarchy import (EliminationPlan, IllegalPlanError,
                              build_hierarchy, hierarchy_relations_check)
 from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatch
-from .wavefunctions import chebyshev_grid, limit_form
+from .wavefunctions import chebyshev_grid, limit_form, ratio_stats
 
 
 def _fmt_float(x: float) -> str:
@@ -181,9 +181,7 @@ def _limit_stats(Z: float, m: int, n: int) -> dict:
     member = members[-1]
     psi = member.eigenfunctions(n)
     grid = [float(x) for x in np.linspace(-0.95, 0.95, 20)]
-    ratios = [complex(psi(x)) / limit_form(m, n, x) for x in grid]
-    mu = sum(ratios) / len(ratios)
-    var = sum(abs(r - mu) ** 2 for r in ratios) / len(ratios) / abs(mu) ** 2
+    mu, var = ratio_stats(psi, lambda x: limit_form(m, n, x), grid)
     out = {"ratio_variance": var, "ratio_mean": mu}
     if m > 1:
         strength = (math.pi ** 2 / 4.0) * m * (m - 1)

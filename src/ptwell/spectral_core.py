@@ -427,12 +427,17 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
     reals = solve_real_spectrum(Z, max(count - 2 * len(entries), 0))
     flat = [lv for pair in entries for lv in pair] + list(reals)
     flat.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
-    flat = flat[:count]
-    levels = []
-    broken = []
-    for i, lv in enumerate(flat):
-        levels.append(SpectralLevel(i, lv.energy, lv.kappa_right, lv.kappa_left, lv.branch))
-        if lv.branch is Branch.COMPLEX_PAIR_LOWER and i + 1 < len(flat) \
-                and flat[i + 1].branch is Branch.COMPLEX_PAIR_UPPER:
-            broken.append((i, i + 1))
-    return Spectrum(CouplingStrength(Z), tuple(levels), tuple(broken))
+    return indexed_spectrum(CouplingStrength(Z), flat[:count])
+
+
+def indexed_spectrum(coupling: CouplingStrength, levels) -> Spectrum:
+    """The spectrum of `levels` in the given order, indexed from 0.
+
+    A broken pair is a lower pair member directly followed by an upper one.
+    """
+    levels = tuple(SpectralLevel(i, lv.energy, lv.kappa_right, lv.kappa_left, lv.branch)
+                   for i, lv in enumerate(levels))
+    broken = tuple((i, i + 1) for i in range(len(levels) - 1)
+                   if levels[i].branch is Branch.COMPLEX_PAIR_LOWER
+                   and levels[i + 1].branch is Branch.COMPLEX_PAIR_UPPER)
+    return Spectrum(coupling, levels, broken)

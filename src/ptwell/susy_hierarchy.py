@@ -11,10 +11,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .spectral_core import (Branch, SpectralLevel, Spectrum, classify_spectrum,
-                            cosech, coth, find_critical_coupling)
-from .wavefunctions import (Piecewise, PiecewiseEigenfunction, chebyshev_grid,
-                            normalize_sides, pt_defect,
-                            square_well_eigenfunction)
+                            cosech, coth, find_critical_coupling,
+                            indexed_spectrum)
+from .wavefunctions import (PiecewiseEigenfunction, chebyshev_grid,
+                            normalize_sides, pt_defect, pt_transform,
+                            ratio_stats, square_well_eigenfunction)
 
 
 class IllegalPlanError(Exception):
@@ -46,6 +47,21 @@ class EliminationPlan:
         except ValueError:
             raise IllegalPlanError(f"unknown plan token in {text!r}; "
                                    "use real|clower|cupper") from None
+
+
+class Piecewise:
+    """A function of x with a right branch on x >= 0 and a left one on x < 0.
+
+    Subclasses provide right_eval and left_eval, and right_deriv and
+    left_deriv where they have a derivative.
+    """
+
+    def __call__(self, x: float) -> complex:
+        # x = 0 takes the right branch
+        return self.right_eval(x) if x >= 0 else self.left_eval(x)
+
+    def derivative(self, x: float) -> complex:
+        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +128,7 @@ def _elim_index(spectrum: Spectrum, choice: PlanChoice) -> int:
 
 
 def _drop_level(spectrum: Spectrum, idx: int) -> Spectrum:
-    kept = [lv for lv in spectrum.levels if lv.index != idx]
-    levels = tuple(SpectralLevel(i, lv.energy, lv.kappa_right, lv.kappa_left, lv.branch)
-                   for i, lv in enumerate(kept))
-    broken = tuple((i, i + 1) for i in range(len(levels) - 1)
-                   if levels[i].branch is Branch.COMPLEX_PAIR_LOWER
-                   and levels[i + 1].branch is Branch.COMPLEX_PAIR_UPPER)
-    return Spectrum(spectrum.coupling, levels, broken)
+    return indexed_spectrum(spectrum.coupling, [lv for lv in spectrum.levels if lv.index != idx])
 
 
 def superpotential_W1(spectrum: Spectrum, eliminate: int) -> Superpotential:
@@ -228,35 +238,23 @@ def _closed_V3(Z: float, a: SpectralLevel, b: SpectralLevel) -> PiecewisePotenti
     return PiecewisePotential(right, left, 3, _probe_pt_symmetric(right, left))
 
 
-def potential_V3(spectrum: Spectrum) -> PiecewisePotential:
-    """Third-member potential from eliminating the spectrum's two lowest levels.
-
-    Symmetric in the elimination order, so both pair orderings land here.
-    """
-    if len(spectrum.levels) < 2:
-        raise IllegalPlanError("need at least two levels")
-    return _closed_V3(spectrum.coupling.z, spectrum.levels[0], spectrum.levels[1])
-
-
 def _psi2(level: SpectralLevel, a: SpectralLevel) -> PiecewiseEigenfunction:
     """Second-member eigenfunction, node-safe wall-coordinate form."""
     rj, sj = level.kappa_right.value, level.kappa_left.value
     ra, sa = a.kappa_right.value, a.kappa_left.value
 
-    def side(j, av):
-        def f(w):
-            return j * cmath.cosh(j * w) - av * coth(av * w) * cmath.sinh(j * w)
+    def side(j, av, sign):
+        # wall coordinate u = 1 - sign x; (f, df/du) becomes (psi, psi') with psi' = -sign df/du
+        def ev(x):
+            u = 1.0 - sign * x
+            sh, ch = cmath.sinh(j * u), cmath.cosh(j * u)
+            ct, cs = coth(av * u), cosech(av * u)
+            f = j * ch - av * ct * sh
+            d = j ** 2 * sh + av ** 2 * cs ** 2 * sh - av * j * ct * ch
+            return f, (-d if sign > 0 else d)
+        return ev
 
-        def d(w):
-            return (j ** 2 * cmath.sinh(j * w)
-                    + av ** 2 * cosech(av * w) ** 2 * cmath.sinh(j * w)
-                    - av * j * coth(av * w) * cmath.cosh(j * w))
-
-        return f, d
-
-    fR, dR = side(rj, ra)
-    fL, dL = side(sj, sa)
-    return normalize_sides(level, 2, fR, dR, fL, dL)
+    return normalize_sides(level, 2, side(rj, ra, 1.0), side(sj, sa, -1.0))
 
 
 def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> PiecewiseEigenfunction:
@@ -265,28 +263,27 @@ def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> Piecewise
     ra, sa = a.kappa_right.value, a.kappa_left.value
     rb, sb = b.kappa_right.value, b.kappa_left.value
 
-    def side(j, av, bv):
+    def side(j, av, bv, sign):
         c0 = j * j - av * av
         c1 = bv * bv - av * av
 
-        def f(w):
-            n2 = j * cmath.cosh(j * w) * cmath.sinh(av * w) - av * cmath.cosh(av * w) * cmath.sinh(j * w)
-            return c0 * cmath.sinh(j * w) - c1 * n2 * cmath.sinh(bv * w) / _pair_denominator(w, av, bv)
+        # wall coordinate u = 1 - sign x; (f, df/du) becomes (psi, psi') with psi' = -sign df/du
+        def ev(x):
+            u = 1.0 - sign * x
+            shj, chj = cmath.sinh(j * u), cmath.cosh(j * u)
+            sha, cha = cmath.sinh(av * u), cmath.cosh(av * u)
+            shb, chb = cmath.sinh(bv * u), cmath.cosh(bv * u)
+            n2 = j * chj * sha - av * cha * shj
+            den = bv * chb * sha - av * cha * shb  # _pair_denominator(u, av, bv)
+            f = c0 * shj - c1 * n2 * shb / den
+            dn2 = c0 * shj * sha
+            dden = c1 * shb * sha
+            d = (c0 * j * chj
+                 - c1 * ((dn2 * shb + n2 * bv * chb) / den - n2 * shb * dden / den ** 2))
+            return f, (-d if sign > 0 else d)
+        return ev
 
-        def d(w):
-            n2 = j * cmath.cosh(j * w) * cmath.sinh(av * w) - av * cmath.cosh(av * w) * cmath.sinh(j * w)
-            dn2 = (j * j - av * av) * cmath.sinh(j * w) * cmath.sinh(av * w)
-            den = _pair_denominator(w, av, bv)
-            dden = (bv * bv - av * av) * cmath.sinh(bv * w) * cmath.sinh(av * w)
-            return (c0 * j * cmath.cosh(j * w)
-                    - c1 * ((dn2 * cmath.sinh(bv * w) + n2 * bv * cmath.cosh(bv * w)) / den
-                            - n2 * cmath.sinh(bv * w) * dden / den ** 2))
-
-        return f, d
-
-    fR, dR = side(rj, ra, rb)
-    fL, dL = side(sj, sa, sb)
-    return normalize_sides(level, 3, fR, dR, fL, dL)
+    return normalize_sides(level, 3, side(rj, ra, rb, 1.0), side(sj, sa, sb, -1.0))
 
 
 def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigenfunction:
@@ -299,44 +296,34 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     E = psi.level.energy
     Ef = W.factorization_energy
 
-    def phiR(x):
-        return psi.right_deriv(x) + W.right_eval(x) * psi.right_eval(x)
+    def image(side, w_eval):
+        def ev(x):
+            p, d = side(x)
+            w = w_eval(x)
+            return d + w * p, (w ** 2 + Ef - E) * p + w * d
+        return ev
 
-    def phiL(x):
-        return psi.left_deriv(x) + W.left_eval(x) * psi.left_eval(x)
-
-    def dphiR(x):
-        return (W.right_eval(x) ** 2 + Ef - E) * psi.right_eval(x) + W.right_eval(x) * psi.right_deriv(x)
-
-    def dphiL(x):
-        return (W.left_eval(x) ** 2 + Ef - E) * psi.left_eval(x) + W.left_eval(x) * psi.left_deriv(x)
-
-    def phi(x):
-        return phiR(x) if x >= 0 else phiL(x)
-
-    vals = [abs(phi(x)) for x in _ANNIHILATION_PROBE]
-    scale = max(abs(psi.derivative(x)) + abs(W(x) * psi(x)) for x in _ANNIHILATION_PROBE)
-    if max(vals) < 1e-10 * scale:
+    right, left = image(psi.right, W.right_eval), image(psi.left, W.left_eval)
+    probe = [(psi.value_and_slope(x), W(x)) for x in _ANNIHILATION_PROBE]
+    scale = max(abs(d) + abs(w * p) for (p, d), w in probe)
+    if max(abs(d + w * p) for (p, d), w in probe) < 1e-10 * scale:
         raise LevelAnnihilated(f"level {psi.level.index} is the factorization level")
 
     key_new = (E.real, E.imag) > (Ef.real, Ef.imag)
     lvl = SpectralLevel(psi.level.index - 1 if key_new else psi.level.index,
                         E, psi.level.kappa_right, psi.level.kappa_left, psi.level.branch)
-    return normalize_sides(
-        lvl, psi.member_depth + 1,
-        lambda w: phiR(1.0 - w), lambda w: -dphiR(1.0 - w),
-        lambda v: phiL(v - 1.0), lambda v: dphiL(v - 1.0))
+    return normalize_sides(lvl, psi.member_depth + 1, right, left)
 
 
 def _logderiv_superpotential(psi: PiecewiseEigenfunction, V: PiecewisePotential) -> Superpotential:
     E = psi.level.energy
 
-    def make(pval, pder, vfun):
+    def make(side, vfun):
         def w_eval(x):
-            p = pval(x)
+            p, d = side(x)
             if p == 0:
                 raise ZeroDivisionError("superpotential pole: node of the generating eigenfunction")
-            return -pder(x) / p
+            return -d / p
 
         def w_deriv(x):
             w = w_eval(x)
@@ -344,8 +331,8 @@ def _logderiv_superpotential(psi: PiecewiseEigenfunction, V: PiecewisePotential)
 
         return w_eval, w_deriv
 
-    wR, dR = make(psi.right_eval, psi.right_deriv, V.right_eval)
-    wL, dL = make(psi.left_eval, psi.left_deriv, V.left_eval)
+    wR, dR = make(psi.right, V.right_eval)
+    wL, dL = make(psi.left, V.left_eval)
     return Superpotential(wR, wL, E, dR, dL)
 
 
@@ -475,18 +462,12 @@ def hierarchy_relations_check(Z: float, levels: int = 3) -> dict:
     report["member2_pt_symmetric"] = lower_first[1].potential.pt_symmetric
     report["member3_pt_symmetric"] = lower_first[2].potential.pt_symmetric
 
-    def ratio_stats(f, g):
-        rat = [complex(f(x)) / complex(g(x)) for x in grid]
-        mu = sum(rat) / len(rat)
-        var = sum(abs(r - mu) ** 2 for r in rat) / len(rat) / abs(mu) ** 2
-        return mu, var
-
     mirror = {}
     for m in (2, 3):
         for n in range(levels):
             fa = lower_first[m - 1].eigenfunctions(n)
             fb = upper_first[m - 1].eigenfunctions(n)
-            mu, var = ratio_stats(lambda x: complex(fa(-x)).conjugate(), fb)
+            mu, var = ratio_stats(pt_transform(fa), fb, grid)
             mirror[f"member{m}_level{n}"] = {
                 "ratio_variance": var, "ratio_imag_frac": abs(mu.imag) / abs(mu)}
     report["eigenfunction_mirror"] = mirror
@@ -494,7 +475,7 @@ def hierarchy_relations_check(Z: float, levels: int = 3) -> dict:
     member3_pt = {}
     for n in range(levels):
         f = lower_first[2].eigenfunctions(n)
-        mu, var = ratio_stats(lambda x: complex(f(-x)).conjugate(), f)
+        mu, var = ratio_stats(pt_transform(f), f, grid)
         member3_pt[f"level{n}"] = {
             "pt_ratio_variance": var, "pt_defect": pt_defect(f, grid)}
     report["member3_eigenfunction_pt"] = member3_pt

@@ -1,7 +1,8 @@
 """Closed-form eigenfunctions, PT diagnostics, and zero-coupling limit shapes.
 
-Eigenfunctions are built per side in the wall coordinates w = 1 - x (right)
-and v = 1 + x (left) and normalized at the origin, psi(0) = alpha.  When the
+Each side of an eigenfunction returns (psi, psi') at x; the closed forms
+compute in the wall coordinates w = 1 - x (right) and v = 1 + x (left).
+Eigenfunctions are normalized at the origin, psi(0) = alpha.  When the
 origin value vanishes identically (odd levels of the real well) the slope is
 pinned instead, psi'(0) = i alpha.
 """
@@ -9,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .spectral_core import SpectralLevel, coth
+from .spectral_core import SpectralLevel
 
 
 @dataclass(frozen=True)
@@ -19,30 +20,25 @@ class OriginData:
     beta: complex
 
 
-class Piecewise:
-    """A function of x with a right branch on x >= 0 and a left one on x < 0.
-
-    Subclasses provide right_eval and left_eval, and right_deriv and
-    left_deriv where they have a derivative.
-    """
-
-    def __call__(self, x: float) -> complex:
-        # x = 0 takes the right branch; for eigenfunctions continuity makes this immaterial
-        return self.right_eval(x) if x >= 0 else self.left_eval(x)
-
-    def derivative(self, x: float) -> complex:
-        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
-
-
 @dataclass(frozen=True, eq=False)
-class PiecewiseEigenfunction(Piecewise):
+class PiecewiseEigenfunction:
+    """An eigenfunction whose sides right(x) (x >= 0) and left(x) (x < 0)
+    each return the pair (psi, psi') at the physical coordinate x."""
     level: SpectralLevel
     member_depth: int
-    right_eval: object
-    left_eval: object
+    right: object
+    left: object
     origin: OriginData
-    right_deriv: object = None
-    left_deriv: object = None
+
+    def value_and_slope(self, x: float):
+        # x = 0 takes the right side; continuity makes this immaterial
+        return self.right(x) if x >= 0 else self.left(x)
+
+    def __call__(self, x: float) -> complex:
+        return self.value_and_slope(x)[0]
+
+    def derivative(self, x: float) -> complex:
+        return self.value_and_slope(x)[1]
 
 
 @dataclass(frozen=True)
@@ -58,39 +54,32 @@ class GegenbauerPoly:
         return gegenbauer_eval(self.degree, self.order, x)
 
 
-def normalize_sides(level: SpectralLevel, depth: int, fR, dR, fL, dL,
+def normalize_sides(level: SpectralLevel, depth: int, right, left,
                     alpha=1.0) -> PiecewiseEigenfunction:
-    """The depth-`depth` eigenfunction of `level` from wall-coordinate evaluators.
+    """The depth-`depth` eigenfunction of `level` from unnormalized sides.
 
-    fR(w), dR(w) are the right-side function and its d/dw derivative; fL, dL
-    the same in v.  Each side is divided by its own origin value so the match
+    right(x) and left(x) return (psi, psi') at the physical coordinate x.
+    Each side is divided by its own origin value so the match
     psi(0+) = psi(0-) = alpha is exact by construction.  When the origin value
     is negligible against the slope the beta branch takes over: the side is
-    divided by its origin slope over i, giving psi'(0) = i alpha.  The
-    result's evaluators and derivatives are in the physical coordinate x.
+    divided by its origin slope over i, giving psi'(0) = i alpha.
     """
-    val0R, der0R = fR(1.0), -dR(1.0)
-    val0L, der0L = fL(1.0), dL(1.0)
+    val0R, der0R = right(0.0)
+    val0L, der0L = left(0.0)
     if abs(val0R) >= 1e-8 * (abs(val0R) + abs(der0R)):
         cR, cL = val0R / alpha, val0L / alpha
     else:
         cR, cL = der0R / (1j * alpha), der0L / (1j * alpha)
 
-    def right_eval(x, fR=fR, cR=cR):
-        return fR(1.0 - x) / cR
+    def scaled(side, c):
+        def ev(x):
+            p, d = side(x)
+            return p / c, d / c
+        return ev
 
-    def left_eval(x, fL=fL, cL=cL):
-        return fL(1.0 + x) / cL
-
-    def right_deriv(x, dR=dR, cR=cR):
-        return -dR(1.0 - x) / cR
-
-    def left_deriv(x, dL=dL, cL=cL):
-        return dL(1.0 + x) / cL
-
-    origin = OriginData(right_eval(0.0), right_deriv(0.0) / 1j)
-    return PiecewiseEigenfunction(level, depth, right_eval, left_eval, origin,
-                                  right_deriv, left_deriv)
+    right, left = scaled(right, cR), scaled(left, cL)
+    p0, d0 = right(0.0)
+    return PiecewiseEigenfunction(level, depth, right, left, OriginData(p0, d0 / 1j))
 
 
 def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> PiecewiseEigenfunction:
@@ -104,20 +93,26 @@ def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> Piece
     sigma = level.kappa_left.value
     if abs(cmath.sinh(rho)) < 1e-12:
         t = -rho.imag
-        fR = lambda w: 1j * math.sin(t * (1.0 - w)) / t * alpha
-        dR = lambda w: -1j * math.cos(t * (1.0 - w)) * alpha
-        fL = lambda v: 1j * math.sin(t * (v - 1.0)) / t * alpha
-        dL = lambda v: 1j * math.cos(t * (v - 1.0)) * alpha
-        origin = OriginData(0.0, complex(alpha))
+
+        def limit_side(y):
+            return 1j * math.sin(t * y) / t * alpha, 1j * math.cos(t * y) * alpha
+
+        # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
+        # every closed form; the limit command prints these last bits
         return PiecewiseEigenfunction(
             level, 1,
-            lambda x: fR(1.0 - x), lambda x: fL(1.0 + x), origin,
-            lambda x: -dR(1.0 - x), lambda x: dL(1.0 + x))
-    fR = lambda w: cmath.sinh(rho * w)
-    dR = lambda w: rho * cmath.cosh(rho * w)
-    fL = lambda v: cmath.sinh(sigma * v)
-    dL = lambda v: sigma * cmath.cosh(sigma * v)
-    return normalize_sides(level, 1, fR, dR, fL, dL, alpha)
+            lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0),
+            OriginData(0.0, complex(alpha)))
+
+    def right(x):
+        w = 1.0 - x
+        return cmath.sinh(rho * w), -(rho * cmath.cosh(rho * w))
+
+    def left(x):
+        v = 1.0 + x
+        return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
+
+    return normalize_sides(level, 1, right, left, alpha)
 
 
 def eval_sw_eigenfunction(level: SpectralLevel, alpha: float, x: float) -> complex:
@@ -132,6 +127,13 @@ def pt_transform(f):
     def g(x):
         return complex(f(-x)).conjugate()
     return g
+
+
+def ratio_stats(f, g, grid):
+    """Mean mu of f/g over the grid, and the ratio's variance over |mu|^2."""
+    rat = [complex(f(x)) / complex(g(x)) for x in grid]
+    mu = sum(rat) / len(rat)
+    return mu, sum(abs(r - mu) ** 2 for r in rat) / len(rat) / abs(mu) ** 2
 
 
 def pt_defect(f, grid) -> float:

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -12,8 +13,6 @@ from ptwell import (
     hierarchy_relations_check,
     intertwine,
     partner_potential,
-    potential_V3,
-    solve_real_spectrum,
     square_well_potential,
     superpotential_W1,
     superpotential_next,
@@ -128,15 +127,59 @@ def test_hierarchy_chain_shape():
 
 
 def test_hierarchy_eigenfunctions_satisfy_their_equations():
-    h = build_hierarchy(2.0, EliminationPlan.from_text("real,real"), 3, levels=8)
-    for member in h[1:]:
+    for depth in (3, 5):
+        plan = EliminationPlan.from_text(",".join(["real"] * (depth - 1)))
+        h = build_hierarchy(2.0, plan, depth, levels=8)
+        for member in h[1:]:
+            for n in range(3):
+                f = member.eigenfunctions(n)
+                E = member.spectrum.levels[n].energy
+                # continuity across x = 0, net of the slope (about 1e4 for member 5's level 1)
+                assert abs(f(1e-13) - f(-1e-13) - 2e-13 * f.derivative(0.0)) < 1e-9
+                # the residual is linear in psi, and psi(0) = 1 leaves level 1 of
+                # members 4 and 5 peaking near 1.7e3 and 95 inside the well
+                peak = max(1.0, max(abs(f(x)) for x in INTERIOR))
+                for x in INTERIOR:
+                    r = schrodinger_residual(f, member.potential, E, x, 1e-4)
+                    assert abs(r) < 1e-4 * (1 + abs(E)) * peak
+
+
+@pytest.mark.parametrize("Z, plan", [(0.0, "real,real,real,real"), (2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real")])
+def test_eigenfunction_slopes_match_difference_quotients(Z, plan):
+    # Z = 0, member 1, level 1 is the slope-pinned sin(t x)/t branch of the well
+    # at member 5 the quotient's rounding noise reaches about 5e-8 of the scale
+    h = build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)
+    step = 1e-5
+    for member in h:
         for n in range(3):
             f = member.eigenfunctions(n)
-            E = member.spectrum.levels[n].energy
-            assert abs(f(1e-13) - f(-1e-13)) < 1e-9
+            scale = max(abs(f(x)) + abs(f.derivative(x)) for x in INTERIOR)
             for x in INTERIOR:
-                r = schrodinger_residual(f, member.potential, E, x, 1e-4)
-                assert abs(r) < 1e-4 * (1 + abs(E))
+                dq = (f(x + step) - f(x - step)) / (2 * step)
+                assert abs(f.derivative(x) - dq) < 1e-6 * scale
+
+
+def test_deep_member_hyperbolic_call_counts(monkeypatch):
+    # a member-5 value takes one member-4 (psi, psi') pair and one member-4 W,
+    # 12 calls each; a potential sample also pays W' and V4 (42 calls in all)
+    h = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 5, levels=8)
+    psi, V = h[4].eigenfunctions(0), h[4].potential
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(z):
+            calls[0] += 1
+            return fn(z)
+        return wrapper
+
+    monkeypatch.setattr(cmath, "sinh", counted(cmath.sinh))
+    monkeypatch.setattr(cmath, "cosh", counted(cmath.cosh))
+    psi(0.3)
+    assert calls[0] <= 30
+    calls[0] = 0
+    V(0.3)
+    assert calls[0] <= 50
 
 
 def test_intertwine_drops_index_and_matches_closed_form():
