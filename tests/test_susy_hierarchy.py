@@ -134,11 +134,15 @@ def test_hierarchy_eigenfunctions_satisfy_their_equations():
             for n in range(3):
                 f = member.eigenfunctions(n)
                 E = member.spectrum.levels[n].energy
-                # continuity across x = 0, net of the slope (about 1e4 for member 5's level 1)
-                assert abs(f(1e-13) - f(-1e-13) - 2e-13 * f.derivative(0.0)) < 1e-9
-                # the residual is linear in psi, and psi(0) = 1 leaves level 1 of
-                # members 4 and 5 peaking near 1.7e3 and 95 inside the well
-                peak = max(1.0, max(abs(f(x)) for x in INTERIOR))
+                jump = f(1e-13) - f(-1e-13)
+                peak = 1.0
+                if member.depth >= 4:
+                    # member 5's level-1 slope at 0 is about 1e4, so net it out of the jump;
+                    # the residual is linear in psi, and psi(0) = 1 leaves level 1 of
+                    # members 4 and 5 peaking near 1.7e3 and 95 inside the well
+                    jump -= 2e-13 * f.derivative(0.0)
+                    peak = max(1.0, max(abs(f(x)) for x in INTERIOR))
+                assert abs(jump) < 1e-9
                 for x in INTERIOR:
                     r = schrodinger_residual(f, member.potential, E, x, 1e-4)
                     assert abs(r) < 1e-4 * (1 + abs(E)) * peak
