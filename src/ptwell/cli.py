@@ -11,14 +11,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .spectral_core import (ConvergenceError, classify_spectrum,
                             find_critical_coupling, kappa_condition_residual,
                             matching_residual, matching_residual_dt)
 from .susy_hierarchy import (EliminationPlan, IllegalPlanError,
                              build_hierarchy, hierarchy_relations_check)
-from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatch
+from .oracle_verifier import ShootingConfig, find_spectrum_numeric, linspace, mismatch
 from .wavefunctions import chebyshev_grid, limit_form, ratio_stats
 
 
@@ -110,7 +108,7 @@ def cmd_hierarchy(args) -> int:
     plan = _parse_plan(args, args.depth - 1)
     levels = max(8, args.depth + 1)
     members = build_hierarchy(args.coupling, plan, args.depth, levels)
-    xs = [float(x) for x in np.linspace(-0.999, 0.999, args.samples)]
+    xs = linspace(-0.999, 0.999, args.samples)
     if args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -180,7 +178,7 @@ def _limit_stats(Z: float, m: int, n: int) -> dict:
     members = build_hierarchy(Z, plan, m, n + m + 1)
     member = members[-1]
     psi = member.eigenfunctions(n)
-    grid = [float(x) for x in np.linspace(-0.95, 0.95, 20)]
+    grid = linspace(-0.95, 0.95, 20)
     mu, var = ratio_stats(psi, lambda x: limit_form(m, n, x), grid)
     out = {"ratio_variance": var, "ratio_mean": mu}
     if m > 1:

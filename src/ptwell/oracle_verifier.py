@@ -9,15 +9,15 @@ formulas, so agreement with the closed forms is a genuine cross-check.
 The ODE is linear, so each RK4 step is a fixed 2x2 matrix and a side is the
 ordered product of its step matrices: the n-th power of one matrix when all
 samples share one value (the bare well), else a pairwise tree product of the
-n matrices, built at once in numpy (the partner potentials).
+n matrices, built at once in numpy (the partner potentials).  numpy is
+imported on the first such side, so the bare well, and every process that
+never integrates a partner potential, runs without it.
 """
 import cmath
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from .spectral_core import ConvergenceError
 
@@ -108,6 +108,8 @@ def _rk4_step_product(vnodes, vmids, E, hh, psi, dpsi):
     1e100, its level is scaled by exact powers of two, summed up the tree.
     The solution is (psi, dpsi) * exp(logscale).
     """
+    import numpy as np  # here, not at module level: see the module docstring
+
     q1, qm, q2 = vnodes[:-1] - E, vmids - E, vnodes[1:] - E
     p, d = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
     k1p, k1d = d, q1 * p
@@ -134,11 +136,10 @@ def _rk4_step_product(vnodes, vmids, E, hh, psi, dpsi):
 
 
 def _samples(ev, xs):
-    """Samples of ev at xs as an array, and their common value if they share one."""
+    """Samples of ev at xs, and their common value if they share one."""
     vals = [ev(x) for x in xs]
     v = vals[0]
-    return np.array(vals, dtype=np.complex128), \
-        (complex(v) if all(u == v for u in vals) else None)
+    return vals, (complex(v) if all(u == v for u in vals) else None)
 
 
 # one potential's two sides are all its callers reuse; more keeps old ones alive
@@ -150,7 +151,9 @@ def _sampled_side(V, side: Side, h: float, delta: float):
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
     integrator an order of convergence.  The fourth entry is the common
-    value when every node and midpoint sample is the same, else None.
+    value when every node and midpoint sample is the same, and the samples
+    are lists; else it is None and they are complex128 arrays for the step
+    product.
     """
     n = max(1, round((1.0 - delta) / h))
     x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
@@ -158,7 +161,11 @@ def _sampled_side(V, side: Side, h: float, delta: float):
     ev = V.right_eval if side is Side.RIGHT else V.left_eval
     nodes, vn = _samples(ev, (x0 * (n - k) / n for k in range(n + 1)))
     mids, vm = _samples(ev, (x0 * (n - k - 0.5) / n for k in range(n)))
-    return nodes, mids, hh, vn if vn is not None and vn == vm else None
+    if vn is not None and vn == vm:
+        return nodes, mids, hh, vn
+    import numpy as np  # here, not at module level: see the module docstring
+
+    return np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128), hh, None
 
 
 def _integrate(V, E: complex, side: Side, cfg: ShootingConfig):
@@ -167,7 +174,7 @@ def _integrate(V, E: complex, side: Side, cfg: ShootingConfig):
     psi0 = complex(cfg.delta ** cfg.p)
     dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
     if constant is not None:
-        return _rk4_constant_power(constant - complex(E), mids.shape[0], hh, psi0, dpsi0)
+        return _rk4_constant_power(constant - complex(E), len(mids), hh, psi0, dpsi0)
     return _rk4_step_product(nodes, mids, complex(E), hh, psi0, dpsi0)
 
 
@@ -232,13 +239,28 @@ def _secant(f, E0, E1, f0, f1):
     return E1, abs(f1)
 
 
+def linspace(lo: float, hi: float, count: int):
+    """`count` >= 2 evenly spaced floats from lo to hi, bit for bit numpy.linspace's.
+
+    Point k is k step + lo with step = (hi - lo) / (count - 1), the last is
+    hi itself; when step underflows to 0, numpy computes k / (count - 1)
+    (hi - lo) + lo instead, and so does this.
+    """
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        return [k / div * delta + lo for k in range(div)] + [hi]
+    return [k * step + lo for k in range(div)] + [hi]
+
+
 def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):
     """Neighbouring scan points (E0, E1, f0, f1) whose values bracket a real root.
 
     PT-symmetric potential: the normalized mismatch is real on the real
     axis, so sign changes (or an exact zero) bracket eigenvalues.
     """
-    Es = [float(E) for E in np.linspace(lo, hi, GRID_RESOLUTION)]
+    Es = linspace(lo, hi, GRID_RESOLUTION)
     vals = [mismatch(V, complex(E), cfg).normalized.real for E in Es]
     return [(Es[k], Es[k + 1], vals[k], vals[k + 1]) for k in range(len(Es) - 1)
             if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0]
@@ -247,17 +269,14 @@ def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):
 def _box_minima_candidates(V, lo: complex, hi: complex, cfg: ShootingConfig):
     # coarse |mismatch| landscape; local minima become secant starts
     nr, ni = 48, 25
-    res = np.linspace(lo.real, hi.real, nr)
-    ims = np.linspace(lo.imag, hi.imag, ni)
-    mag = np.empty((ni, nr))
-    for i, b in enumerate(ims):
-        for j, a in enumerate(res):
-            mag[i, j] = abs(mismatch(V, complex(a, b), cfg).normalized)
+    res = linspace(lo.real, hi.real, nr)
+    ims = linspace(lo.imag, hi.imag, ni)
+    mag = [[abs(mismatch(V, complex(a, b), cfg).normalized) for a in res] for b in ims]
     seeds = []
     for i in range(ni):
         for j in range(nr):
-            patch = mag[max(0, i - 1):i + 2, max(0, j - 1):j + 2]
-            if mag[i, j] == patch.min() and mag[i, j] < 0.5:
+            patch = min(min(row[max(0, j - 1):j + 2]) for row in mag[max(0, i - 1):i + 2])
+            if mag[i][j] == patch and mag[i][j] < 0.5:
                 seeds.append(complex(res[j], ims[i]))
     return seeds
 

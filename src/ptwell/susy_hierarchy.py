@@ -52,16 +52,12 @@ class EliminationPlan:
 class Piecewise:
     """A function of x with a right branch on x >= 0 and a left one on x < 0.
 
-    Subclasses provide right_eval and left_eval, and right_deriv and
-    left_deriv where they have a derivative.
+    Subclasses provide right_eval and left_eval.
     """
 
     def __call__(self, x: float) -> complex:
         # x = 0 takes the right branch
         return self.right_eval(x) if x >= 0 else self.left_eval(x)
-
-    def derivative(self, x: float) -> complex:
-        return self.right_deriv(x) if x >= 0 else self.left_deriv(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +70,17 @@ class PiecewisePotential(Piecewise):
 
 @dataclass(frozen=True, eq=False)
 class Superpotential(Piecewise):
+    """W by side; right_deriv(x, w) and left_deriv(x, w) give W' at x from w = W(x)."""
     right_eval: object
     left_eval: object
     factorization_energy: complex
     right_deriv: object = None
     left_deriv: object = None
+
+    def derivative(self, x: float) -> complex:
+        if x >= 0:
+            return self.right_deriv(x, self.right_eval(x))
+        return self.left_deriv(x, self.left_eval(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,8 +151,8 @@ def superpotential_W1(spectrum: Spectrum, eliminate: int) -> Superpotential:
         lambda x: rho * coth(rho * (1.0 - x)),
         lambda x: -sigma * coth(sigma * (1.0 + x)),
         lvl.energy,
-        lambda x: rho ** 2 * cosech(rho * (1.0 - x)) ** 2,
-        lambda x: sigma ** 2 * cosech(sigma * (1.0 + x)) ** 2)
+        lambda x, w: rho ** 2 * cosech(rho * (1.0 - x)) ** 2,
+        lambda x, w: sigma ** 2 * cosech(sigma * (1.0 + x)) ** 2)
 
 
 def partner_potential(W: Superpotential, endpoint_exponent: int = None) -> PiecewisePotential:
@@ -162,10 +164,12 @@ def partner_potential(W: Superpotential, endpoint_exponent: int = None) -> Piece
     Ef = W.factorization_energy
 
     def right(x, W=W, Ef=Ef):
-        return W.right_eval(x) ** 2 + W.right_deriv(x) + Ef
+        w = W.right_eval(x)
+        return w ** 2 + W.right_deriv(x, w) + Ef
 
     def left(x, W=W, Ef=Ef):
-        return W.left_eval(x) ** 2 + W.left_deriv(x) + Ef
+        w = W.left_eval(x)
+        return w ** 2 + W.left_deriv(x, w) + Ef
 
     if endpoint_exponent is None:
         c = ((1e-4) ** 2 * right(1.0 - 1e-4)).real
@@ -186,10 +190,6 @@ def _closed_V2(Z: float, a: SpectralLevel) -> PiecewisePotential:
     return PiecewisePotential(right, left, 2, _probe_pt_symmetric(right, left))
 
 
-def _pair_denominator(w: complex, ra: complex, rb: complex) -> complex:
-    return rb * cmath.cosh(rb * w) * cmath.sinh(ra * w) - ra * cmath.cosh(ra * w) * cmath.sinh(rb * w)
-
-
 def _pair_correction(w: complex, ra: complex, rb: complex) -> complex:
     """The -2(rb^2-ra^2) num/den^2 term of the two-level partner potential.
 
@@ -198,8 +198,10 @@ def _pair_correction(w: complex, ra: complex, rb: complex) -> complex:
     with N, T built from complete homogeneous symmetric polynomials).
     """
     if abs(w) * (abs(ra) + abs(rb)) > 1.0:
-        num = rb ** 2 * cmath.sinh(ra * w) ** 2 - ra ** 2 * cmath.sinh(rb * w) ** 2
-        return -2.0 * (rb ** 2 - ra ** 2) * num / _pair_denominator(w, ra, rb) ** 2
+        sha, shb = cmath.sinh(ra * w), cmath.sinh(rb * w)
+        num = rb ** 2 * sha ** 2 - ra ** 2 * shb ** 2
+        den = rb * cmath.cosh(rb * w) * sha - ra * cmath.cosh(ra * w) * shb
+        return -2.0 * (rb ** 2 - ra ** 2) * num / den ** 2
     A, B = ra * ra, rb * rb
     w2 = 4.0 * w * w
     c, h, bpow = w2 * w2 / 24.0, 1.0 + 0j, 1.0 + 0j
@@ -274,7 +276,7 @@ def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> Piecewise
             sha, cha = cmath.sinh(av * u), cmath.cosh(av * u)
             shb, chb = cmath.sinh(bv * u), cmath.cosh(bv * u)
             n2 = j * chj * sha - av * cha * shj
-            den = bv * chb * sha - av * cha * shb  # _pair_denominator(u, av, bv)
+            den = bv * chb * sha - av * cha * shb  # the den of _pair_correction(u, av, bv)
             f = c0 * shj - c1 * n2 * shb / den
             dn2 = c0 * shj * sha
             dden = c1 * shb * sha
@@ -325,8 +327,7 @@ def _logderiv_superpotential(psi: PiecewiseEigenfunction, V: PiecewisePotential)
                 raise ZeroDivisionError("superpotential pole: node of the generating eigenfunction")
             return -d / p
 
-        def w_deriv(x):
-            w = w_eval(x)
+        def w_deriv(x, w):
             return w * w - vfun(x) + E
 
         return w_eval, w_deriv
@@ -361,12 +362,10 @@ def superpotential_next(member: HierarchyMember) -> Superpotential:
             v = 1.0 + x
             return sa * coth(sa * v) - (sb ** 2 - sa ** 2) / (sb * coth(sb * v) - sa * coth(sa * v))
 
-        def dR(x):
-            w = wR(x)
+        def dR(x, w):
             return w * w - member.potential.right_eval(x) + lvl.energy
 
-        def dL(x):
-            w = wL(x)
+        def dL(x, w):
             return w * w - member.potential.left_eval(x) + lvl.energy
 
         return Superpotential(wR, wL, lvl.energy, dR, dL)

@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -161,3 +162,40 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["levels"][0]["re"] == pytest.approx(2.4674011002723395)
+
+
+_IN_FRESH_INTERPRETER = """
+import contextlib, io, sys
+from ptwell.cli import main
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+from ptwell import EliminationPlan, ShootingConfig, Side, build_hierarchy, integrate_side
+V = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
+cfg = ShootingConfig.for_potential(V)
+print(repr([integrate_side(V, 6.0 + 0.5j, side, cfg) for side in (Side.RIGHT, Side.LEFT)]))
+assert "numpy" in sys.modules
+"""
+
+
+def test_cli_runs_without_numpy_until_a_partner_side():
+    # numpy costs most of a CLI process's start-up; only the step product of
+    # a non-constant (partner-potential) side may import it
+    argvs = [["spectrum", "--coupling", "8", "--levels", "4"],
+             ["critical", "--index", "1"],
+             ["hierarchy", "--coupling", "8", "--depth", "3", "--plan", "clower,cupper",
+              "--samples", "5"],
+             ["hierarchy", "--coupling", "2", "--depth", "3", "--samples", "5",
+              "--format", "csv"],
+             ["limit", "--m", "2", "--n", "1"],
+             ["verify", "--coupling", "2", "--member", "1", "--levels", "3"]]
+    proc = subprocess.run([sys.executable, "-c", _IN_FRESH_INTERPRETER.format(argvs=argvs)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sides = ast.literal_eval(proc.stdout)
+    # (psi(0), psi'(0)) of each member-2 side at E = 6 + 0.5i
+    expected = [(0.5852201300188641 - 0.027773524202855126j, -0.6376355641305693 - 0.035227505177624185j),
+                (0.5848201935127273 - 0.03879180933944787j, 0.6255566164165379 - 0.2601145257630488j)]
+    for got, want in zip(sides, expected):
+        assert got == pytest.approx(want, rel=1e-12)

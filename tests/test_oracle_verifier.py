@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from ptwell import (
@@ -18,8 +20,8 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
-from ptwell.oracle_verifier import (ROOT_TOL, _ordered_levels, _real_axis_starts,
-                                    _sampled_side, _secant)
+from ptwell.oracle_verifier import (ROOT_TOL, _box_minima_candidates, _ordered_levels,
+                                    _real_axis_starts, _sampled_side, _secant, linspace)
 
 
 def test_config_validation():
@@ -64,7 +66,7 @@ def _step_loop(vnodes, vmids, E, hh, psi, dpsi):
     logscale = 0.0
     half = hh / 2.0
     sixth = hh / 6.0
-    for k in range(vmids.shape[0]):
+    for k in range(len(vmids)):
         q1 = vnodes[k] - E
         qm = vmids[k] - E
         q2 = vnodes[k + 1] - E
@@ -240,3 +242,43 @@ def test_zero_coupling_search_mismatch_count(monkeypatch):
         assert E.imag == 0.0
         assert abs(E.real - ((n + 1) * math.pi / 2.0) ** 2) < 1e-8 * E.real
     assert len(calls) <= 300
+
+
+def _linspace_cases():
+    rng = random.Random(20260)
+    cases = [(0.0, 1.0, 2), (3.5, 3.5, 2), (-2.0, -2.0, 48), (5.0, -1.0, 25), (1e-300, -1e-300, 7),
+             (0.0, 5e-324, 3), (-0.999, 0.999, 101), (-0.999, 0.999, 2), (-0.95, 0.95, 20),
+             (0.5, 260.0, 240)]
+    cases += [(-0.999, 0.999, rng.randint(2, 400)) for _ in range(20)]
+    for _ in range(60):
+        lo, hi = rng.uniform(-300.0, 300.0), rng.uniform(-300.0, 300.0)
+        cases.append((lo, hi, rng.choice((2, 3, 20, 25, 48, 240, rng.randint(2, 1000)))))
+    return cases
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    for lo, hi, count in _linspace_cases():
+        got = [x.hex() for x in linspace(lo, hi, count)]
+        assert got == [float(x).hex() for x in np.linspace(lo, hi, count)], (lo, hi, count)
+
+
+def test_box_minima_candidates_match_array_reference():
+    # the landscape and 3x3 minimum test as numpy arrays, the reference the
+    # plain-list version reproduces
+    def reference(V, lo, hi, cfg):
+        res = np.linspace(lo.real, hi.real, 48)
+        ims = np.linspace(lo.imag, hi.imag, 25)
+        mag = np.empty((25, 48))
+        for i, b in enumerate(ims):
+            for j, a in enumerate(res):
+                mag[i, j] = abs(mismatch(V, complex(a, b), cfg).normalized)
+        return [complex(res[j], ims[i]) for i in range(25) for j in range(48)
+                if mag[i, j] == mag[max(0, i - 1):i + 2, max(0, j - 1):j + 2].min()
+                and mag[i, j] < 0.5]
+
+    V = square_well_potential(8.0)
+    cfg = ShootingConfig.for_potential(V)
+    for lo, hi in ((complex(3.0, -9.0), complex(11.0, -2.0)), (complex(0.0, -7.0), complex(60.0, 7.0))):
+        seeds = _box_minima_candidates(V, lo, hi, cfg)
+        assert seeds
+        assert seeds == reference(V, lo, hi, cfg)
