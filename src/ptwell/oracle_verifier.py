@@ -9,9 +9,20 @@ formulas, so agreement with the closed forms is a genuine cross-check.
 The ODE is linear, so each RK4 step is a fixed 2x2 matrix and a side is the
 ordered product of its step matrices: the n-th power of one matrix when all
 samples share one value (the bare well), else a pairwise tree product of the
-n matrices, built at once in numpy (the partner potentials).  numpy is
-imported on the first such side, so the bare well, and every process that
-never integrates a partner potential, runs without it.
+n matrices, built at once in numpy (the partner potentials).  With
+q = V - E sampled at a step's start, midpoint and end (q1, qm, q2), the
+step matrix is exactly
+
+    [[1 + h^2 (q1 + 2 qm)/6 + h^4 qm q1/24,   h + h^3 qm/6],
+     [h (q1 + 4 qm + q2)/6 + h^3 qm (q1 + q2)/12,   1 + h^2 (2 qm + q2)/6 + h^4 q2 qm/24]],
+
+so every entry is a quadratic in E.  Each partner-potential side caches,
+with its samples, the coefficients K0, K1, K2 of M(E) = K0 + E (K1 + E K2),
+and an energy costs three array operations plus the tree.  Energies are
+integrated BATCH at a time, as a second array axis down the same tree; the
+scans hand over whole grids, the secant one energy at a time.  numpy is
+imported on the first partner-potential side, so the bare well, and every
+process that never integrates a partner potential, runs without it.
 """
 import cmath
 import math
@@ -25,6 +36,9 @@ from .spectral_core import ConvergenceError
 njit = None
 
 GRID_RESOLUTION = 240  # real-axis scan points
+# energies per step product: on the oracle workload 4 ran a quarter slower
+# and 16 no faster, with more peak memory (docs/decisions.md)
+BATCH = 8
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
 
 
@@ -99,40 +113,69 @@ def _rk4_constant_power(q, n, hh, psi, dpsi):
     return psi, dpsi, plog
 
 
-def _rk4_step_product(vnodes, vmids, E, hh, psi, dpsi):
-    """All RK4 steps of psi'' = (V - E) psi as the ordered product M[n-1]...M[1] M[0].
+def _step_coefficients(vnodes, vmids, hh):
+    """(K0, K1, K2) with the step matrices' rows a, b, c, d equal to K0 + E (K1 + E K2).
 
-    The RK4 stage arithmetic runs on both unit vectors at once, giving rows
-    a, b, c, d of every step matrix [[a, b], [c, d]].  Neighbours multiply
-    pairwise up a tree, carrying an odd tail; once a partial product passes
-    1e100, its level is scaled by exact powers of two, summed up the tree.
-    The solution is (psi, dpsi) * exp(logscale).
+    K0 and K1 are (4, n) arrays from the samples, in closed form (module
+    docstring); K2 and K1's b row depend on h alone.
     """
     import numpy as np  # here, not at module level: see the module docstring
 
-    q1, qm, q2 = vnodes[:-1] - E, vmids - E, vnodes[1:] - E
-    p, d = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
-    k1p, k1d = d, q1 * p
-    k2p, k2d = d + hh / 2.0 * k1d, qm * (p + hh / 2.0 * k1p)
-    k3p, k3d = d + hh / 2.0 * k2d, qm * (p + hh / 2.0 * k2p)
-    k4p, k4d = d + hh * k3d, q2 * (p + hh * k3p)
-    m = np.concatenate((p + hh / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-                        d + hh / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)))
-    e = np.zeros(m.shape[1], dtype=np.int64)
-    while m.shape[1] > 1:
-        k = m.shape[1] & ~1
-        (a0, b0, c0, d0), (a1, b1, c1, d1) = m[:, 0:k:2], m[:, 1:k:2]
-        pm = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0,
-                       c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
-        pe = e[0:k:2] + e[1:k:2]
-        size = np.abs(pm).sum(axis=0)
+    v1, vm, v2 = vnodes[:-1], vmids, vnodes[1:]
+    h2, h3, h4 = hh * hh, hh * hh * hh, hh * hh * hh * hh
+    k0 = np.stack((1.0 + h2 * (v1 + 2.0 * vm) / 6.0 + h4 * vm * v1 / 24.0,
+                   hh + h3 * vm / 6.0,
+                   hh * (v1 + 4.0 * vm + v2) / 6.0 + h3 * vm * (v1 + v2) / 12.0,
+                   1.0 + h2 * (2.0 * vm + v2) / 6.0 + h4 * v2 * vm / 24.0))
+    k1 = np.stack((-h2 / 2.0 - h4 * (v1 + vm) / 24.0,
+                   np.full(len(vm), -h3 / 6.0, dtype=np.complex128),
+                   -hh - h3 * (v1 + 2.0 * vm + v2) / 12.0,
+                   -h2 / 2.0 - h4 * (vm + v2) / 24.0))
+    k2 = np.array([h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0])
+    return k0, k1, k2
+
+
+def _rk4_step_product(coeffs, Es, psi, dpsi):
+    """For each E in Es, all RK4 steps of psi'' = (V - E) psi as the product M[n-1]...M[1] M[0].
+
+    coeffs = (K0, K1, K2) from `_step_coefficients`.  The step matrices
+    [[a, b], [c, d]] of all B energies form one (4, B, n) array
+    K0 + E (K1 + E K2): rows a, b, c, d, one row of steps per energy, steps
+    on the last axis so that every array operation runs down n.  Neighbours
+    along n multiply pairwise up a tree, carrying an odd tail; once a
+    partial product passes 1e100, its level is scaled by exact powers of
+    two, one per product and energy, summed up the tree, so each energy
+    keeps its own exponent.  Returns one (psi, dpsi, logscale) per energy;
+    the solution is (psi, dpsi) * exp(logscale).
+    """
+    import numpy as np  # here, not at module level: see the module docstring
+
+    k0, k1, k2 = coeffs
+    E = np.array(Es, dtype=np.complex128)[:, None]
+    m = k1[:, None, :] + E * k2[:, None, None]
+    m *= E
+    m += k0[:, None, :]
+    e = np.zeros(m.shape[1:], dtype=np.int64)
+    while m.shape[2] > 1:
+        pairs = m.shape[2] // 2
+        m0, m1 = m[:, :, 0:2 * pairs:2], m[:, :, 1:2 * pairs:2]
+        pm = np.empty(m.shape[:2] + (m.shape[2] - pairs,), dtype=np.complex128)
+        pm[:, :, pairs:] = m[:, :, 2 * pairs:]
+        prod, t = pm[:, :, :pairs], np.empty(m0.shape[1:], dtype=np.complex128)
+        for r in (0, 2):  # row r of m1 times column c of m0, written in place
+            for c in (0, 1):
+                np.multiply(m1[r], m0[c], out=prod[r + c])
+                prod[r + c] += np.multiply(m1[r + 1], m0[c + 2], out=t)
+        pe = np.concatenate((e[:, 0:2 * pairs:2] + e[:, 1:2 * pairs:2], e[:, 2 * pairs:]), axis=1)
+        size = np.abs(prod).sum(axis=0)
         if (size > 1e100).any():  # rescaling every level would cost far more than this test
             shift = np.frexp(size)[1]
-            pm *= np.ldexp(1.0, -shift)
-            pe += shift
-        m, e = np.concatenate((pm, m[:, k:]), axis=1), np.concatenate((pe, e[k:]))
-    a, b, c, d = m[:, 0].tolist()
-    return a * psi + b * dpsi, c * psi + d * dpsi, int(e[0]) * math.log(2.0)
+            prod *= np.ldexp(1.0, -shift)
+            pe[:, :pairs] += shift
+        m, e = pm, pe
+    log2 = math.log(2.0)
+    return [(a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
+            for a, b, c, d, k in zip(*m[:, :, 0].tolist(), e[:, 0].tolist())]
 
 
 def _samples(ev, xs):
@@ -150,10 +193,11 @@ def _sampled_side(V, side: Side, h: float, delta: float):
     Node positions are affine in the step index so the last node lands on
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
-    integrator an order of convergence.  The fourth entry is the common
-    value when every node and midpoint sample is the same, and the samples
-    are lists; else it is None and they are complex128 arrays for the step
-    product.
+    integrator an order of convergence.  Returns (nodes, mids, hh,
+    constant, coeffs).  When every node and midpoint sample is the same,
+    constant is that value, the samples are lists and coeffs is None; else
+    constant is None, the samples are complex128 arrays and coeffs are
+    their step-matrix coefficients for `_rk4_step_product`.
     """
     n = max(1, round((1.0 - delta) / h))
     x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
@@ -162,20 +206,22 @@ def _sampled_side(V, side: Side, h: float, delta: float):
     nodes, vn = _samples(ev, (x0 * (n - k) / n for k in range(n + 1)))
     mids, vm = _samples(ev, (x0 * (n - k - 0.5) / n for k in range(n)))
     if vn is not None and vn == vm:
-        return nodes, mids, hh, vn
+        return nodes, mids, hh, vn, None
     import numpy as np  # here, not at module level: see the module docstring
 
-    return np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128), hh, None
+    nodes, mids = np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128)
+    return nodes, mids, hh, None, _step_coefficients(nodes, mids, hh)
 
 
-def _integrate(V, E: complex, side: Side, cfg: ShootingConfig):
-    nodes, mids, hh, constant = _sampled_side(V, side, cfg.h, cfg.delta)
+def _integrate(V, Es, side: Side, cfg: ShootingConfig):
+    """(psi, dpsi, logscale) of one side at x = 0 for each energy in Es."""
+    _, mids, hh, constant, coeffs = _sampled_side(V, side, cfg.h, cfg.delta)
     sgn = -1.0 if side is Side.RIGHT else 1.0
     psi0 = complex(cfg.delta ** cfg.p)
     dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
     if constant is not None:
-        return _rk4_constant_power(constant - complex(E), len(mids), hh, psi0, dpsi0)
-    return _rk4_step_product(nodes, mids, complex(E), hh, psi0, dpsi0)
+        return [_rk4_constant_power(constant - E, len(mids), hh, psi0, dpsi0) for E in Es]
+    return _rk4_step_product(coeffs, Es, psi0, dpsi0)
 
 
 def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConfig()):
@@ -186,11 +232,32 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
     factor is too large to restore, the returned pair is the renormalized
     one (the direction is what the mismatch consumes).
     """
-    psi, dpsi, logscale = _integrate(V, E, side, cfg)
+    psi, dpsi, logscale = _integrate(V, [complex(E)], side, cfg)[0]
     if logscale != 0.0 and logscale < 700.0:
         f = math.exp(logscale)
         return psi * f, dpsi * f
     return psi, dpsi
+
+
+def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
+    """`mismatch` at every energy in Es, integrated BATCH energies at a time.
+
+    Each value is the one `mismatch` returns at that energy alone, bit for
+    bit: rescaling is by powers of two per energy, and the normalized value
+    does not see them.
+    """
+    Es = [complex(E) for E in Es]
+    out = []
+    for k in range(0, len(Es), BATCH):
+        batch = Es[k:k + BATCH]
+        right = _integrate(V, batch, Side.RIGHT, cfg)
+        left = _integrate(V, batch, Side.LEFT, cfg)
+        for E, (pR, dR, _), (pL, dL, _) in zip(batch, right, left):
+            w = pL * dR - dL * pR
+            # side values reach 1e100 before rescaling, so square none of them
+            scale = math.hypot(abs(pL), abs(dL)) * math.hypot(abs(pR), abs(dR))
+            out.append(MismatchValue(E, w, scale))
+    return out
 
 
 def mismatch(V, E: complex, cfg: ShootingConfig = ShootingConfig()) -> MismatchValue:
@@ -200,11 +267,7 @@ def mismatch(V, E: complex, cfg: ShootingConfig = ShootingConfig()) -> MismatchV
     nontrivial solution; the normalized value is the sine of the angle
     between the side solutions and is invariant under per-side rescaling.
     """
-    pR, dR, _ = _integrate(V, E, Side.RIGHT, cfg)
-    pL, dL, _ = _integrate(V, E, Side.LEFT, cfg)
-    w = pL * dR - dL * pR
-    scale = math.sqrt((abs(pL) ** 2 + abs(dL) ** 2) * (abs(pR) ** 2 + abs(dR) ** 2))
-    return MismatchValue(complex(E), w, scale)
+    return mismatches(V, [E], cfg)[0]
 
 
 def _secant(f, E0, E1, f0, f1):
@@ -261,7 +324,7 @@ def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):
     axis, so sign changes (or an exact zero) bracket eigenvalues.
     """
     Es = linspace(lo, hi, GRID_RESOLUTION)
-    vals = [mismatch(V, complex(E), cfg).normalized.real for E in Es]
+    vals = [m.normalized.real for m in mismatches(V, Es, cfg)]
     return [(Es[k], Es[k + 1], vals[k], vals[k + 1]) for k in range(len(Es) - 1)
             if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0]
 
@@ -271,7 +334,9 @@ def _box_minima_candidates(V, lo: complex, hi: complex, cfg: ShootingConfig):
     nr, ni = 48, 25
     res = linspace(lo.real, hi.real, nr)
     ims = linspace(lo.imag, hi.imag, ni)
-    mag = [[abs(mismatch(V, complex(a, b), cfg).normalized) for a in res] for b in ims]
+    grid = [complex(a, b) for b in ims for a in res]
+    vals = [abs(m.normalized) for m in mismatches(V, grid, cfg)]
+    mag = [vals[i * nr:(i + 1) * nr] for i in range(ni)]
     seeds = []
     for i in range(ni):
         for j in range(nr):

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -20,8 +21,9 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
-from ptwell.oracle_verifier import (ROOT_TOL, _box_minima_candidates, _ordered_levels,
-                                    _real_axis_starts, _sampled_side, _secant, linspace)
+from ptwell.oracle_verifier import (GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
+                                    _integrate, _ordered_levels, _real_axis_starts,
+                                    _sampled_side, _secant, linspace, mismatches)
 
 
 def test_config_validation():
@@ -93,6 +95,12 @@ def _restored(psi, dpsi, logscale):
     return psi * f, dpsi * f
 
 
+def _start(cfg, side):
+    """(psi, psi') at the wall, as the integrators start."""
+    sgn = -1.0 if side is Side.RIGHT else 1.0
+    return complex(cfg.delta ** cfg.p), complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
+
+
 # members 2-4 of a real-phase chain, and of a broken-phase one at Z = 8
 _PLANS = {0.0: "real,real,real", 2.0: "real,real,real", 8.0: "clower,cupper,real"}
 
@@ -106,17 +114,56 @@ def test_constant_side_power_matches_step_loop(Z, E):
     for mem in members:
         V = mem.potential
         cfg = ShootingConfig.for_potential(V)
-        for side, sgn in ((Side.RIGHT, -1.0), (Side.LEFT, 1.0)):
-            nodes, mids, hh, constant = _sampled_side(V, side, cfg.h, cfg.delta)
+        for side in Side:
+            nodes, mids, hh, constant, _ = _sampled_side(V, side, cfg.h, cfg.delta)
             assert (constant is not None) == (mem.depth == 1)
-            psi0 = complex(cfg.delta ** cfg.p)
-            dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
-            loop = _step_loop(nodes, mids, complex(E), hh, psi0, dpsi0)
-            if E == -1e5:
-                assert loop[2] > 0.0
+            loop = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
+            assert (loop[2] > 0.0) == (E == -1e5)
             p0, d0 = _restored(*loop)
             p1, d1 = integrate_side(V, E, side, cfg)
             assert math.hypot(abs(p1 - p0), abs(d1 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
+            # batched with E = -1e5, which rescales whole tree levels, E keeps its own exponent
+            p2, d2 = _restored(*_integrate(V, [complex(E), -1e5 + 0j], side, cfg)[0])
+            assert math.hypot(abs(p2 - p0), abs(d2 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
+
+
+def _loop_mismatch(V, E, cfg):
+    # each side normalized before the Wronskian, so nothing is squared
+    sides = []
+    for side in Side:
+        nodes, mids, hh, _, _ = _sampled_side(V, side, cfg.h, cfg.delta)
+        psi, dpsi, _ = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
+        norm = math.hypot(abs(psi), abs(dpsi))
+        sides.append((psi / norm, dpsi / norm))
+    (pR, dR), (pL, dL) = sides
+    return pL * dR - dL * pR
+
+
+def test_mismatch_finite_where_side_values_reach_1e100():
+    # side values of about 1e100, just short of rescaling: squared in the
+    # mismatch scale they overflow it to the breakdown sentinel 1
+    V1 = square_well_potential(2.0)
+    V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
+    for V, E in ((V1, -4e4), (V2, -3.5e4), (V2, -4e4), (V2, complex(-40186.3, 0.74))):
+        cfg = ShootingConfig.for_potential(V)
+        got = mismatch(V, E, cfg).normalized
+        assert cmath.isfinite(got) and got != complex(1.0)
+        assert abs(got - _loop_mismatch(V, E, cfg)) <= 1e-12
+
+
+# members 2-5 of a real-phase chain at Z = 2 and a broken-phase one at Z = 8
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real")])
+def test_batched_mismatch_is_pointwise_bit_for_bit(Z, plan):
+    # a coarser step than the CLI's keeps this cheap; batching is what is tested
+    Es = linspace(0.5, 260.0, GRID_RESOLUTION) + [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j,
+                                                  -1e3, -1e5, 1e4, 40.0, -3.5e4, -4e4,
+                                                  complex(-40186.3, 0.74)]
+    for mem in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=9)[1:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+        batched = [m.normalized for m in mismatches(V, Es, cfg)]
+        assert batched == [mismatch(V, E, cfg).normalized for E in Es]
 
 
 def test_partner_sides_are_not_constant():
@@ -224,16 +271,22 @@ def test_secant_stops_when_both_values_are_equal():
     assert _secant(f, 3.0 + 1.0j, 3.5 + 1.0j, complex(1.0), complex(1.0))[1] == 1.0
 
 
+def _count_energies(monkeypatch):
+    # every mismatch, scanned or single, is evaluated by `mismatches`
+    energies = []
+    counted = oracle_verifier.mismatches
+
+    def counting(V, Es, *args, **kw):
+        energies.extend(Es)
+        return counted(V, Es, *args, **kw)
+
+    monkeypatch.setattr(oracle_verifier, "mismatches", counting)
+    return energies
+
+
 def test_zero_coupling_search_mismatch_count(monkeypatch):
     # work counts are deterministic, so they catch regressions noisy timings miss
-    calls = []
-    counted = oracle_verifier.mismatch
-
-    def counting(*args, **kw):
-        calls.append(args[1])
-        return counted(*args, **kw)
-
-    monkeypatch.setattr(oracle_verifier, "mismatch", counting)
+    energies = _count_energies(monkeypatch)
     V = square_well_potential(0.0)
     cfg = ShootingConfig.for_potential(V)
     found = find_spectrum_numeric(V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), cfg)
@@ -241,7 +294,19 @@ def test_zero_coupling_search_mismatch_count(monkeypatch):
     for n, E in enumerate(found):
         assert E.imag == 0.0
         assert abs(E.real - ((n + 1) * math.pi / 2.0) ** 2) < 1e-8 * E.real
-    assert len(calls) <= 300
+    assert len(energies) <= 300
+
+
+def test_partner_search_energy_count(monkeypatch):
+    # member 2 at Z = 2 in the box `ptwell verify --levels 4` searches: the
+    # 240-point scan and 16 secant steps
+    energies = _count_energies(monkeypatch)
+    member = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=5)[1]
+    closed = [lv.energy for lv in member.spectrum.levels[:4]]
+    box = (complex(closed[0].real - 2.0, -1.0), complex(closed[-1].real + 5.0, 1.0))
+    cfg = ShootingConfig(h=1e-3, p=member.potential.endpoint_exponent)
+    assert len(find_spectrum_numeric(member.potential, 4, box, cfg)) == 4
+    assert len(energies) == 256
 
 
 def _linspace_cases():
