@@ -16,7 +16,7 @@ from .spectral_core import (ConvergenceError, classify_spectrum,
                             matching_residual, matching_residual_dt)
 from .susy_hierarchy import (EliminationPlan, IllegalPlanError,
                              build_hierarchy, hierarchy_relations_check)
-from .oracle_verifier import ShootingConfig, find_spectrum_numeric, linspace, mismatch
+from .oracle_verifier import ShootingConfig, find_spectrum_numeric, linspace, mismatches
 from .wavefunctions import chebyshev_grid, limit_form, ratio_stats
 
 
@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
     member = members[-1]
     closed = [lv.energy for lv in member.spectrum.levels[:args.levels]]
     sh = ShootingConfig(p=member.potential.endpoint_exponent)
-    res = [abs(mismatch(member.potential, E, sh).normalized) for E in closed]
+    res = [abs(m.normalized) for m in mismatches(member.potential, closed, sh)]
     lo_re = min(E.real for E in closed) - 2.0
     hi_re = max(E.real for E in closed) + 5.0
     lo_im = min(0.0, min(E.imag for E in closed)) - 1.0

@@ -7,21 +7,30 @@ potential's side evaluators and its endpoint exponent, never eigenfunction
 formulas, so agreement with the closed forms is a genuine cross-check.
 
 The ODE is linear, so each RK4 step is a fixed 2x2 matrix and a side is the
-ordered product of its step matrices: the n-th power of one matrix when all
-samples share one value (the bare well), else a pairwise tree product of the
-n matrices, built at once in numpy (the partner potentials).  With
+ordered product of its step matrices: the n-th power of one matrix when
+each side's samples share one value (the bare well), else a pairwise tree
+product built at once in numpy (the partner potentials).  With
 q = V - E sampled at a step's start, midpoint and end (q1, qm, q2), the
 step matrix is exactly
 
     [[1 + h^2 (q1 + 2 qm)/6 + h^4 qm q1/24,   h + h^3 qm/6],
      [h (q1 + 4 qm + q2)/6 + h^3 qm (q1 + q2)/12,   1 + h^2 (2 qm + q2)/6 + h^4 q2 qm/24]],
 
-so every entry is a quadratic in E.  Each partner-potential side caches,
-with its samples, the coefficients K0, K1, K2 of M(E) = K0 + E (K1 + E K2),
-and an energy costs three array operations plus the tree.  Energies are
-integrated BATCH at a time, as a second array axis down the same tree; the
-scans hand over whole grids, the secant one energy at a time.  numpy is
-imported on the first partner-potential side, so the bare well, and every
+so every entry is a quadratic in E, and a product of BLOCK = 8
+neighbouring steps is a 2x2 matrix polynomial of degree 16 in E:
+
+    M[8j+7](E) ... M[8j](E) = C[0] + E C[1] + ... + E^16 C[16],
+
+block j of columns C[k][:, j], identity steps padding n to a multiple of
+8.  A potential's two sides always take the same n steps, so they are
+sampled and cached together: with the samples, `_sampled_sides` keeps the
+coefficients of both sides' blocks stacked as one (17, 4, 2, n/8) array
+(k, rows a, b, c, d, side, block).  An energy then costs Horner's rule in
+elementwise array operations and a pairwise tree over n/8 blocks, for
+both sides in one product.  Energies are integrated BATCH at a time, as a
+third array axis down the same tree; the scans hand over whole grids, the
+secant one energy at a time.  numpy is imported on the first potential
+that is not constant on both sides, so the bare well, and every
 process that never integrates a partner potential, runs without it.
 """
 import cmath
@@ -39,6 +48,9 @@ GRID_RESOLUTION = 240  # real-axis scan points
 # energies per step product: on the oracle workload 4 ran a quarter slower
 # and 16 no faster, with more peak memory (docs/decisions.md)
 BATCH = 8
+# steps per pre-multiplied block: 16 was no faster and cost more to build,
+# 32 slower (docs/decisions.md)
+BLOCK = 8
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
 
 
@@ -114,47 +126,86 @@ def _rk4_constant_power(q, n, hh, psi, dpsi):
 
 
 def _step_coefficients(vnodes, vmids, hh):
-    """(K0, K1, K2) with the step matrices' rows a, b, c, d equal to K0 + E (K1 + E K2).
+    """(3, 4, n) array K with the step matrices' rows a, b, c, d equal to K[0] + E K[1] + E^2 K[2].
 
-    K0 and K1 are (4, n) arrays from the samples, in closed form (module
-    docstring); K2 and K1's b row depend on h alone.
+    K[0] and K[1] come from the samples in closed form (module docstring);
+    K[2] and K[1]'s b row depend on h alone.
     """
     import numpy as np  # here, not at module level: see the module docstring
 
     v1, vm, v2 = vnodes[:-1], vmids, vnodes[1:]
     h2, h3, h4 = hh * hh, hh * hh * hh, hh * hh * hh * hh
-    k0 = np.stack((1.0 + h2 * (v1 + 2.0 * vm) / 6.0 + h4 * vm * v1 / 24.0,
-                   hh + h3 * vm / 6.0,
-                   hh * (v1 + 4.0 * vm + v2) / 6.0 + h3 * vm * (v1 + v2) / 12.0,
-                   1.0 + h2 * (2.0 * vm + v2) / 6.0 + h4 * v2 * vm / 24.0))
-    k1 = np.stack((-h2 / 2.0 - h4 * (v1 + vm) / 24.0,
-                   np.full(len(vm), -h3 / 6.0, dtype=np.complex128),
-                   -hh - h3 * (v1 + 2.0 * vm + v2) / 12.0,
-                   -h2 / 2.0 - h4 * (vm + v2) / 24.0))
-    k2 = np.array([h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0])
-    return k0, k1, k2
+    k = np.empty((3, 4, len(vm)), dtype=np.complex128)
+    k[0, 0] = 1.0 + h2 * (v1 + 2.0 * vm) / 6.0 + h4 * vm * v1 / 24.0
+    k[0, 1] = hh + h3 * vm / 6.0
+    k[0, 2] = hh * (v1 + 4.0 * vm + v2) / 6.0 + h3 * vm * (v1 + v2) / 12.0
+    k[0, 3] = 1.0 + h2 * (2.0 * vm + v2) / 6.0 + h4 * v2 * vm / 24.0
+    k[1, 0] = -h2 / 2.0 - h4 * (v1 + vm) / 24.0
+    k[1, 1] = -h3 / 6.0
+    k[1, 2] = -hh - h3 * (v1 + 2.0 * vm + v2) / 12.0
+    k[1, 3] = -h2 / 2.0 - h4 * (vm + v2) / 24.0
+    k[2] = np.array([h4 / 24.0, 0.0, h3 / 6.0, h4 / 24.0])[:, None]
+    return k
 
 
-def _rk4_step_product(coeffs, Es, psi, dpsi):
-    """For each E in Es, all RK4 steps of psi'' = (V - E) psi as the product M[n-1]...M[1] M[0].
+def _block_coefficients(vnodes, vmids, hh):
+    """(2 BLOCK + 1, 4, ceil(n / BLOCK)) coefficients of one side's block products.
 
-    coeffs = (K0, K1, K2) from `_step_coefficients`.  The step matrices
-    [[a, b], [c, d]] of all B energies form one (4, B, n) array
-    K0 + E (K1 + E K2): rows a, b, c, d, one row of steps per energy, steps
-    on the last axis so that every array operation runs down n.  Neighbours
-    along n multiply pairwise up a tree, carrying an odd tail; once a
-    partial product passes 1e100, its level is scaled by exact powers of
-    two, one per product and energy, summed up the tree, so each energy
-    keeps its own exponent.  Returns one (psi, dpsi, logscale) per energy;
-    the solution is (psi, dpsi) * exp(logscale).
+    Block j is M[BLOCK j + BLOCK - 1] ... M[BLOCK j], its rows a, b, c, d
+    a polynomial in E with the coefficient of E^k at index k; identity
+    steps pad n to a multiple of BLOCK.  Each step multiplies the block's
+    partial product from the left, one power of E of the step at a time.
     """
     import numpy as np  # here, not at module level: see the module docstring
 
-    k0, k1, k2 = coeffs
+    k = _step_coefficients(vnodes, vmids, hh)
+    pad = -k.shape[2] % BLOCK
+    if pad:
+        identity = np.zeros((3, 4, pad), dtype=np.complex128)
+        identity[0, 0] = identity[0, 3] = 1.0
+        k = np.concatenate((k, identity), axis=2)
+    k = k.reshape(3, 4, -1, BLOCK)
+    p = k[..., 0]
+    for j in range(1, BLOCK):
+        # entry r + c (r in 0, 2; c in 0, 1) is q[r] p[c] + q[r + 1] p[c + 2]
+        q = k[..., j]
+        qa, qb = q[:, [0, 0, 2, 2]], q[:, [1, 1, 3, 3]]
+        pa, pb = p[:, [0, 1, 0, 1]], p[:, [2, 3, 2, 3]]
+        out = np.zeros((len(p) + 2,) + p.shape[1:], dtype=np.complex128)
+        for i in range(3):
+            out[i:i + len(p)] += qa[i] * pa + qb[i] * pb
+        p = out
+    return p
+
+
+def _rk4_step_product(blocks, Es, starts):
+    """For each side and each E in Es, all RK4 steps of psi'' = (V - E) psi at once.
+
+    blocks stacks S sides' `_block_coefficients` on axis 2, shape
+    (2 BLOCK + 1, 4, S, nb), and starts holds their S start values
+    (psi, dpsi).  Horner's rule, C[16] E + C[15], times E, plus C[14], ...,
+    evaluates the blocks of all B energies as one (4, S, B, nb) array, in
+    elementwise operations only: a matmul or einsum may sum in an order
+    that depends on B, and a value would then depend on its batch.  The
+    array is viewed as (4, S B, nb): rows a, b, c, d, one row of blocks
+    per side and energy, blocks on the last axis so that every array
+    operation runs down nb.  Neighbours along nb multiply pairwise up a
+    tree, carrying an odd tail; once a partial product passes 1e100, its
+    level is scaled by exact powers of two, one per product, side and
+    energy, summed up the tree, so each keeps its own exponent.  Returns,
+    per side, one (psi, dpsi, logscale) per energy; the solution is
+    (psi, dpsi) * exp(logscale).
+    """
+    import numpy as np  # here, not at module level: see the module docstring
+
     E = np.array(Es, dtype=np.complex128)[:, None]
-    m = k1[:, None, :] + E * k2[:, None, None]
-    m *= E
-    m += k0[:, None, :]
+    cs = blocks[:, :, :, None, :]
+    m = cs[-1] * E
+    for c in cs[-2:0:-1]:
+        m += c
+        m *= E
+    m += cs[0]
+    m = m.reshape(4, -1, m.shape[3])
     e = np.zeros(m.shape[1:], dtype=np.int64)
     while m.shape[2] > 1:
         pairs = m.shape[2] // 2
@@ -174,8 +225,10 @@ def _rk4_step_product(coeffs, Es, psi, dpsi):
             pe[:, :pairs] += shift
         m, e = pm, pe
     log2 = math.log(2.0)
-    return [(a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
-            for a, b, c, d, k in zip(*m[:, :, 0].tolist(), e[:, 0].tolist())]
+    rows = list(zip(*m[:, :, 0].tolist(), e[:, 0].tolist()))
+    return [[(a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
+             for a, b, c, d, k in rows[s * len(Es):(s + 1) * len(Es)]]
+            for s, (psi, dpsi) in enumerate(starts)]
 
 
 def _samples(ev, xs):
@@ -185,43 +238,57 @@ def _samples(ev, xs):
     return vals, (complex(v) if all(u == v for u in vals) else None)
 
 
-# one potential's two sides are all its callers reuse; more keeps old ones alive
-@lru_cache(maxsize=2)
-def _sampled_side(V, side: Side, h: float, delta: float):
-    """Potential samples on the integration nodes and midpoints of one side.
+# the potential being checked is all its callers reuse; more keeps old ones alive
+@lru_cache(maxsize=1)
+def _sampled_sides(V, h: float, delta: float):
+    """Potential samples on the integration nodes and midpoints of both sides.
 
     Node positions are affine in the step index so the last node lands on
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
-    integrator an order of convergence.  Returns (nodes, mids, hh,
-    constant, coeffs).  When every node and midpoint sample is the same,
-    constant is that value, the samples are lists and coeffs is None; else
-    constant is None, the samples are complex128 arrays and coeffs are
-    their step-matrix coefficients for `_rk4_step_product`.
+    integrator an order of convergence.  Both sides take the same n steps.
+    Returns (sides, blocks): sides maps each Side to (nodes, mids, hh,
+    constant), constant being the side's common sample value or None.
+    When both sides are constant, the samples are lists and blocks is
+    None; else the samples are complex128 arrays and blocks is the
+    (2 BLOCK + 1, 4, 2, nb) stack of both sides' block coefficients, right
+    side first, for `_rk4_step_product`.
     """
     n = max(1, round((1.0 - delta) / h))
-    x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
-    hh = -x0 / n
-    ev = V.right_eval if side is Side.RIGHT else V.left_eval
-    nodes, vn = _samples(ev, (x0 * (n - k) / n for k in range(n + 1)))
-    mids, vm = _samples(ev, (x0 * (n - k - 0.5) / n for k in range(n)))
-    if vn is not None and vn == vm:
-        return nodes, mids, hh, vn, None
+    sides = {}
+    for side in Side:
+        x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
+        ev = V.right_eval if side is Side.RIGHT else V.left_eval
+        nodes, vn = _samples(ev, (x0 * (n - k) / n for k in range(n + 1)))
+        mids, vm = _samples(ev, (x0 * (n - k - 0.5) / n for k in range(n)))
+        sides[side] = (nodes, mids, -x0 / n, vn if vn is not None and vn == vm else None)
+    if all(constant is not None for *_, constant in sides.values()):
+        return sides, None
     import numpy as np  # here, not at module level: see the module docstring
 
-    nodes, mids = np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128)
-    return nodes, mids, hh, None, _step_coefficients(nodes, mids, hh)
+    sides = {side: (np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128),
+                    hh, constant)
+             for side, (nodes, mids, hh, constant) in sides.items()}
+    # one side at a time: building both as one array raised the oracle
+    # workload's peak memory by 5 % against 1.4 % (docs/decisions.md)
+    blocks = np.stack([_block_coefficients(*s[:3]) for s in sides.values()], axis=2)
+    return sides, blocks
 
 
-def _integrate(V, Es, side: Side, cfg: ShootingConfig):
-    """(psi, dpsi, logscale) of one side at x = 0 for each energy in Es."""
-    _, mids, hh, constant, coeffs = _sampled_side(V, side, cfg.h, cfg.delta)
+def _start(cfg: ShootingConfig, side: Side):
+    """(psi, psi') at distance delta from the wall: the regular behavior psi = delta^p."""
     sgn = -1.0 if side is Side.RIGHT else 1.0
-    psi0 = complex(cfg.delta ** cfg.p)
-    dpsi0 = complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
-    if constant is not None:
-        return [_rk4_constant_power(constant - E, len(mids), hh, psi0, dpsi0) for E in Es]
-    return _rk4_step_product(coeffs, Es, psi0, dpsi0)
+    return complex(cfg.delta ** cfg.p), complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
+
+
+def _integrate(V, Es, cfg: ShootingConfig):
+    """Per side, right then left, (psi, dpsi, logscale) at x = 0 for each energy in Es."""
+    sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+    starts = [_start(cfg, side) for side in Side]
+    if blocks is None:
+        return [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in Es]
+                for (_, mids, hh, constant), start in zip(sides.values(), starts)]
+    return _rk4_step_product(blocks, Es, starts)
 
 
 def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConfig()):
@@ -232,7 +299,8 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
     factor is too large to restore, the returned pair is the renormalized
     one (the direction is what the mismatch consumes).
     """
-    psi, dpsi, logscale = _integrate(V, [complex(E)], side, cfg)[0]
+    right, left = _integrate(V, [complex(E)], cfg)
+    psi, dpsi, logscale = (right if side is Side.RIGHT else left)[0]
     if logscale != 0.0 and logscale < 700.0:
         f = math.exp(logscale)
         return psi * f, dpsi * f
@@ -250,8 +318,7 @@ def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     out = []
     for k in range(0, len(Es), BATCH):
         batch = Es[k:k + BATCH]
-        right = _integrate(V, batch, Side.RIGHT, cfg)
-        left = _integrate(V, batch, Side.LEFT, cfg)
+        right, left = _integrate(V, batch, cfg)
         for E, (pR, dR, _), (pL, dL, _) in zip(batch, right, left):
             w = pL * dR - dL * pR
             # side values reach 1e100 before rescaling, so square none of them

@@ -21,9 +21,11 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
-from ptwell.oracle_verifier import (GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
+from ptwell.oracle_verifier import (BLOCK, GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
                                     _integrate, _ordered_levels, _real_axis_starts,
-                                    _sampled_side, _secant, linspace, mismatches)
+                                    _rk4_step_product, _sampled_sides, _secant, linspace,
+                                    mismatches)
+from ptwell.susy_hierarchy import PiecewisePotential
 
 
 def test_config_validation():
@@ -103,10 +105,16 @@ def _start(cfg, side):
 
 # members 2-4 of a real-phase chain, and of a broken-phase one at Z = 8
 _PLANS = {0.0: "real,real,real", 2.0: "real,real,real", 8.0: "clower,cupper,real"}
+_ENERGIES = [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -1e5]
+
+
+def _close(got, want):
+    (p1, d1), (p0, d0) = got, want
+    return math.hypot(abs(p1 - p0), abs(d1 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
 
 
 @pytest.mark.parametrize("Z", [0.0, 2.0, 8.0])
-@pytest.mark.parametrize("E", [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -1e5])
+@pytest.mark.parametrize("E", _ENERGIES)
 def test_constant_side_power_matches_step_loop(Z, E):
     # the bare well takes the constant power, members 2-4 the step-matrix
     # product; E = -1e5 grows past 1e100 and exercises the renormalization
@@ -114,24 +122,87 @@ def test_constant_side_power_matches_step_loop(Z, E):
     for mem in members:
         V = mem.potential
         cfg = ShootingConfig.for_potential(V)
-        for side in Side:
-            nodes, mids, hh, constant, _ = _sampled_side(V, side, cfg.h, cfg.delta)
+        sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+        assert (blocks is None) == (mem.depth == 1)
+        for k, side in enumerate(Side):
+            nodes, mids, hh, constant = sides[side]
             assert (constant is not None) == (mem.depth == 1)
             loop = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
             assert (loop[2] > 0.0) == (E == -1e5)
-            p0, d0 = _restored(*loop)
-            p1, d1 = integrate_side(V, E, side, cfg)
-            assert math.hypot(abs(p1 - p0), abs(d1 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
+            want = _restored(*loop)
+            assert _close(integrate_side(V, E, side, cfg), want)
             # batched with E = -1e5, which rescales whole tree levels, E keeps its own exponent
-            p2, d2 = _restored(*_integrate(V, [complex(E), -1e5 + 0j], side, cfg)[0])
-            assert math.hypot(abs(p2 - p0), abs(d2 - d0)) <= 1e-12 * math.hypot(abs(p0), abs(d0))
+            assert _close(_restored(*_integrate(V, [complex(E), -1e5 + 0j], cfg)[k][0]), want)
+
+
+@pytest.mark.parametrize("h, n", [(1.6e-3, 625), (3e-3, 333)])
+@pytest.mark.parametrize("Z", [2.0, 8.0])
+def test_block_product_matches_step_loop_when_blocks_are_padded(h, n, Z):
+    # n is no multiple of BLOCK, so the last block ends in identity steps;
+    # 1.6e-3 is the first step of rk4_order_estimate's ladder
+    assert n % BLOCK
+    members = build_hierarchy(Z, EliminationPlan.from_text(_PLANS[Z]), 4, levels=8)
+    for mem in members[1:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
+        sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+        assert blocks.shape == (2 * BLOCK + 1, 4, 2, -(-n // BLOCK))
+        for k, side in enumerate(Side):
+            nodes, mids, hh, _ = sides[side]
+            assert len(mids) == n
+            got = _integrate(V, _ENERGIES, cfg)[k]
+            for E, value in zip(_ENERGIES, got):
+                want = _restored(*_step_loop(nodes, mids, complex(E), hh, *_start(cfg, side)))
+                assert _close(_restored(*value), want)
+
+
+def test_stacked_sides_equal_each_side_alone_bit_for_bit():
+    Es = [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -1e3, -1e5, 1e4, 40.0]
+    members = build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper,real,real"), 5,
+                              levels=9)
+    for mem in members[1:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+        _, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+        starts = [_start(cfg, side) for side in Side]
+        both = _rk4_step_product(blocks, Es, starts)
+        assert both == _integrate(V, Es, cfg)
+        for k in range(2):
+            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], Es, starts[k:k + 1])[0]
+
+
+def test_one_constant_side_goes_through_the_product(monkeypatch):
+    # a constant right side next to a varying left side: both sides take the
+    # product, and only a potential constant on both sides takes the power
+    V = PiecewisePotential(lambda x: complex(4.0, -2.0), lambda x: complex(30.0 * x * x, 2.0),
+                           1, False)
+    cfg = ShootingConfig(h=1e-3)
+    sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+    assert sides[Side.RIGHT][3] == complex(4.0, -2.0) and sides[Side.LEFT][3] is None
+    assert blocks is not None
+
+    def forbidden(*args):
+        raise AssertionError("path not taken")
+
+    monkeypatch.setattr(oracle_verifier, "_rk4_constant_power", forbidden)
+    for side in Side:
+        nodes, mids, hh, _ = sides[side]
+        for E in _ENERGIES:
+            want = _restored(*_step_loop(nodes, mids, complex(E), hh, *_start(cfg, side)))
+            assert _close(integrate_side(V, E, side, cfg), want)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle_verifier, "_rk4_step_product", forbidden)
+    well = square_well_potential(2.0)
+    assert _sampled_sides(well, cfg.h, cfg.delta)[1] is None
+    assert cmath.isfinite(mismatch(well, 3.0, cfg).normalized)
 
 
 def _loop_mismatch(V, E, cfg):
     # each side normalized before the Wronskian, so nothing is squared
     sides = []
+    sampled = _sampled_sides(V, cfg.h, cfg.delta)[0]
     for side in Side:
-        nodes, mids, hh, _, _ = _sampled_side(V, side, cfg.h, cfg.delta)
+        nodes, mids, hh, _ = sampled[side]
         psi, dpsi, _ = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
         norm = math.hypot(abs(psi), abs(dpsi))
         sides.append((psi / norm, dpsi / norm))
@@ -168,8 +239,9 @@ def test_batched_mismatch_is_pointwise_bit_for_bit(Z, plan):
 
 def test_partner_sides_are_not_constant():
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
+    sides = _sampled_sides(V2, 2e-4, 1e-6)[0]
     for side in Side:
-        assert _sampled_side(V2, side, 2e-4, 1e-6)[3] is None
+        assert sides[side][3] is None
 
 
 @pytest.mark.parametrize("Z", [1.0, 4.0])
