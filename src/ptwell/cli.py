@@ -256,7 +256,7 @@ def _build_parser() -> _Parser:
     ve.set_defaults(run=cmd_verify)
 
     li = sub.add_parser("limit", help="zero-coupling closed-form checks")
-    li.add_argument("--m", type=int, choices=(1, 2, 3), required=True)
+    li.add_argument("--m", type=_COUNT, required=True)
     li.add_argument("--n", type=_INDEX, default=0)
     li.set_defaults(run=cmd_limit)
     return parser

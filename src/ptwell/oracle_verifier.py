@@ -231,9 +231,9 @@ def _rk4_step_product(blocks, Es, starts):
             for s, (psi, dpsi) in enumerate(starts)]
 
 
-def _samples(ev, xs):
-    """Samples of ev at xs, and their common value if they share one."""
-    vals = [ev(x) for x in xs]
+def _samples(sample, xs):
+    """sample(xs), and the samples' common value if they share one."""
+    vals = sample(xs)
     v = vals[0]
     return vals, (complex(v) if all(u == v for u in vals) else None)
 
@@ -247,6 +247,8 @@ def _sampled_sides(V, h: float, delta: float):
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
     integrator an order of convergence.  Both sides take the same n steps.
+    A potential with array evaluators (its `arrays`) takes each side's
+    positions in one evaluation.
     Returns (sides, blocks): sides maps each Side to (nodes, mids, hh,
     constant), constant being the side's common sample value or None.
     When both sides are constant, the samples are lists and blocks is
@@ -255,18 +257,19 @@ def _sampled_sides(V, h: float, delta: float):
     side first, for `_rk4_step_product`.
     """
     n = max(1, round((1.0 - delta) / h))
+    arrays = getattr(V, "arrays", None)
     sides = {}
-    for side in Side:
+    for side, ev in zip(Side, arrays or (V.right_eval, V.left_eval)):
         x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
-        ev = V.right_eval if side is Side.RIGHT else V.left_eval
-        nodes, vn = _samples(ev, (x0 * (n - k) / n for k in range(n + 1)))
-        mids, vm = _samples(ev, (x0 * (n - k - 0.5) / n for k in range(n)))
+        sample = ev if arrays else (lambda xs, ev=ev: [ev(x) for x in xs])
+        nodes, vn = _samples(sample, [x0 * (n - k) / n for k in range(n + 1)])
+        mids, vm = _samples(sample, [x0 * (n - k - 0.5) / n for k in range(n)])
         sides[side] = (nodes, mids, -x0 / n, vn if vn is not None and vn == vm else None)
     if all(constant is not None for *_, constant in sides.values()):
         return sides, None
     import numpy as np  # here, not at module level: see the module docstring
 
-    sides = {side: (np.array(nodes, dtype=np.complex128), np.array(mids, dtype=np.complex128),
+    sides = {side: (np.asarray(nodes, dtype=np.complex128), np.asarray(mids, dtype=np.complex128),
                     hh, constant)
              for side, (nodes, mids, hh, constant) in sides.items()}
     # one side at a time: building both as one array raised the oracle

@@ -1,18 +1,29 @@
 """Partner-potential chains driven by an elimination plan.
 
 Each step removes one level from the current spectrum (the lowest real one,
-or either member of a complex pair), builds the superpotential of the
-removed level, and hands the remaining levels to the next member.  Members
-one to three use closed forms; deeper members fall back to the logarithmic
-derivative of the lowest retained eigenfunction.
+or either member of a complex pair) and hands the remaining levels to the
+next member.  A member that eliminated k levels is Crum's k-fold Darboux
+transform of the well (M. M. Crum, Q. J. Math. 6 (1955) 121; Cooper, Khare,
+Sukhatme, Phys. Rep. 251 (1995) 267): on each side, in the wall distance u
+(1 - x right, 1 + x left), every well eigenfunction is sinh(kappa u), and
+with seeds k_1..k_k, the eliminated levels' wavenumbers,
+
+    V = V_1 - 2 d^2/du^2 ln Wr(sinh k_1 u, ..., sinh k_k u),
+    psi_n ~ Wr(sinh k_1 u, ..., sinh k_k u, sinh kappa_n u) / Wr(sinh k_1 u, ..., sinh k_k u).
+
+One evaluator per side (`_CrumSide`) gives a member's potential, its
+eigenfunctions and its next step's superpotential.  Member 1 is the well.
+Since sigma(E) = conj rho(E*), a member is PT-symmetric exactly when its
+eliminated energies are closed under conjugation.
 """
 import cmath
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .spectral_core import (Branch, SpectralLevel, Spectrum, classify_spectrum,
-                            cosech, coth, find_critical_coupling,
-                            indexed_spectrum)
+                            find_critical_coupling, indexed_spectrum)
 from .wavefunctions import (PiecewiseEigenfunction, chebyshev_grid,
                             normalize_sides, pt_defect, pt_transform,
                             ratio_stats, square_well_eigenfunction)
@@ -62,10 +73,13 @@ class Piecewise:
 
 @dataclass(frozen=True, eq=False)
 class PiecewisePotential(Piecewise):
+    """V by side.  arrays, when given, is the (right, left) pair of the same
+    evaluators over numpy arrays of x, for samplers that have numpy loaded."""
     right_eval: object
     left_eval: object
     endpoint_exponent: int
     pt_symmetric: bool
+    arrays: tuple = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +109,189 @@ class HierarchyMember:
     eliminated: tuple = ()
 
 
-_PT_PROBE = (0.15, 0.35, 0.55, 0.75, 0.9)
 _ANNIHILATION_PROBE = tuple(chebyshev_grid(50))
+_SERIES_TOL = 1e-17  # a series stops where the bound on its next term over its first is below
+_INV_FACTORIAL = [1.0 / math.factorial(m) for m in range(171)]  # 170! is the last float
 
 
-def _probe_pt_symmetric(right_eval, left_eval) -> bool:
-    vals = [right_eval(x) for x in _PT_PROBE]
-    scale = max(1.0, max(abs(v) for v in vals))
-    dev = max(abs(v - complex(left_eval(-x)).conjugate())
-              for v, x in zip(vals, _PT_PROBE))
-    return dev <= 1e-8 * scale
+def _darboux(fs, ds, steps, chain):
+    """Eliminate the seed columns of (fs, ds) = (f, df/du), complex numbers or
+    numpy arrays, in place.  steps holds per seed s lam_s and lam_j - lam_s
+    for the later columns j; chain says whether column j carries f_{j-1}.
+    Returns U = V - V_1 before and after the last step, and its w = f_s'/f_s."""
+    U = U_prev = w = 0j
+    s = 0
+    for lam, dlams in steps:
+        prev = fs[s]
+        w = ds[s] / prev
+        w2 = w * w
+        j = s + 1
+        if chain:
+            for dlam in dlams:
+                f = fs[j]
+                d = ds[j]
+                fs[j] = d - w * f
+                ds[j] = (dlam + w2) * f - w * d + prev
+                prev = f
+                j += 1
+        else:  # most points: a fifth faster than testing chain per column
+            for dlam in dlams:
+                f = fs[j]
+                d = ds[j]
+                fs[j] = d - w * f
+                ds[j] = (dlam + w2) * f - w * d
+                j += 1
+        U_prev, U = U, 2.0 * (w2 - lam) - U
+        s += 1
+    return U_prev, w, U
+
+
+@lru_cache(maxsize=None)
+def _series_terms(bucket: int) -> int:
+    """Terms every series column needs for X = |kappa|_max u < (bucket + 1)/2:
+    term d of column j is at most C(d + j, j) X^(2d) (2j + 1)!/(2d + 2j + 1)!
+    of term 0 (h_d of j + 1 numbers has C(d + j, j) monomials), most at j = 1."""
+    x2, term, d = ((bucket + 1) / 2) ** 2, 1.0, 0
+    while term > _SERIES_TOL:
+        d += 1
+        term *= x2 / (2 * d * (2 * d + 3))
+    return d
+
+
+def _series(lams, buckets: int):
+    """Per bucket and column j >= 1, Horner coefficients (value, slope), highest
+    power first, of G_j = u^(2j+1) sum_d h_d t^d/(2d+2j+1)! and G_j' = u^(2j)
+    sum_d h_d t^d/(2d+2j)!, t = u^2, h_d complete homogeneous in lam_0..lam_j."""
+    terms = _series_terms(buckets - 1)
+    h = [1.0] + [0.0] * (terms - 1)
+    columns = []
+    for j, lam in enumerate(lams):
+        acc = 0j
+        for d in range(terms):  # h_d(lam_0..lam_j) = h_d(lam_0..lam_j-1) + lam_j h_d-1(lam_0..lam_j)
+            acc = h[d] = h[d] + lam * acc
+        if j:
+            columns.append([(h[d] * _INV_FACTORIAL[2 * d + 2 * j + 1], h[d] * _INV_FACTORIAL[2 * d + 2 * j])
+                            for d in reversed(range(terms))])
+    return [[c[terms - _series_terms(b):] for c in columns] for b in range(buckets)]
+
+
+class _CrumSide:
+    """Crum's transform of sinh(kappa u) on one side, u = 1 - sign x, by a Darboux table.
+
+    The columns, each with its u-derivative, are the seeds (the eliminated
+    levels) and, for an eigenfunction, its level last.  Eliminating column s
+    takes w = f_s'/f_s, maps each later column by f_j <- (f_j' - w f_j,
+    (lam_j - lam_s + w^2) f_j - w f_j' + f_{j-1}), lam = kappa^2, and the
+    offset U = V - V_1 by U <- -U - 2 lam_s + 2 w^2.  Far from the wall the
+    columns are (sinh kappa u, kappa cosh kappa u) with chain term 0; near it,
+    where those cancel, the divided differences G_j = g[lam_0..lam_j] of
+    g(lam, u) = sinh(sqrt(lam) u)/sqrt(lam) (`_series`), whose
+    G_j'' = lam_j G_j + G_{j-1} gives the chain term.  U and w agree in both
+    bases; the last column differs by kappa_n prod_s (lam_n - lam_s).  The
+    crossover X = |kappa|_max u = min(n (n - 1)/4, 9) for n columns was
+    measured against a 40-digit referee (docs/decisions.md).
+    """
+
+    def __init__(self, c: complex, sign: float, seeds, target=None):
+        self.c, self.sign = c, sign  # the well's value on this side; +1 on the right
+        self.kappas = list(seeds) + ([target] if target is not None else [])
+        lams = [k * k for k in self.kappas]
+        self.steps = [(lam, [m - lam for m in lams[s + 1:]]) for s, lam in enumerate(lams[:len(seeds)])]
+        self.buckets = min(len(lams) * (len(lams) - 1) // 2, 18)  # X-buckets below the crossover
+        self.per_u = 2 * max(abs(k) for k in self.kappas)  # bucket = int(|u| per_u)
+        self.scale = 1.0 if target is None else target * math.prod(lams[-1] - m for m in lams[:-1])
+        self.lams, self.series = lams, None  # series built on first use
+
+    def _columns(self, u, bucket, lib):
+        """Columns at u (an array if lib is numpy), far basis for bucket -1."""
+        fs, ds = [], []
+        if bucket < 0:
+            for k in self.kappas:
+                z = k * u
+                fs.append(lib.sinh(z))
+                ds.append(k * lib.cosh(z))
+            return fs, ds
+        if self.series is None:
+            self.series = _series(self.lams, self.buckets)
+        k = self.kappas[0]
+        fs.append(lib.sinh(k * u) / k)
+        ds.append(lib.cosh(k * u))
+        t = power = u * u
+        for coefficients in self.series[bucket]:
+            value = slope = 0j
+            for a, b in coefficients:
+                value = value * t + a
+                slope = slope * t + b
+            fs.append(value * power * u)
+            ds.append(slope * power)
+            power = power * t
+        return fs, ds
+
+    def _table(self, x: float):
+        """(fs, ds, (U_prev, w, U), scale to the far basis's last column) at x."""
+        u = 1.0 - self.sign * x
+        bucket = int(abs(u) * self.per_u)
+        bucket = bucket if bucket < self.buckets else -1
+        fs, ds = self._columns(u, bucket, cmath)
+        return fs, ds, _darboux(fs, ds, self.steps, bucket >= 0), self.scale if bucket >= 0 else 1.0
+
+    def potential(self, x: float) -> complex:
+        return self.c + self._table(x)[2][2]
+
+    def eigenfunction(self, x: float):
+        """(psi, psi') of the last column."""
+        fs, ds, _, scale = self._table(x)
+        return fs[-1] * scale, ds[-1] * (-self.sign * scale)
+
+    def potential_array(self, x):
+        """V as a numpy array over a sequence of x, each bucket's points at once."""
+        import numpy as np  # callers that pass arrays have it loaded already
+
+        u = 1.0 - self.sign * np.asarray(x)
+        buckets = (abs(u) * self.per_u).astype(int)
+        buckets[buckets >= self.buckets] = -1
+        V = np.empty(u.shape, dtype=np.complex128)
+        for bucket in np.unique(buckets).tolist():
+            points = buckets == bucket
+            fs, ds = self._columns(u[points], bucket, np)
+            V[points] = self.c + _darboux(fs, ds, self.steps, bucket >= 0)[2]
+        return V
+
+
+def _sides(Z: float, seeds, target=None):
+    """The right and left _CrumSide of the levels `seeds`, and of `target`."""
+    return [_CrumSide(c, sign, [getattr(lv, attr).value for lv in seeds],
+                      None if target is None else getattr(target, attr).value)
+            for c, sign, attr in ((complex(0.0, -Z), 1.0, "kappa_right"),
+                                  (complex(0.0, Z), -1.0, "kappa_left"))]
+
+
+def _canonical(levels) -> list:
+    # V and psi depend only on the set: both orders that eliminate a pair give one member
+    return sorted(levels, key=lambda lv: (lv.energy.real, lv.energy.imag))
+
+
+def _crum_potential(Z: float, eliminated) -> PiecewisePotential:
+    right, left = _sides(Z, _canonical(eliminated))
+    # pair members are exact conjugates (spectral_core); real levels have Im E = 0
+    energies = [lv.energy for lv in eliminated]
+    return PiecewisePotential(right.potential, left.potential, len(eliminated) + 1,
+                              all(E.conjugate() in energies for E in energies),
+                              (right.potential_array, left.potential_array))
+
+
+def _crum_superpotential(Z: float, eliminated, level: SpectralLevel) -> Superpotential:
+    """W = -psi'/psi of `level` after `eliminated`: sign w of the table that
+    eliminates it last; W' = W^2 - V + E_f, V from the table's earlier steps."""
+    E = level.energy
+
+    def side(ev):
+        def w_deriv(x, w):
+            return w * w - (ev.c + ev._table(x)[2][0]) + E
+        return (lambda x: ev.sign * ev._table(x)[2][1]), w_deriv
+
+    (wR, dR), (wL, dL) = map(side, _sides(Z, _canonical(eliminated) + [level]))
+    return Superpotential(wR, wL, E, dR, dL)
 
 
 def square_well_potential(Z: float) -> PiecewisePotential:
@@ -129,10 +316,6 @@ def _elim_index(spectrum: Spectrum, choice: PlanChoice) -> int:
     raise IllegalPlanError(f"no {want.value} level in the spectrum")
 
 
-def _drop_level(spectrum: Spectrum, idx: int) -> Spectrum:
-    return indexed_spectrum(spectrum.coupling, [lv for lv in spectrum.levels if lv.index != idx])
-
-
 def superpotential_W1(spectrum: Spectrum, eliminate: int) -> Superpotential:
     """Superpotential of the well built on one eliminated level.
 
@@ -145,155 +328,35 @@ def superpotential_W1(spectrum: Spectrum, eliminate: int) -> Superpotential:
     lvl = spectrum.levels[eliminate]
     if lvl.branch is Branch.REAL and eliminate != _lowest_real_index(spectrum):
         raise IllegalPlanError("only the lowest real level can be eliminated")
-    rho = lvl.kappa_right.value
-    sigma = lvl.kappa_left.value
-    return Superpotential(
-        lambda x: rho * coth(rho * (1.0 - x)),
-        lambda x: -sigma * coth(sigma * (1.0 + x)),
-        lvl.energy,
-        lambda x, w: rho ** 2 * cosech(rho * (1.0 - x)) ** 2,
-        lambda x, w: sigma ** 2 * cosech(sigma * (1.0 + x)) ** 2)
+    return _crum_superpotential(spectrum.coupling.z, (), lvl)
 
 
-def partner_potential(W: Superpotential, endpoint_exponent: int = None) -> PiecewisePotential:
-    """V = W^2 + W' + E_f composed from the superpotential's analytic parts.
+def partner_potential(W: Superpotential, endpoint_exponent: int,
+                      pt_symmetric: bool) -> PiecewisePotential:
+    """V = W^2 + W' + E_f composed from the superpotential's parts.
 
-    The endpoint exponent is inferred from the wall singularity strength
-    when not supplied.
+    A cross-check of the hierarchy's own potentials; the caller states the
+    endpoint exponent and PT symmetry, which W alone does not carry.
     """
     Ef = W.factorization_energy
 
-    def right(x, W=W, Ef=Ef):
-        w = W.right_eval(x)
-        return w ** 2 + W.right_deriv(x, w) + Ef
+    def side(w_eval, w_deriv):
+        def V(x):
+            w = w_eval(x)
+            return w ** 2 + w_deriv(x, w) + Ef
+        return V
 
-    def left(x, W=W, Ef=Ef):
-        w = W.left_eval(x)
-        return w ** 2 + W.left_deriv(x, w) + Ef
-
-    if endpoint_exponent is None:
-        c = ((1e-4) ** 2 * right(1.0 - 1e-4)).real
-        endpoint_exponent = round((1.0 + (1.0 + 4.0 * c) ** 0.5) / 2.0)
-    return PiecewisePotential(right, left, endpoint_exponent, _probe_pt_symmetric(right, left))
-
-
-def _closed_V2(Z: float, a: SpectralLevel) -> PiecewisePotential:
-    # stable rearrangement of W1^2 + W1' + E: the coth^2 pieces collapse to cosech^2
-    ra, sa = a.kappa_right.value, a.kappa_left.value
-
-    def right(x):
-        return -1j * Z + 2.0 * ra ** 2 * cosech(ra * (1.0 - x)) ** 2
-
-    def left(x):
-        return 1j * Z + 2.0 * sa ** 2 * cosech(sa * (1.0 + x)) ** 2
-
-    return PiecewisePotential(right, left, 2, _probe_pt_symmetric(right, left))
-
-
-def _pair_correction(w: complex, ra: complex, rb: complex) -> complex:
-    """The -2(rb^2-ra^2) num/den^2 term of the two-level partner potential.
-
-    num cancels to O(w^4) and den to O(w^3) at the wall; below the threshold
-    both come from subtraction-free series (the whole term is N / (4 w^6 T^2)
-    with N, T built from complete homogeneous symmetric polynomials).
-    """
-    if abs(w) * (abs(ra) + abs(rb)) > 1.0:
-        sha, shb = cmath.sinh(ra * w), cmath.sinh(rb * w)
-        num = rb ** 2 * sha ** 2 - ra ** 2 * shb ** 2
-        den = rb * cmath.cosh(rb * w) * sha - ra * cmath.cosh(ra * w) * shb
-        return -2.0 * (rb ** 2 - ra ** 2) * num / den ** 2
-    A, B = ra * ra, rb * rb
-    w2 = 4.0 * w * w
-    c, h, bpow = w2 * w2 / 24.0, 1.0 + 0j, 1.0 + 0j
-    n_sum = c * h
-    for k in range(3, 30):
-        c *= w2 / ((2 * k - 1) * (2 * k))
-        bpow *= B
-        h = A * h + bpow
-        term = c * h
-        n_sum += term
-        if abs(term) <= 1e-18 * abs(n_sum):
-            break
-    m2, p2 = ((ra - rb) * w) ** 2, ((ra + rb) * w) ** 2
-    t_sum, c, h, bpow = 1.0 / 6.0 + 0j, 1.0 / 6.0, 1.0 + 0j, 1.0 + 0j
-    for k in range(2, 30):
-        c /= (2 * k) * (2 * k + 1)
-        bpow *= p2
-        h = m2 * h + bpow
-        term = c * h
-        t_sum += term
-        if abs(term) <= 1e-18 * abs(t_sum):
-            break
-    return n_sum / (4.0 * w ** 6 * t_sum * t_sum)
-
-
-def _closed_V3(Z: float, a: SpectralLevel, b: SpectralLevel) -> PiecewisePotential:
-    ra, sa = a.kappa_right.value, a.kappa_left.value
-    rb, sb = b.kappa_right.value, b.kappa_left.value
-
-    def right(x):
-        return -1j * Z + _pair_correction(1.0 - x, ra, rb)
-
-    def left(x):
-        return 1j * Z + _pair_correction(1.0 + x, sa, sb)
-
-    return PiecewisePotential(right, left, 3, _probe_pt_symmetric(right, left))
-
-
-def _psi2(level: SpectralLevel, a: SpectralLevel) -> PiecewiseEigenfunction:
-    """Second-member eigenfunction, node-safe wall-coordinate form."""
-    rj, sj = level.kappa_right.value, level.kappa_left.value
-    ra, sa = a.kappa_right.value, a.kappa_left.value
-
-    def side(j, av, sign):
-        # wall coordinate u = 1 - sign x; (f, df/du) becomes (psi, psi') with psi' = -sign df/du
-        def ev(x):
-            u = 1.0 - sign * x
-            sh, ch = cmath.sinh(j * u), cmath.cosh(j * u)
-            ct, cs = coth(av * u), cosech(av * u)
-            f = j * ch - av * ct * sh
-            d = j ** 2 * sh + av ** 2 * cs ** 2 * sh - av * j * ct * ch
-            return f, (-d if sign > 0 else d)
-        return ev
-
-    return normalize_sides(level, 2, side(rj, ra, 1.0), side(sj, sa, -1.0))
-
-
-def _psi3(level: SpectralLevel, a: SpectralLevel, b: SpectralLevel) -> PiecewiseEigenfunction:
-    """Third-member eigenfunction; the denominator never vanishes inside the well."""
-    rj, sj = level.kappa_right.value, level.kappa_left.value
-    ra, sa = a.kappa_right.value, a.kappa_left.value
-    rb, sb = b.kappa_right.value, b.kappa_left.value
-
-    def side(j, av, bv, sign):
-        c0 = j * j - av * av
-        c1 = bv * bv - av * av
-
-        # wall coordinate u = 1 - sign x; (f, df/du) becomes (psi, psi') with psi' = -sign df/du
-        def ev(x):
-            u = 1.0 - sign * x
-            shj, chj = cmath.sinh(j * u), cmath.cosh(j * u)
-            sha, cha = cmath.sinh(av * u), cmath.cosh(av * u)
-            shb, chb = cmath.sinh(bv * u), cmath.cosh(bv * u)
-            n2 = j * chj * sha - av * cha * shj
-            den = bv * chb * sha - av * cha * shb  # the den of _pair_correction(u, av, bv)
-            f = c0 * shj - c1 * n2 * shb / den
-            dn2 = c0 * shj * sha
-            dden = c1 * shb * sha
-            d = (c0 * j * chj
-                 - c1 * ((dn2 * shb + n2 * bv * chb) / den - n2 * shb * dden / den ** 2))
-            return f, (-d if sign > 0 else d)
-        return ev
-
-    return normalize_sides(level, 3, side(rj, ra, rb, 1.0), side(sj, sa, sb, -1.0))
+    return PiecewisePotential(side(W.right_eval, W.right_deriv), side(W.left_eval, W.left_deriv),
+                              endpoint_exponent, pt_symmetric)
 
 
 def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigenfunction:
     """Apply d/dx + W and renormalize at the origin.
 
-    The derivative of the image needs no W': with W' = W^2 - V + E_f the
-    chain rule collapses to phi' = (W^2 + E_f - E) psi + W psi'.  Applying
-    the operator to the eliminated level itself raises LevelAnnihilated.
+    A cross-check of the hierarchy's own eigenfunctions.  The derivative of
+    the image needs no W': with W' = W^2 - V + E_f the chain rule collapses
+    to phi' = (W^2 + E_f - E) psi + W psi'.  Applying the operator to the
+    eliminated level itself raises LevelAnnihilated.
     """
     E = psi.level.energy
     Ef = W.factorization_energy
@@ -317,76 +380,20 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     return normalize_sides(lvl, psi.member_depth + 1, right, left)
 
 
-def _logderiv_superpotential(psi: PiecewiseEigenfunction, V: PiecewisePotential) -> Superpotential:
-    E = psi.level.energy
-
-    def make(side, vfun):
-        def w_eval(x):
-            p, d = side(x)
-            if p == 0:
-                raise ZeroDivisionError("superpotential pole: node of the generating eigenfunction")
-            return -d / p
-
-        def w_deriv(x, w):
-            return w * w - vfun(x) + E
-
-        return w_eval, w_deriv
-
-    wR, dR = make(psi.right, V.right_eval)
-    wL, dL = make(psi.left, V.left_eval)
-    return Superpotential(wR, wL, E, dR, dL)
-
-
 def superpotential_next(member: HierarchyMember) -> Superpotential:
-    """Superpotential taking this member to the next, per its pending plan choice.
-
-    Depth 2 uses the closed two-level form; deeper members divide out the
-    eigenfunction being eliminated.
-    """
+    """Superpotential taking this member to the next, per its pending plan choice."""
     if member.next_choice is None:
         raise IllegalPlanError("member has no pending elimination")
-    e = _elim_index(member.spectrum, member.next_choice)
-    lvl = member.spectrum.levels[e]
-    if member.depth == 1:
-        return superpotential_W1(member.spectrum, e)
-    if member.depth == 2:
-        a = member.eliminated[0]
-        ra, sa = a.kappa_right.value, a.kappa_left.value
-        rb, sb = lvl.kappa_right.value, lvl.kappa_left.value
-
-        def wR(x):
-            w = 1.0 - x
-            return -ra * coth(ra * w) + (rb ** 2 - ra ** 2) / (rb * coth(rb * w) - ra * coth(ra * w))
-
-        def wL(x):
-            v = 1.0 + x
-            return sa * coth(sa * v) - (sb ** 2 - sa ** 2) / (sb * coth(sb * v) - sa * coth(sa * v))
-
-        def dR(x, w):
-            return w * w - member.potential.right_eval(x) + lvl.energy
-
-        def dL(x, w):
-            return w * w - member.potential.left_eval(x) + lvl.energy
-
-        return Superpotential(wR, wL, lvl.energy, dR, dL)
-    return _logderiv_superpotential(member.eigenfunctions(e), member.potential)
+    lvl = member.spectrum.levels[_elim_index(member.spectrum, member.next_choice)]
+    return _crum_superpotential(member.spectrum.coupling.z, member.eliminated, lvl)
 
 
-def _eig_builder(depth, spectrum, eliminated, prev_builder=None, W=None, e_idx=None):
-    if depth == 1:
+def _eigenfunctions(spectrum: Spectrum, eliminated):
+    if not eliminated:
         return lambda n: square_well_eigenfunction(spectrum.levels[n])
-    if depth == 2:
-        a = eliminated[0]
-        return lambda n: _psi2(spectrum.levels[n], a)
-    if depth == 3:
-        a, b = eliminated[0], eliminated[1]
-        return lambda n: _psi3(spectrum.levels[n], a, b)
-
-    def build(n):
-        parent = n if n < e_idx else n + 1
-        return intertwine(W, prev_builder(parent))
-
-    return build
+    seeds = _canonical(eliminated)
+    return lambda n: normalize_sides(spectrum.levels[n], len(seeds) + 1, *(
+        side.eigenfunction for side in _sides(0.0, seeds, spectrum.levels[n])))
 
 
 def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8):
@@ -404,32 +411,20 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         raise IllegalPlanError(f"plan has {len(plan.choices)} steps, depth {depth} needs {depth - 1}")
     spectrum = classify_spectrum(Z, levels)
     potential = square_well_potential(Z)
-    eliminated = []
-    eig = _eig_builder(1, spectrum, eliminated)
+    eliminated = ()
     members = []
     for m in range(1, depth + 1):
         choice = plan.choices[m - 1] if m - 1 < len(plan.choices) else None
-        member = HierarchyMember(m, potential, None, spectrum, eig,
-                                 EliminationPlan(tuple(plan.choices[:m - 1])),
-                                 choice, tuple(eliminated))
-        if choice is not None:
-            member = replace(member, superpotential=superpotential_next(member))
-        members.append(member)
+        e_idx = None if choice is None else _elim_index(spectrum, choice)
+        W = None if choice is None else _crum_superpotential(Z, eliminated, spectrum.levels[e_idx])
+        members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, eliminated),
+                                       EliminationPlan(tuple(plan.choices[:m - 1])), choice,
+                                       eliminated))
         if m == depth:
             break
-        e_idx = _elim_index(spectrum, choice)
-        elim_level = spectrum.levels[e_idx]
-        eliminated.append(elim_level)
-        child = _drop_level(spectrum, e_idx)
-        if m + 1 == 2:
-            potential = _closed_V2(Z, elim_level)
-        elif m + 1 == 3:
-            potential = _closed_V3(Z, eliminated[0], eliminated[1])
-        else:
-            potential = partner_potential(member.superpotential, endpoint_exponent=m + 1)
-        eig = _eig_builder(m + 1, child, eliminated, prev_builder=eig,
-                           W=member.superpotential, e_idx=e_idx)
-        spectrum = child
+        eliminated += (spectrum.levels[e_idx],)
+        spectrum = indexed_spectrum(spectrum.coupling, [lv for lv in spectrum.levels if lv.index != e_idx])
+        potential = _crum_potential(Z, eliminated)
     return members
 
 
@@ -461,23 +456,24 @@ def hierarchy_relations_check(Z: float, levels: int = 3) -> dict:
     report["member2_pt_symmetric"] = lower_first[1].potential.pt_symmetric
     report["member3_pt_symmetric"] = lower_first[2].potential.pt_symmetric
 
+    # each of these is read at x and -x several times below
+    lower = {(m, n): lru_cache(maxsize=None)(lower_first[m - 1].eigenfunctions(n))
+             for m in (2, 3) for n in range(levels)}
     mirror = {}
     for m in (2, 3):
         for n in range(levels):
-            fa = lower_first[m - 1].eigenfunctions(n)
-            fb = upper_first[m - 1].eigenfunctions(n)
-            mu, var = ratio_stats(pt_transform(fa), fb, grid)
+            mu, var = ratio_stats(pt_transform(lower[m, n]),
+                                  upper_first[m - 1].eigenfunctions(n), grid)
             mirror[f"member{m}_level{n}"] = {
                 "ratio_variance": var, "ratio_imag_frac": abs(mu.imag) / abs(mu)}
     report["eigenfunction_mirror"] = mirror
 
     member3_pt = {}
     for n in range(levels):
-        f = lower_first[2].eigenfunctions(n)
+        f = lower[3, n]
         mu, var = ratio_stats(pt_transform(f), f, grid)
         member3_pt[f"level{n}"] = {
             "pt_ratio_variance": var, "pt_defect": pt_defect(f, grid)}
     report["member3_eigenfunction_pt"] = member3_pt
-    report["member2_eigenfunction_pt_defect"] = pt_defect(
-        lower_first[1].eigenfunctions(0), grid)
+    report["member2_eigenfunction_pt_defect"] = pt_defect(lower[2, 0], grid)
     return report

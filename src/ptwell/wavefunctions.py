@@ -172,10 +172,10 @@ def gegenbauer_eval(n: int, m: int, x: float) -> float:
 def limit_form(m: int, n: int, x: float) -> float:
     """Zero-coupling shape of the depth-m hierarchy member's level n, up to a constant.
 
-    cos^m(pi x / 2) * C_n^(m)(sin(pi x / 2)).
+    cos^m(pi x / 2) * C_n^(m)(sin(pi x / 2)), for every depth m >= 1.
     """
-    if not 1 <= m <= 3:
-        raise ValueError("limit form is tabulated for member depths 1..3")
+    if m < 1:
+        raise ValueError("member depth must be at least 1")
     if n < 0:
         raise ValueError("level index must be nonnegative")
     if not abs(x) < 1:

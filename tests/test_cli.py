@@ -126,7 +126,7 @@ def test_limit_json(capsys):
     ["spectrum", "--coupling", "2", "--levels", "0"],
     ["critical", "--index", "-1"],
     ["hierarchy", "--coupling", "2", "--samples", "1"],
-    ["limit", "--m", "4", "--n", "0"],
+    ["limit", "--m", "0", "--n", "0"],
     ["bogus"],
     ["verify", "--coupling", "2", "--member", "0"],
 ])

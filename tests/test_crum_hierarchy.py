@@ -1,0 +1,152 @@
+"""Hierarchy members against the 40-digit Crum referee, PT symmetry by the
+conjugation rule, and the oracle's array sampling against the scalar path."""
+import itertools
+import json
+
+import pytest
+
+from ptwell import EliminationPlan, IllegalPlanError, build_hierarchy, classify_spectrum
+from ptwell.cli import main
+from ptwell.oracle_verifier import Side, _sampled_sides, linspace
+from ptwell.spectral_core import Branch
+
+pytest.importorskip("mpmath")
+from crum_reference import crum_chain  # noqa: E402  (needs mpmath)
+
+RTOL = 1e-12
+# numpy's complex products against plain ones, through the far table
+ARRAY_RTOL = 1e-13
+DEPTH = 7
+# members 2-7: the plan of member 7, one side or both; for a real plan the
+# left side is the exact conjugate of the right
+CASES = [(0.0, "real,real,real,real,real,real", "R"),
+         (0.5, "real,real,real,real,real,real", "R"),
+         (2.0, "real,real,real,real,real,real", "R"),
+         (4.0, "real,real,real,real,real,real", "R"),
+         (8.0, "clower,cupper,real,real,real,real", "RL"),
+         (8.0, "cupper,clower,real,real,real,real", "RL"),
+         (8.0, "real,real,clower,cupper,real,real", "RL"),
+         (18.0, "clower,cupper,cupper,clower,real,real", "RL")]
+# nodes k of the oracle grid at the CLI step h = 2e-4 and delta = 1e-6,
+# placed as the oracle places them: u = 1e-6, 2.0e-4, 2.0e-3, 2.0e-2
+ORACLE_STEPS, ORACLE_NODES = 5000, (0, 1, 10, 100)
+
+
+def _points(side: str):
+    x0 = 1.0 - 1e-6 if side == "R" else -(1.0 - 1e-6)
+    cli = [x for x in linspace(-0.999, 0.999, 101) if (x >= 0) == (side == "R")]
+    return cli + [x0 * (ORACLE_STEPS - k) / ORACLE_STEPS for k in ORACLE_NODES]
+
+
+@pytest.mark.parametrize("Z, plan, sides", CASES)
+def test_members_match_crum_referee(Z, plan, sides):
+    """Potentials pointwise, and psi, psi' up to each side's normalization
+    wherever |psi| is above 1e-3 of its side's maximum or u <= 0.01."""
+    members = build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)
+    last = members[-1]
+    extra = last.spectrum.levels[:2]
+    columns = [lv.energy for lv in last.eliminated + extra]
+    for side in sides:
+        attr, sign, c = (("kappa_right", 1.0, -1j * Z) if side == "R"
+                         else ("kappa_left", -1.0, 1j * Z))
+        xs = _points(side)
+        refs = [crum_chain(c, [getattr(lv, attr).value for lv in last.eliminated],
+                           [getattr(lv, attr).value for lv in extra], 1.0 - sign * x)
+                for x in xs]
+        kmax = max(abs(getattr(lv, attr).value) for lv in last.eliminated + extra)
+        for member in members[1:]:
+            k = member.depth - 1
+            for x, ref in zip(xs, refs):
+                V = complex(ref[k][0])
+                assert abs(member.potential(x) - V) <= RTOL * abs(V), (member.depth, x)
+            for n in range(2):
+                j = columns.index(member.spectrum.levels[n].energy)
+                psi = member.eigenfunctions(n)
+                evaluate = psi.right if side == "R" else psi.left
+                # (psi, psi') of the referee in x: d/dx = -sign d/du
+                want = [(complex(ref[k][1][j][0]), -sign * complex(ref[k][1][j][1])) for ref in refs]
+                peak = max(range(len(xs)), key=lambda i: abs(want[i][0]))
+                norm = evaluate(xs[peak])[0] / want[peak][0]
+                for x, (p, d) in zip(xs, want):
+                    p, d = p * norm, d * norm
+                    if abs(p) <= 1e-3 * abs(want[peak][0] * norm) and 1.0 - abs(x) > 0.01:
+                        continue
+                    got, slope = evaluate(x)
+                    assert abs(got - p) <= RTOL * abs(p), (member.depth, n, x)
+                    assert abs(slope - d) <= RTOL * (abs(d) + kmax * abs(p)), (member.depth, n, x)
+
+
+def test_cli_wall_samples_match_referee(capsys):
+    assert main(["hierarchy", "--coupling", "2", "--depth", "5", "--samples", "11"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    samples = doc["members"][4]["samples"]
+    levels = classify_spectrum(2.0, 4).levels
+    for row in (samples[0], samples[-1]):
+        x = row["x"]
+        right = x >= 0
+        c = -2j if right else 2j
+        seeds = [(lv.kappa_right if right else lv.kappa_left).value for lv in levels]
+        want = complex(crum_chain(c, seeds, [], 1.0 - x if right else 1.0 + x)[4][0])
+        assert abs(complex(row["re_v"], row["im_v"]) - want) <= RTOL * abs(want)
+        assert want.real == pytest.approx(2.0e7, rel=1e-5)
+
+
+def _plan_is_legal(Z, tokens, levels):
+    """Replays a plan on the level branches alone."""
+    branches = [lv.branch for lv in classify_spectrum(Z, levels).levels]
+    want = {"real": Branch.REAL, "clower": Branch.COMPLEX_PAIR_LOWER,
+            "cupper": Branch.COMPLEX_PAIR_UPPER}
+    for tok in tokens:
+        if want[tok] not in branches:
+            return False
+        branches.remove(want[tok])
+    return True
+
+
+def _numerically_pt_symmetric(V):
+    xs = (0.15, 0.35, 0.55, 0.75, 0.9)
+    values = [V(x) for x in xs]
+    scale = max(abs(v) for v in values)
+    return all(abs(v - V(-x).conjugate()) <= 1e-12 * scale for v, x in zip(values, xs))
+
+
+@pytest.mark.parametrize("Z", [2.0, 8.0, 18.0])
+def test_pt_flag_follows_the_conjugation_rule(Z):
+    """Every plan to depth 5: the exact rule agrees with a numerical check, and
+    an illegal plan raises instead of returning a member."""
+    for steps in range(1, 5):
+        for tokens in itertools.product(("real", "clower", "cupper"), repeat=steps):
+            plan = EliminationPlan.from_text(",".join(tokens))
+            if not _plan_is_legal(Z, tokens, 8):
+                with pytest.raises(IllegalPlanError):
+                    build_hierarchy(Z, plan, steps + 1, levels=8)
+                continue
+            for member in build_hierarchy(Z, plan, steps + 1, levels=8):
+                energies = [lv.energy for lv in member.eliminated]
+                assert member.potential.pt_symmetric == all(E.conjugate() in energies
+                                                            for E in energies)
+                assert member.potential.pt_symmetric == _numerically_pt_symmetric(
+                    member.potential), (tokens, member.depth)
+
+
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real,real,real"),
+                                     (18.0, "clower,cupper,cupper,clower,real,real")])
+def test_array_sampling_matches_scalar_evaluator(Z, plan):
+    """The oracle samples a member in numpy arrays from the scalar path's
+    coefficients.  numpy rounds complex products differently from plain
+    Python, and the far table amplifies that up to a hundredfold near its
+    crossover."""
+    for member in build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)[1:]:
+        V = member.potential
+        sides, _ = _sampled_sides(V, 2e-3, 1e-6)
+        for side, ev in ((Side.RIGHT, V.right_eval), (Side.LEFT, V.left_eval)):
+            nodes, mids, _, _ = sides[side]
+            n = len(mids)
+            x0 = 1.0 - 1e-6 if side is Side.RIGHT else -(1.0 - 1e-6)
+            for k in range(n + 1):
+                want = ev(x0 * (n - k) / n)
+                assert abs(complex(nodes[k]) - want) <= ARRAY_RTOL * abs(want)
+                if k < n:
+                    want = ev(x0 * (n - k - 0.5) / n)
+                    assert abs(complex(mids[k]) - want) <= ARRAY_RTOL * abs(want)

@@ -168,7 +168,7 @@ def test_limit_form_ground_shapes():
 
 def test_limit_form_validation():
     with pytest.raises(ValueError):
-        limit_form(4, 0, 0.0)
+        limit_form(0, 0, 0.0)
     with pytest.raises(ValueError):
         limit_form(2, -1, 0.0)
     with pytest.raises(ValueError):
