@@ -27,11 +27,13 @@ sampled and cached together: with the samples, `_sampled_sides` keeps the
 coefficients of both sides' blocks stacked as one (17, 4, 2, n/8) array
 (k, rows a, b, c, d, side, block).  An energy then costs Horner's rule in
 elementwise array operations and a pairwise tree over n/8 blocks, for
-both sides in one product.  Energies are integrated BATCH at a time, as a
-third array axis down the same tree; the scans hand over whole grids, the
-secant one energy at a time.  numpy is imported on the first potential
-that is not constant on both sides, so the bare well, and every
-process that never integrates a partner potential, runs without it.
+both sides in one product.  Energies are integrated several at a time, as
+a third array axis down the same tree, with energies times blocks per
+side up to BATCH_BLOCKS; the scans hand over whole grids, and the secant
+runs of one search advance in lockstep, each round's pending energies in
+one call.  numpy is imported on the first potential that is not constant
+on both sides, so the bare well, and every process that never integrates
+a partner potential, runs without it.
 """
 import cmath
 import math
@@ -45,9 +47,11 @@ from .spectral_core import ConvergenceError
 njit = None
 
 GRID_RESOLUTION = 240  # real-axis scan points
-# energies per step product: on the oracle workload 4 ran a quarter slower
-# and 16 no faster, with more peak memory (docs/decisions.md)
-BATCH = 8
+# energies times blocks per side in one step product: 32 energies at
+# h = 1e-3, where 8 ran a quarter slower and 64 took more peak memory, and
+# 6 at 2e-4, where 32 made arrays too large for the allocator to keep, so
+# every product page-faulted in fresh memory (docs/decisions.md)
+BATCH_BLOCKS = 4000
 # steps per pre-multiplied block: 16 was no faster and cost more to build,
 # 32 slower (docs/decisions.md)
 BLOCK = 8
@@ -66,9 +70,13 @@ class ShootingConfig:
     p: int = 1
 
     def __post_init__(self):
-        assert 0.0 < self.h < 1e-2
-        assert 0.0 < self.delta < 1e-3
-        assert self.p >= 1
+        # raised, not asserted: `python -O` would accept a negative step
+        if not 0.0 < self.h < 1e-2:
+            raise ValueError(f"RK4 step h must lie in (0, 1e-2), got {self.h!r}")
+        if not 0.0 < self.delta < 1e-3:
+            raise ValueError(f"start offset delta must lie in (0, 1e-3), got {self.delta!r}")
+        if self.p < 1:
+            raise ValueError(f"endpoint exponent p must be at least 1, got {self.p!r}")
 
     @classmethod
     def for_potential(cls, V, **kw) -> "ShootingConfig":
@@ -311,16 +319,18 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
 
 
 def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
-    """`mismatch` at every energy in Es, integrated BATCH energies at a time.
+    """`mismatch` at every energy in Es, BATCH_BLOCKS / (blocks per side) energies at a time.
 
     Each value is the one `mismatch` returns at that energy alone, bit for
     bit: rescaling is by powers of two per energy, and the normalized value
     does not see them.
     """
     Es = [complex(E) for E in Es]
+    blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
+    per = max(1, BATCH_BLOCKS // (1 if blocks is None else blocks.shape[3]))
     out = []
-    for k in range(0, len(Es), BATCH):
-        batch = Es[k:k + BATCH]
+    for k in range(0, len(Es), per):
+        batch = Es[k:k + per]
         right, left = _integrate(V, batch, cfg)
         for E, (pR, dR, _), (pL, dL, _) in zip(batch, right, left):
             w = pL * dR - dL * pR
@@ -340,9 +350,11 @@ def mismatch(V, E: complex, cfg: ShootingConfig = ShootingConfig()) -> MismatchV
     return mismatches(V, [E], cfg)[0]
 
 
-def _secant(f, E0, E1, f0, f1):
+def _secant(E0, E1, f0, f1):
     """Damped secant on a real or complex scalar f, from (E0, f0) and (E1, f1).
 
+    A generator: it yields each energy it needs and is sent f there, so
+    `_solve_lockstep` can evaluate many runs' energies in one batch.
     Starts from the end with the smaller |f|.  Each step is capped at
     0.5 (1 + |E|) and halved up to 8 times until |f| falls.  Once
     |f| < ROOT_TOL, one more step is kept if |f| does not rise: it takes E to
@@ -359,17 +371,43 @@ def _secant(f, E0, E1, f0, f1):
         if abs(step) > cap:
             step *= cap / abs(step)
         if abs(f1) < ROOT_TOL:
-            f2 = f(E1 + step)
+            f2 = yield E1 + step
             return (E1 + step, abs(f2)) if abs(f2) <= abs(f1) else (E1, abs(f1))
         lam = 1.0
         for _ in range(8):
             E2 = E1 + lam * step
-            f2 = f(E2)
+            f2 = yield E2
             if abs(f2) < abs(f1):
                 break
             lam /= 2.0
         E0, E1, f0, f1 = E1, E2, f1, f2
     return E1, abs(f1)
+
+
+def _solve_lockstep(V, runs, cfg: ShootingConfig):
+    """(E, |f(E)|) of every `_secant` run in runs, advanced together.
+
+    runs pairs each run with `real`: whether it sees the real part of the
+    normalized mismatch or the complex value.  Each round sends every
+    pending energy through one `mismatches` call; a value does not depend
+    on its batch, so each run takes the steps it would take alone.
+    """
+    results = [None] * len(runs)
+    pending = []
+
+    def advance(i, run, real, f):
+        try:
+            pending.append((i, run, real, run.send(f)))
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i, (run, real) in enumerate(runs):
+        advance(i, run, real, None)
+    while pending:
+        batch, pending = pending, []
+        for (i, run, real, _), m in zip(batch, mismatches(V, [E for *_, E in batch], cfg)):
+            advance(i, run, real, m.normalized.real if real else m.normalized)
+    return results
 
 
 def linspace(lo: float, hi: float, count: int):
@@ -447,26 +485,25 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     solved first.  Every root comes from one damped secant (`_secant`):
     on the real mismatch from a scan bracket's two points, so real roots
     stay exactly real, and on the complex mismatch from E and
-    E + 1e-7 (1 + |E|) for a seed or box minimum.  Starts that fail to
-    converge are skipped; falling short of `count` converged levels raises
-    ConvergenceError.
+    E + 1e-7 (1 + |E|) for a seed or box minimum.  All runs advance in
+    lockstep (`_solve_lockstep`), and the start values of all seeds come
+    from one `mismatches` call.  Starts that fail to converge are skipped;
+    falling short of `count` converged levels raises ConvergenceError.
     """
     lo, hi = complex(search_box[0]), complex(search_box[1])
     lo, hi = complex(min(lo.real, hi.real), min(lo.imag, hi.imag)), \
         complex(max(lo.real, hi.real), max(lo.imag, hi.imag))
-    on_plane = lambda E: mismatch(V, E, cfg).normalized
-    on_axis = lambda E: mismatch(V, complex(E), cfg).normalized.real
     scan = getattr(V, "pt_symmetric", False) and lo.imag <= 0.0 <= hi.imag
     seeds = list(seeds) if seeds is not None else []
     if not scan and not seeds:
         seeds = _box_minima_candidates(V, lo, hi, cfg)
-    roots = []
-    for seed in seeds:
-        E0 = complex(seed)
-        E1 = E0 + 1e-7 * (1.0 + abs(E0))
-        roots.append(_secant(on_plane, E0, E1, on_plane(E0), on_plane(E1)))
+    starts = [(E, E + 1e-7 * (1.0 + abs(E))) for E in map(complex, seeds)]
+    vals = [m.normalized for m in mismatches(V, [E for pair in starts for E in pair], cfg)]
+    runs = [(_secant(E0, E1, vals[2 * k], vals[2 * k + 1]), False)
+            for k, (E0, E1) in enumerate(starts)]
     if scan:
-        roots += [_secant(on_axis, *start) for start in _real_axis_starts(V, lo.real, hi.real, cfg)]
+        runs += [(_secant(*start), True) for start in _real_axis_starts(V, lo.real, hi.real, cfg)]
+    roots = _solve_lockstep(V, runs, cfg)
     found = []
     for E, res in roots:
         if res >= ROOT_TOL:

@@ -29,11 +29,14 @@ from ptwell.susy_hierarchy import PiecewisePotential
 
 
 def test_config_validation():
-    with pytest.raises(AssertionError):
+    # ValueError, not assert, so `python -O` cannot accept these
+    with pytest.raises(ValueError):
         ShootingConfig(h=0.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
+        ShootingConfig(h=-1e-3)
+    with pytest.raises(ValueError):
         ShootingConfig(delta=1e-2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         ShootingConfig(p=0)
 
 
@@ -314,6 +317,17 @@ def test_overfull_request_raises():
         find_spectrum_numeric(V, 3, (complex(1.0, -0.5), complex(5.0, 0.5)), cfg)
 
 
+def _secant_alone(f, *start):
+    """A `_secant` run driven one energy at a time."""
+    run = _secant(*start)
+    try:
+        E = next(run)
+        while True:
+            E = run.send(f(E))
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_secant_from_scan_brackets_stays_in_bracket():
     V = square_well_potential(2.0)
     cfg = ShootingConfig.for_potential(V)
@@ -325,11 +339,11 @@ def test_secant_from_scan_brackets_stays_in_bracket():
         return mismatch(V, complex(E), cfg).normalized.real
 
     for E0, E1, f0, f1 in starts:
-        E, res = _secant(f, E0, E1, f0, f1)
+        E, res = _secant_alone(f, E0, E1, f0, f1)
         assert res < ROOT_TOL
         assert isinstance(E, float)
         assert E0 <= E <= E1
-    roots = [_secant(f, *start)[0] for start in starts[:12]]
+    roots = [_secant_alone(f, *start)[0] for start in starts[:12]]
     for E, want in zip(roots, closed):
         assert abs(E - want) < 1e-9 * want
 
@@ -339,8 +353,8 @@ def test_secant_stops_when_both_values_are_equal():
         raise AssertionError("no secant line, so no evaluation")
 
     # the breakdown sentinel returns 1.0 at both starts
-    assert _secant(f, 1.0, 2.0, 1.0, 1.0)[1] == 1.0
-    assert _secant(f, 3.0 + 1.0j, 3.5 + 1.0j, complex(1.0), complex(1.0))[1] == 1.0
+    assert _secant_alone(f, 1.0, 2.0, 1.0, 1.0)[1] == 1.0
+    assert _secant_alone(f, 3.0 + 1.0j, 3.5 + 1.0j, complex(1.0), complex(1.0))[1] == 1.0
 
 
 def _count_energies(monkeypatch):
@@ -371,14 +385,57 @@ def test_zero_coupling_search_mismatch_count(monkeypatch):
 
 def test_partner_search_energy_count(monkeypatch):
     # member 2 at Z = 2 in the box `ptwell verify --levels 4` searches: the
-    # 240-point scan and 16 secant steps
+    # 240-point scan and 16 secant steps; in step products, 8 scan batches of
+    # up to 32 energies (BATCH_BLOCKS over 125 blocks per side) and 4
+    # lockstep rounds of the 4 secant runs
     energies = _count_energies(monkeypatch)
+    products = []
+    counted = oracle_verifier._rk4_step_product
+
+    def counting(*args):
+        products.append(args[1])
+        return counted(*args)
+
+    monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
     member = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=5)[1]
     closed = [lv.energy for lv in member.spectrum.levels[:4]]
     box = (complex(closed[0].real - 2.0, -1.0), complex(closed[-1].real + 5.0, 1.0))
     cfg = ShootingConfig(h=1e-3, p=member.potential.endpoint_exponent)
     assert len(find_spectrum_numeric(member.potential, 4, box, cfg)) == 4
     assert len(energies) == 256
+    assert len(products) == 12
+
+
+def _verify_search(Z, plan, depth, levels, seeded):
+    """find_spectrum_numeric's arguments and seeds in `ptwell verify` of one member, at h = 1e-3."""
+    member = build_hierarchy(Z, EliminationPlan.from_text(plan), depth, levels + depth - 1)[-1]
+    closed = [lv.energy for lv in member.spectrum.levels[:levels]]
+    box = (complex(min(E.real for E in closed) - 2.0, min(0.0, min(E.imag for E in closed)) - 1.0),
+           complex(max(E.real for E in closed) + 5.0, max(0.0, max(E.imag for E in closed)) + 1.0))
+    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12] if seeded else []
+    cfg = ShootingConfig(h=1e-3, p=member.potential.endpoint_exponent)
+    return (member.potential, levels, box, cfg), seeds or None
+
+
+# the scan path (members 2-5 at Z = 2), the seed path (member 4 at Z = 17),
+# the box-minima path (member 2 at Z = 8, not PT-symmetric) and the bare well
+_SEARCHES = [(2.0, "real,real,real,real", depth, 3, True) for depth in (2, 3, 4, 5)] + [
+    (17.0, "clower,cupper,real", 4, 3, True), (8.0, "clower", 2, 3, False)]
+
+
+@pytest.mark.parametrize("search", _SEARCHES + ["bare"])
+def test_search_roots_do_not_depend_on_batch_size(search, monkeypatch):
+    if search == "bare":
+        V = square_well_potential(0.0)
+        args = (V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), ShootingConfig.for_potential(V))
+        seeds = None
+    else:
+        args, seeds = _verify_search(*search)
+    default = find_spectrum_numeric(*args, seeds=seeds)
+    monkeypatch.setattr(oracle_verifier, "BATCH_BLOCKS", 1)  # one energy per step product
+    one = find_spectrum_numeric(*args, seeds=seeds)
+    assert [(E.real.hex(), E.imag.hex()) for E in one] == \
+        [(E.real.hex(), E.imag.hex()) for E in default]
 
 
 def _linspace_cases():
