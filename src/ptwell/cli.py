@@ -11,13 +11,12 @@ import json
 import math
 import sys
 
-from .spectral_core import (ConvergenceError, classify_spectrum,
-                            find_critical_coupling, kappa_condition_residual,
-                            matching_residual, matching_residual_dt)
-from .susy_hierarchy import (EliminationPlan, IllegalPlanError,
-                             build_hierarchy, hierarchy_relations_check)
-from .oracle_verifier import ShootingConfig, find_spectrum_numeric, linspace, mismatches
-from .wavefunctions import chebyshev_grid, limit_form, ratio_stats
+# spectrum and critical need only spectral_core; the other subcommands import
+# their modules where they run, so a process compiles no module it never calls
+from .spectral_core import (ConvergenceError, IllegalPlanError,
+                            classify_spectrum, find_critical_coupling,
+                            kappa_condition_residual, matching_residual,
+                            matching_residual_dt)
 
 
 def _fmt_float(x: float) -> str:
@@ -97,7 +96,8 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def _parse_plan(args, needed: int) -> EliminationPlan:
+def _parse_plan(args, needed: int):
+    from .susy_hierarchy import EliminationPlan
     if needed == 0 and not args.plan:
         return EliminationPlan(())
     text = args.plan if args.plan else ",".join(["real"] * needed)
@@ -105,6 +105,8 @@ def _parse_plan(args, needed: int) -> EliminationPlan:
 
 
 def cmd_hierarchy(args) -> int:
+    from .susy_hierarchy import build_hierarchy, hierarchy_relations_check
+    from .wavefunctions import linspace
     plan = _parse_plan(args, args.depth - 1)
     levels = max(8, args.depth + 1)
     members = build_hierarchy(args.coupling, plan, args.depth, levels)
@@ -142,7 +144,20 @@ def cmd_hierarchy(args) -> int:
     return 0
 
 
+def _seed(E: complex, closed) -> complex:
+    """A secant start near closed level E, a twentieth of the way to its nearest neighbour.
+
+    The secant's basins are narrower than a fifth of a gap, so a fixed 1.05 E
+    leaves them once the gaps shrink relative to E: at Z = 8, member 2,
+    plan clower, the start 1.05 x 88.24 converged to the level at 62.03.
+    """
+    gaps = [abs(E - F) for F in closed if F != E]
+    return E + 0.05 * min(gaps) if gaps else E * 1.05
+
+
 def cmd_verify(args) -> int:
+    from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatches
+    from .susy_hierarchy import build_hierarchy
     plan = _parse_plan(args, args.depth - 1)
     members = build_hierarchy(args.coupling, plan, args.depth, args.levels + args.depth - 1)
     member = members[-1]
@@ -155,7 +170,7 @@ def cmd_verify(args) -> int:
     hi_im = max(0.0, max(E.imag for E in closed)) + 1.0
     # only a PT-symmetric member's real levels are found by the real-axis scan
     pt = member.potential.pt_symmetric
-    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12 or not pt]
+    seeds = [_seed(E, closed) for E in closed if abs(E.imag) > 1e-12 or not pt]
     oracle = find_spectrum_numeric(member.potential, len(closed),
                                    (complex(lo_re, lo_im), complex(hi_re, hi_im)),
                                    sh, seeds=seeds or None)
@@ -174,6 +189,8 @@ def cmd_verify(args) -> int:
 
 
 def _limit_stats(Z: float, m: int, n: int) -> dict:
+    from .susy_hierarchy import EliminationPlan, build_hierarchy
+    from .wavefunctions import chebyshev_grid, limit_form, linspace, ratio_stats
     plan = EliminationPlan.from_text(",".join(["real"] * (m - 1))) if m > 1 else EliminationPlan(())
     members = build_hierarchy(Z, plan, m, n + m + 1)
     member = members[-1]

@@ -42,6 +42,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .spectral_core import ConvergenceError
+from .wavefunctions import linspace
 
 # no compiled backend; the name stays because the benchmark's report reads it
 njit = None
@@ -408,21 +409,6 @@ def _solve_lockstep(V, runs, cfg: ShootingConfig):
         for (i, run, real, _), m in zip(batch, mismatches(V, [E for *_, E in batch], cfg)):
             advance(i, run, real, m.normalized.real if real else m.normalized)
     return results
-
-
-def linspace(lo: float, hi: float, count: int):
-    """`count` >= 2 evenly spaced floats from lo to hi, bit for bit numpy.linspace's.
-
-    Point k is k step + lo with step = (hi - lo) / (count - 1), the last is
-    hi itself; when step underflows to 0, numpy computes k / (count - 1)
-    (hi - lo) + lo instead, and so does this.
-    """
-    div = count - 1
-    delta = hi - lo
-    step = delta / div
-    if step == 0:
-        return [k / div * delta + lo for k in range(div)] + [hi]
-    return [k * step + lo for k in range(div)] + [hi]
 
 
 def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):

@@ -17,6 +17,10 @@ class ConvergenceError(Exception):
     """A root search or Newton iteration failed to meet its tolerance."""
 
 
+class IllegalPlanError(Exception):
+    """An elimination choice that the current spectrum cannot honor."""
+
+
 class Branch(Enum):
     REAL = "Real"
     COMPLEX_PAIR_LOWER = "ComplexPairLower"

@@ -22,15 +22,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .spectral_core import (Branch, SpectralLevel, Spectrum, classify_spectrum,
-                            find_critical_coupling, indexed_spectrum)
+from .spectral_core import (Branch, IllegalPlanError, SpectralLevel, Spectrum,
+                            classify_spectrum, find_critical_coupling,
+                            indexed_spectrum)
 from .wavefunctions import (PiecewiseEigenfunction, chebyshev_grid,
                             normalize_sides, pt_defect, pt_transform,
                             ratio_stats, square_well_eigenfunction)
-
-
-class IllegalPlanError(Exception):
-    """An elimination choice that the current spectrum cannot honor."""
 
 
 class LevelAnnihilated(Exception):

@@ -192,3 +192,18 @@ def chebyshev_grid(count: int = 101):
     """
     order = count + 1
     return [0.999 * math.cos(math.pi * (k + 0.5) / order) for k in range(count)]
+
+
+def linspace(lo: float, hi: float, count: int):
+    """`count` >= 2 evenly spaced floats from lo to hi, bit for bit numpy.linspace's.
+
+    Point k is k step + lo with step = (hi - lo) / (count - 1), the last is
+    hi itself; when step underflows to 0, numpy computes k / (count - 1)
+    (hi - lo) + lo instead, and so does this.
+    """
+    div = count - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        return [k / div * delta + lo for k in range(div)] + [hi]
+    return [k * step + lo for k in range(div)] + [hi]

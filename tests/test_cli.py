@@ -92,9 +92,12 @@ def test_hierarchy_out_file(tmp_path, capsys):
 
 def test_verify_passes_at_default_tolerance(capsys):
     # the Z = 8 clower member is not PT-symmetric but has real levels; the
-    # real-axis scan does not run for it, so every closed level must seed it
+    # real-axis scan does not run for it, so every closed level must seed it.
+    # At its default 6 levels, seeds at 1.05 E lost level 4 (88.24) to
+    # level 3 (62.03) and the command exited 2.
     for argv in (("--coupling", "2", "--member", "2", "--levels", "2"),
-                 ("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3")):
+                 ("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3"),
+                 ("--coupling", "8", "--member", "2", "--plan", "clower")):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0
         doc = json.loads(out)
@@ -164,36 +167,53 @@ def test_module_entry_point():
     assert doc["levels"][0]["re"] == pytest.approx(2.4674011002723395)
 
 
-_IN_FRESH_INTERPRETER = """
+_SUBCOMMAND_ALONE = """
 import contextlib, io, sys
 from ptwell.cli import main
-for argv in {argvs!r}:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main({argv!r})
+print(repr((code, sorted(m for m in sys.modules if m.partition(".")[0] == "ptwell"),
+            "numpy" in sys.modules)))
+"""
+
+_PARTNER_SIDE = """
+import sys
 from ptwell import EliminationPlan, ShootingConfig, Side, build_hierarchy, integrate_side
 V = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
+assert "numpy" not in sys.modules
 cfg = ShootingConfig.for_potential(V)
 print(repr([integrate_side(V, 6.0 + 0.5j, side, cfg) for side in (Side.RIGHT, Side.LEFT)]))
 assert "numpy" in sys.modules
 """
 
+_SPECTRAL = ["ptwell", "ptwell.cli", "ptwell.spectral_core"]
+_HIERARCHY = sorted(_SPECTRAL + ["ptwell.susy_hierarchy", "ptwell.wavefunctions"])
+_EVERY = sorted(_HIERARCHY + ["ptwell.oracle_verifier"])
+
+
+def _fresh(script: str) -> str:
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 def test_cli_runs_without_numpy_until_a_partner_side():
-    # numpy costs most of a CLI process's start-up; only the step product of
-    # a non-constant (partner-potential) side may import it
-    argvs = [["spectrum", "--coupling", "8", "--levels", "4"],
-             ["critical", "--index", "1"],
-             ["hierarchy", "--coupling", "8", "--depth", "3", "--plan", "clower,cupper",
-              "--samples", "5"],
-             ["hierarchy", "--coupling", "2", "--depth", "3", "--samples", "5",
-              "--format", "csv"],
-             ["limit", "--m", "2", "--n", "1"],
-             ["verify", "--coupling", "2", "--member", "1", "--levels", "3"]]
-    proc = subprocess.run([sys.executable, "-c", _IN_FRESH_INTERPRETER.format(argvs=argvs)],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    sides = ast.literal_eval(proc.stdout)
+    # a CLI process compiles only the modules its subcommand runs, and numpy,
+    # most of a process's start-up, only for the step product of a
+    # non-constant (partner-potential) side; one fresh interpreter per argv
+    cases = [(["spectrum", "--coupling", "8", "--levels", "4"], _SPECTRAL),
+             (["critical", "--index", "1"], _SPECTRAL),
+             (["hierarchy", "--coupling", "8", "--depth", "3", "--plan", "clower,cupper",
+               "--samples", "5"], _HIERARCHY),
+             (["hierarchy", "--coupling", "2", "--depth", "3", "--samples", "5",
+               "--format", "csv"], _HIERARCHY),
+             (["limit", "--m", "2", "--n", "1"], _HIERARCHY),
+             (["verify", "--coupling", "2", "--member", "1", "--levels", "3"], _EVERY)]
+    for argv, modules in cases:
+        code, loaded, numpy = ast.literal_eval(_fresh(_SUBCOMMAND_ALONE.format(argv=argv)))
+        assert (code, loaded, numpy) == (0, modules, False), argv
+    sides = ast.literal_eval(_fresh(_PARTNER_SIDE))
     # (psi(0), psi'(0)) of each member-2 side at E = 6 + 0.5i
     expected = [(0.5852201300188641 - 0.027773524202855126j, -0.6376355641305693 - 0.035227505177624185j),
                 (0.5848201935127273 - 0.03879180933944787j, 0.6255566164165379 - 0.2601145257630488j)]
