@@ -8,21 +8,20 @@ import importlib
 
 _EXPORTS = {
     "spectral_core": (
-        "Branch", "ConvergenceError", "CouplingStrength", "CriticalCoupling",
-        "CurvePoint", "IllegalPlanError", "MomentumPair", "SpectralLevel",
-        "Spectrum", "WaveNumber", "classify_spectrum", "curve_X", "curve_Y",
-        "curve_point", "find_critical_coupling", "kappa_from_energy",
-        "matching_residual", "solve_complex_pair", "solve_real_spectrum"),
+        "Branch", "ConvergenceError", "CriticalCoupling", "IllegalPlanError",
+        "SpectralLevel", "Spectrum", "WaveNumber", "classify_spectrum",
+        "curve_X", "curve_Y", "curve_point", "find_critical_coupling",
+        "kappa_from_energy", "matching_residual", "solve_complex_pair",
+        "solve_real_spectrum"),
     "wavefunctions": (
-        "GegenbauerPoly", "OriginData", "PiecewiseEigenfunction",
-        "chebyshev_grid", "eval_sw_eigenfunction", "gegenbauer_eval",
-        "limit_form", "pt_defect", "pt_transform", "schrodinger_residual",
-        "square_well_eigenfunction"),
+        "PiecewiseEigenfunction", "chebyshev_grid", "eval_sw_eigenfunction",
+        "gegenbauer_eval", "limit_form", "pt_defect", "pt_transform",
+        "schrodinger_residual", "square_well_eigenfunction"),
     "susy_hierarchy": (
         "EliminationPlan", "HierarchyMember", "LevelAnnihilated",
         "PiecewisePotential", "PlanChoice", "Superpotential", "build_hierarchy",
         "hierarchy_relations_check", "intertwine", "partner_potential",
-        "square_well_potential", "superpotential_W1", "superpotential_next"),
+        "square_well_potential"),
     "oracle_verifier": (
         "MismatchValue", "ShootingConfig", "Side", "find_spectrum_numeric",
         "integrate_side", "mismatch", "rk4_order_estimate"),

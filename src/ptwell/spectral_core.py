@@ -28,22 +28,6 @@ class Branch(Enum):
 
 
 @dataclass(frozen=True)
-class CouplingStrength:
-    z: float
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError("coupling must be nonnegative")
-
-
-@dataclass(frozen=True)
-class MomentumPair:
-    """Real pair (s, t) with 2st = Z and t^2 - s^2 = E."""
-    s: float
-    t: float
-
-
-@dataclass(frozen=True)
 class WaveNumber:
     value: complex
 
@@ -56,14 +40,10 @@ class SpectralLevel:
     kappa_left: WaveNumber
     branch: Branch
 
-    @property
-    def is_real(self):
-        return self.branch is Branch.REAL
-
 
 @dataclass(frozen=True)
 class Spectrum:
-    coupling: CouplingStrength
+    coupling: float
     levels: tuple
     broken_pairs: tuple = field(default_factory=tuple)
 
@@ -74,12 +54,6 @@ class CriticalCoupling:
     z_crit: float
     t_merge: float
     e_merge: float
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    T: float
-    S: float
 
 
 def coth(z: complex) -> complex:
@@ -108,7 +82,7 @@ def halfplane_sqrt(w: complex) -> complex:
 
 
 def kappa_from_energy(E: float, Z: float):
-    """Map a real energy to (MomentumPair, WaveNumber) with kappa = s - i t.
+    """Map a real energy to the WaveNumber kappa = s - i t, 2st = Z, t^2 - s^2 = E.
 
     kappa^2 = -E - iZ; s >= 0 and t > 0 (fourth quadrant).  Raises for
     E <= 0 at Z = 0 where t would vanish.
@@ -117,7 +91,7 @@ def kappa_from_energy(E: float, Z: float):
         raise ValueError("E must be positive when Z = 0")
     t = math.sqrt((E + math.hypot(E, Z)) / 2.0)
     s = Z / (2.0 * t) if Z != 0 else 0.0
-    return MomentumPair(s, t), WaveNumber(complex(s, -t))
+    return WaveNumber(complex(s, -t))
 
 
 def matching_residual(t: float, Z: float) -> float:
@@ -152,9 +126,10 @@ def curve_Y(Z: float, T: float) -> float:
     return math.asinh(math.sqrt((Z / (2 * math.pi * T)) * math.sinh(2 * Z / (math.pi * T))))
 
 
-def curve_point(pair: MomentumPair) -> CurvePoint:
-    """CurvePoint of a real level: T = 2t/pi, sinh^2 S = s sinh(2s)/2."""
-    return CurvePoint(2 * pair.t / math.pi, math.asinh(math.sqrt(pair.s * math.sinh(2 * pair.s) / 2)))
+def curve_point(kappa: WaveNumber):
+    """(T, S) of a real level's kappa = s - i t: T = 2t/pi, sinh^2 S = s sinh(2s)/2."""
+    s, t = kappa.value.real, -kappa.value.imag
+    return 2 * t / math.pi, math.asinh(math.sqrt(s * math.sinh(2 * s) / 2))
 
 
 def band_bounds(nu: int):
@@ -241,15 +216,16 @@ def _band_roots(Z: float, nu: int):
 
 
 def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
-    pair, kap = kappa_from_energy(t * t - (Z / (2 * t)) ** 2 if Z else t * t, Z)
-    E = complex(pair.t ** 2 - pair.s ** 2)
+    kap = kappa_from_energy(t * t - (Z / (2 * t)) ** 2 if Z else t * t, Z)
+    ks, kt = kap.value.real, -kap.value.imag  # (s, t) recomputed from E
+    E = complex(kt ** 2 - ks ** 2)
     if Z != 0:
         # guard against spurious roots: both formulations must agree; at
         # Z = 0 the roots are exact band endpoints and coth has poles there.
         # The wavenumber form equals G scaled by |sinh kappa|^-2, so near a
         # band endpoint its raw value is rounding noise; judge the scaled one
         res = kappa_condition_residual(E, Z)
-        sinh_sq = (math.cosh(2 * pair.s) - math.cos(2 * pair.t)) / 2.0
+        sinh_sq = (math.cosh(2 * ks) - math.cos(2 * kt)) / 2.0
         if abs(res) >= 1e-10 and abs(res) * sinh_sq >= 1e-12:
             raise ConvergenceError(f"root t={t} fails the wavenumber condition ({abs(res):.2e})")
     return SpectralLevel(index, E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
@@ -386,20 +362,19 @@ def _continue_pair(crit: CriticalCoupling, Z: float) -> complex:
     return E
 
 
-def solve_complex_pair(Z: float, nu: int, seed=None):
+def solve_complex_pair(Z: float, nu: int):
     """The complex-conjugate pair of band nu for Z above its critical coupling.
 
     Returns (lower, upper) SpectralLevels with energies e0 -+ i eps0, eps0 > 0.
-    With a seed (e0, eps0), Newton starts there.  Without one, the pair is
-    continued from the merge point by tangent predictor and Newton corrector,
-    with coupling steps doubled on success and halved on a stall or a jump.
+    The pair is continued from the merge point by tangent predictor and Newton
+    corrector, with coupling steps doubled on success and halved on a stall or
+    a jump.
     """
     crit = find_critical_coupling(nu)
     if Z <= crit.z_crit:
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    E0 = complex(seed[0], -seed[1]) if seed is not None else _continue_pair(crit, Z)
-    E0 = _pair_newton(E0, Z)
+    E0 = _pair_newton(_continue_pair(crit, Z), Z)
     if E0.imag == 0:
         raise ConvergenceError("pair solver landed on a real energy")
     E1 = E0.conjugate()
@@ -431,10 +406,10 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
     reals = solve_real_spectrum(Z, max(count - 2 * len(entries), 0))
     flat = [lv for pair in entries for lv in pair] + list(reals)
     flat.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
-    return indexed_spectrum(CouplingStrength(Z), flat[:count])
+    return indexed_spectrum(Z, flat[:count])
 
 
-def indexed_spectrum(coupling: CouplingStrength, levels) -> Spectrum:
+def indexed_spectrum(coupling: float, levels) -> Spectrum:
     """The spectrum of `levels` in the given order, indexed from 0.
 
     A broken pair is a lower pair member directly followed by an upper one.

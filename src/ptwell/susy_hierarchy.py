@@ -85,8 +85,8 @@ class Superpotential(Piecewise):
     right_eval: object
     left_eval: object
     factorization_energy: complex
-    right_deriv: object = None
-    left_deriv: object = None
+    right_deriv: object
+    left_deriv: object
 
     def derivative(self, x: float) -> complex:
         if x >= 0:
@@ -101,8 +101,6 @@ class HierarchyMember:
     superpotential: Superpotential
     spectrum: Spectrum
     eigenfunctions: object
-    plan_prefix: EliminationPlan
-    next_choice: PlanChoice = None
     eliminated: tuple = ()
 
 
@@ -296,36 +294,15 @@ def square_well_potential(Z: float) -> PiecewisePotential:
     return PiecewisePotential(lambda x: complex(0.0, -Z), lambda x: complex(0.0, Z), 1, True)
 
 
-def _lowest_real_index(spectrum: Spectrum) -> int:
-    for lv in spectrum.levels:
-        if lv.branch is Branch.REAL:
-            return lv.index
-    raise IllegalPlanError("no real level left to eliminate")
-
-
 def _elim_index(spectrum: Spectrum, choice: PlanChoice) -> int:
-    if choice is PlanChoice.LOWEST_REAL:
-        return _lowest_real_index(spectrum)
-    want = Branch.COMPLEX_PAIR_LOWER if choice is PlanChoice.COMPLEX_LOWER else Branch.COMPLEX_PAIR_UPPER
+    """Index of the first level of the branch `choice` names (the lowest real one for "real")."""
+    want = {PlanChoice.LOWEST_REAL: Branch.REAL, PlanChoice.COMPLEX_LOWER: Branch.COMPLEX_PAIR_LOWER,
+            PlanChoice.COMPLEX_UPPER: Branch.COMPLEX_PAIR_UPPER}[choice]
     for lv in spectrum.levels:
         if lv.branch is want:
             return lv.index
-    raise IllegalPlanError(f"no {want.value} level in the spectrum")
-
-
-def superpotential_W1(spectrum: Spectrum, eliminate: int) -> Superpotential:
-    """Superpotential of the well built on one eliminated level.
-
-    W_R = rho coth[rho(1-x)], W_L = -sigma coth[sigma(1+x)]; simple poles at
-    the walls make the partner blow up there.  Only the lowest real level or
-    a complex-pair member is a legal choice.
-    """
-    if not 0 <= eliminate < len(spectrum.levels):
-        raise IllegalPlanError(f"no level {eliminate} in the spectrum")
-    lvl = spectrum.levels[eliminate]
-    if lvl.branch is Branch.REAL and eliminate != _lowest_real_index(spectrum):
-        raise IllegalPlanError("only the lowest real level can be eliminated")
-    return _crum_superpotential(spectrum.coupling.z, (), lvl)
+    raise IllegalPlanError("no real level left to eliminate" if want is Branch.REAL
+                           else f"no {want.value} level in the spectrum")
 
 
 def partner_potential(W: Superpotential, endpoint_exponent: int,
@@ -377,14 +354,6 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     return normalize_sides(lvl, psi.member_depth + 1, right, left)
 
 
-def superpotential_next(member: HierarchyMember) -> Superpotential:
-    """Superpotential taking this member to the next, per its pending plan choice."""
-    if member.next_choice is None:
-        raise IllegalPlanError("member has no pending elimination")
-    lvl = member.spectrum.levels[_elim_index(member.spectrum, member.next_choice)]
-    return _crum_superpotential(member.spectrum.coupling.z, member.eliminated, lvl)
-
-
 def _eigenfunctions(spectrum: Spectrum, eliminated):
     if not eliminated:
         return lambda n: square_well_eigenfunction(spectrum.levels[n])
@@ -415,7 +384,6 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         e_idx = None if choice is None else _elim_index(spectrum, choice)
         W = None if choice is None else _crum_superpotential(Z, eliminated, spectrum.levels[e_idx])
         members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, eliminated),
-                                       EliminationPlan(tuple(plan.choices[:m - 1])), choice,
                                        eliminated))
         if m == depth:
             break

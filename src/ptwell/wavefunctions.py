@@ -2,22 +2,15 @@
 
 Each side of an eigenfunction returns (psi, psi') at x; the closed forms
 compute in the wall coordinates w = 1 - x (right) and v = 1 + x (left).
-Eigenfunctions are normalized at the origin, psi(0) = alpha.  When the
-origin value vanishes identically (odd levels of the real well) the slope is
-pinned instead, psi'(0) = i alpha.
+Eigenfunctions are normalized at the origin, psi(0) = 1.  When the origin
+value vanishes identically (odd levels of the real well) the slope is pinned
+instead, psi'(0) = i.
 """
 import cmath
 import math
 from dataclasses import dataclass
 
 from .spectral_core import SpectralLevel
-
-
-@dataclass(frozen=True)
-class OriginData:
-    """psi(0) and psi'(0)/i; both real for a PT-symmetric state."""
-    alpha: complex
-    beta: complex
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,7 +21,6 @@ class PiecewiseEigenfunction:
     member_depth: int
     right: object
     left: object
-    origin: OriginData
 
     def value_and_slope(self, x: float):
         # x = 0 takes the right side; continuity makes this immaterial
@@ -41,35 +33,21 @@ class PiecewiseEigenfunction:
         return self.value_and_slope(x)[1]
 
 
-@dataclass(frozen=True)
-class GegenbauerPoly:
-    degree: int
-    order: int
-
-    def __post_init__(self):
-        if self.degree < 0 or self.order < 1:
-            raise ValueError("need degree >= 0 and order >= 1")
-
-    def __call__(self, x: float) -> float:
-        return gegenbauer_eval(self.degree, self.order, x)
-
-
-def normalize_sides(level: SpectralLevel, depth: int, right, left,
-                    alpha=1.0) -> PiecewiseEigenfunction:
+def normalize_sides(level: SpectralLevel, depth: int, right, left) -> PiecewiseEigenfunction:
     """The depth-`depth` eigenfunction of `level` from unnormalized sides.
 
     right(x) and left(x) return (psi, psi') at the physical coordinate x.
     Each side is divided by its own origin value so the match
-    psi(0+) = psi(0-) = alpha is exact by construction.  When the origin value
-    is negligible against the slope the beta branch takes over: the side is
-    divided by its origin slope over i, giving psi'(0) = i alpha.
+    psi(0+) = psi(0-) = 1 is exact by construction.  When the origin value
+    is negligible against the slope, each side is divided by its origin slope
+    over i instead, giving psi'(0) = i.
     """
     val0R, der0R = right(0.0)
     val0L, der0L = left(0.0)
     if abs(val0R) >= 1e-8 * (abs(val0R) + abs(der0R)):
-        cR, cL = val0R / alpha, val0L / alpha
+        cR, cL = val0R, val0L
     else:
-        cR, cL = der0R / (1j * alpha), der0L / (1j * alpha)
+        cR, cL = der0R / 1j, der0L / 1j
 
     def scaled(side, c):
         def ev(x):
@@ -77,17 +55,15 @@ def normalize_sides(level: SpectralLevel, depth: int, right, left,
             return p / c, d / c
         return ev
 
-    right, left = scaled(right, cR), scaled(left, cL)
-    p0, d0 = right(0.0)
-    return PiecewiseEigenfunction(level, depth, right, left, OriginData(p0, d0 / 1j))
+    return PiecewiseEigenfunction(level, depth, scaled(right, cR), scaled(left, cL))
 
 
-def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> PiecewiseEigenfunction:
+def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
     """Eigenfunction of the well itself: sinh[rho(1-x)] right, sinh[sigma(1+x)] left.
 
     At Z = 0 the odd levels have sinh(rho) = 0 and the origin-value form is
     indeterminate; the continuity limit sin(t x)/t applies there (slope-pinned,
-    psi'(0) = i alpha).
+    psi'(0) = i).
     """
     rho = level.kappa_right.value
     sigma = level.kappa_left.value
@@ -95,14 +71,13 @@ def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> Piece
         t = -rho.imag
 
         def limit_side(y):
-            return 1j * math.sin(t * y) / t * alpha, 1j * math.cos(t * y) * alpha
+            return 1j * math.sin(t * y) / t, 1j * math.cos(t * y)
 
         # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
         # every closed form; the limit command prints these last bits
         return PiecewiseEigenfunction(
             level, 1,
-            lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0),
-            OriginData(0.0, complex(alpha)))
+            lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
 
     def right(x):
         w = 1.0 - x
@@ -112,14 +87,14 @@ def square_well_eigenfunction(level: SpectralLevel, alpha: float = 1.0) -> Piece
         v = 1.0 + x
         return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
 
-    return normalize_sides(level, 1, right, left, alpha)
+    return normalize_sides(level, 1, right, left)
 
 
-def eval_sw_eigenfunction(level: SpectralLevel, alpha: float, x: float) -> complex:
-    """Value at x of the well eigenfunction with psi(0) = alpha."""
+def eval_sw_eigenfunction(level: SpectralLevel, x: float) -> complex:
+    """Value at x of the well eigenfunction, psi(0) = 1 (or psi'(0) = i)."""
     if not -1.0 <= x <= 1.0:
         raise ValueError("x outside the well")
-    return square_well_eigenfunction(level, alpha)(x)
+    return square_well_eigenfunction(level)(x)
 
 
 def pt_transform(f):

@@ -70,12 +70,13 @@ def test_criterion_3_matching_identities():
     """Every computed real level satisfies all four matching identities."""
     for Z in (0.5, 1.0, 2.0, 4.0):
         for level in solve_real_spectrum(Z, 8):
-            pair, kappa = kappa_from_energy(level.energy.real, Z)
-            assert abs(matching_residual(pair.t, Z)) < 1e-12
+            kappa = kappa_from_energy(level.energy.real, Z)
+            s, t = kappa.value.real, -kappa.value.imag
+            assert abs(matching_residual(t, Z)) < 1e-12
             assert abs(kappa_condition_residual(level.energy, Z)) < 1e-10
-            pt = curve_point(pair)
-            assert abs(curve_X(pt.T) - curve_Y(Z, pt.T)) < 1e-10
-            assert abs(2 * pair.s * pair.t - Z) < 1e-12
+            T, _ = curve_point(kappa)
+            assert abs(curve_X(T) - curve_Y(Z, T)) < 1e-10
+            assert abs(2 * s * t - Z) < 1e-12
 
 
 def test_criterion_4_oracle_cross_validation():

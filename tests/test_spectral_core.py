@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ptwell import (
     Branch,
     ConvergenceError,
-    CouplingStrength,
     classify_spectrum,
     curve_X,
     curve_Y,
@@ -60,11 +59,11 @@ def test_halfplane_sqrt_branch():
 
 
 def test_kappa_from_energy_fourth_quadrant():
-    pair, kappa = kappa_from_energy(9.54, 2.0)
-    assert pair.s > 0 and pair.t > 0
-    assert 2 * pair.s * pair.t == pytest.approx(2.0, abs=1e-12)
-    assert pair.t**2 - pair.s**2 == pytest.approx(9.54, abs=1e-12)
-    assert kappa.value == pytest.approx(complex(pair.s, -pair.t))
+    kappa = kappa_from_energy(9.54, 2.0).value
+    s, t = kappa.real, -kappa.imag
+    assert s > 0 and t > 0
+    assert 2 * s * t == pytest.approx(2.0, abs=1e-12)
+    assert t**2 - s**2 == pytest.approx(9.54, abs=1e-12)
 
 
 def test_kappa_from_energy_rejects_nonpositive_zero_coupling():
@@ -72,9 +71,11 @@ def test_kappa_from_energy_rejects_nonpositive_zero_coupling():
         kappa_from_energy(-1.0, 0.0)
 
 
-def test_coupling_strength_rejects_negative():
+def test_negative_coupling_raises():
     with pytest.raises(ValueError):
-        CouplingStrength(-0.5)
+        classify_spectrum(-0.5, 3)
+    with pytest.raises(ValueError):
+        solve_real_spectrum(-0.5, 3)
 
 
 def test_matching_residual_frozen_value():
@@ -119,10 +120,9 @@ def test_curve_y_frozen_and_domain():
 def test_curve_point_lands_on_both_curves():
     # at an eigenvalue the two curve forms intersect
     level = solve_real_spectrum(2.0, 3)[1]
-    pair, _ = kappa_from_energy(level.energy.real, 2.0)
-    pt = curve_point(pair)
-    assert curve_X(pt.T) == pytest.approx(pt.S, abs=1e-12)
-    assert curve_Y(2.0, pt.T) == pytest.approx(pt.S, abs=1e-12)
+    T, S = curve_point(kappa_from_energy(level.energy.real, 2.0))
+    assert curve_X(T) == pytest.approx(S, abs=1e-12)
+    assert curve_Y(2.0, T) == pytest.approx(S, abs=1e-12)
 
 
 def test_band_bounds():
@@ -162,10 +162,11 @@ def test_real_spectrum_frozen_z2():
 def test_real_levels_satisfy_matching_identities():
     for Z in (0.5, 1.0, 2.0, 4.0):
         for level in solve_real_spectrum(Z, 8):
-            pair, _ = kappa_from_energy(level.energy.real, Z)
-            assert abs(matching_residual(pair.t, Z)) < 1e-12
+            kappa = kappa_from_energy(level.energy.real, Z).value
+            s, t = kappa.real, -kappa.imag
+            assert abs(matching_residual(t, Z)) < 1e-12
             assert abs(kappa_condition_residual(level.energy, Z)) < 1e-10
-            assert 2 * pair.s * pair.t == pytest.approx(Z, abs=1e-12)
+            assert 2 * s * t == pytest.approx(Z, abs=1e-12)
 
 
 def test_critical_couplings_frozen():
@@ -225,8 +226,8 @@ def test_complex_pair_by_continuation():
     assert upper.kappa_right.value == pytest.approx(lower.kappa_left.value.conjugate(), rel=1e-12)
 
 
-def test_complex_pair_from_seed_agrees():
-    lower, _ = solve_complex_pair(5.0, 0, seed=(7.0, 5.2))
+def test_complex_pair_frozen_energy():
+    lower, _ = solve_complex_pair(5.0, 0)
     assert lower.energy == pytest.approx(6.4538703814825835 - 1.8869346309480295j, rel=1e-10)
 
 
@@ -257,7 +258,7 @@ def test_classify_spectrum_broken_phase():
 def test_classify_spectrum_unbroken_has_no_pairs():
     spec = classify_spectrum(2.0, 6)
     assert spec.broken_pairs == ()
-    assert all(level.is_real for level in spec.levels)
+    assert all(level.branch is Branch.REAL for level in spec.levels)
 
 
 def test_classify_second_pair_appears_past_second_critical():

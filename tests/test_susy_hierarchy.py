@@ -10,13 +10,10 @@ from ptwell import (
     LevelAnnihilated,
     PlanChoice,
     build_hierarchy,
-    classify_spectrum,
     hierarchy_relations_check,
     intertwine,
     partner_potential,
     square_well_potential,
-    superpotential_W1,
-    superpotential_next,
 )
 from ptwell.susy_hierarchy import _darboux, _sides
 from ptwell.wavefunctions import chebyshev_grid, limit_form, schrodinger_residual
@@ -27,6 +24,11 @@ INTERIOR = (-0.85, -0.4, -0.15, 0.2, 0.55, 0.9)
 CROSSOVER_RTOL = 3e-13
 CHAINS = ((0.0, "real"), (0.5, "real"), (2.0, "real"), (4.0, "real"), (8.0, "clower,cupper,real"),
           (8.0, "real,real,clower,cupper"), (18.0, "clower,cupper,cupper,clower,real"))
+
+
+def _w1(Z: float):
+    """The well's superpotential built on its lowest real level."""
+    return build_hierarchy(Z, EliminationPlan.from_text("real"), 1)[0].superpotential
 
 
 def _padded(plan: str, steps: int) -> str:
@@ -55,38 +57,28 @@ def test_square_well_potential_values():
 
 
 def test_superpotential_w1_zero_coupling_is_tangent():
-    spec = classify_spectrum(0.0, 3)
-    W = superpotential_W1(spec, 0)
+    W = _w1(0.0)
     for x in INTERIOR:
         assert W(x) == pytest.approx((math.pi / 2) * math.tan(math.pi * x / 2), abs=1e-12)
 
 
 def test_superpotential_w1_continuous_and_singular_at_walls():
-    spec = classify_spectrum(2.0, 3)
-    W = superpotential_W1(spec, 0)
+    W = _w1(2.0)
     assert abs(W(1e-12) - W(-1e-12)) < 1e-9
     assert abs(W(1.0 - 1e-9)) > 1e5
-
-
-def test_superpotential_w1_rejects_excited_real_level():
-    spec = classify_spectrum(2.0, 4)
-    with pytest.raises(IllegalPlanError):
-        superpotential_W1(spec, 1)
 
 
 def test_factorization_recovers_source_potential():
     # V = W^2 - W' + E_f must reproduce the well the level was taken from
     V1 = square_well_potential(2.0)
-    spec = classify_spectrum(2.0, 3)
-    W = superpotential_W1(spec, 0)
+    W = _w1(2.0)
     for x in INTERIOR:
         back = W(x) ** 2 - W.derivative(x) + W.factorization_energy
         assert back == pytest.approx(V1(x), abs=1e-12)
 
 
 def test_partner_potential_identity_against_difference_quotient():
-    spec = classify_spectrum(2.0, 3)
-    W = superpotential_W1(spec, 0)
+    W = _w1(2.0)
     V2 = partner_potential(W, 2, True)
     h = 1e-6
     for x in INTERIOR:
@@ -251,9 +243,10 @@ def test_second_step_superpotential_mirror():
 
 
 def test_superpotential_next_requires_pending_choice():
+    # the last member has no plan step left, so no superpotential to a next one
     h = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=6)
-    with pytest.raises(IllegalPlanError):
-        superpotential_next(h[1])
+    assert h[0].superpotential is not None
+    assert h[1].superpotential is None
 
 
 def test_build_hierarchy_validation():

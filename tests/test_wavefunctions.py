@@ -4,7 +4,8 @@ import pytest
 from scipy.special import eval_gegenbauer
 
 from ptwell import (
-    GegenbauerPoly,
+    EliminationPlan,
+    build_hierarchy,
     chebyshev_grid,
     classify_spectrum,
     eval_sw_eigenfunction,
@@ -17,6 +18,7 @@ from ptwell import (
     square_well_eigenfunction,
     square_well_potential,
 )
+from ptwell.wavefunctions import normalize_sides
 
 
 def test_eigenfunction_vanishes_at_walls():
@@ -38,10 +40,31 @@ def test_eigenfunction_continuous_at_origin():
 
 
 def test_origin_normalization():
-    level = solve_real_spectrum(2.0, 1)[0]
-    f = square_well_eigenfunction(level, alpha=2.0)
-    if abs(f.origin.alpha) > 0:
-        assert f(0.0) == pytest.approx(f.origin.alpha)
+    # psi(0) = 1, except on the Z = 0 odd levels, where psi(0) = 0 and psi'(0) = i
+    for Z in (0.0, 2.0, 8.0):
+        for member in build_hierarchy(Z, EliminationPlan.from_text("real,real"), 3, levels=7):
+            for n in range(len(member.spectrum.levels)):
+                f = member.eigenfunctions(n)
+                if Z == 0 and n % 2:
+                    assert abs(f(0.0)) < 1e-12
+                    assert f.derivative(0.0) == pytest.approx(1j, rel=1e-14)
+                else:
+                    assert f(0.0) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("Z,n", [(2.0, 0), (0.0, 1)])
+def test_normalize_sides_calls_each_side_once_at_origin(Z, n):
+    f = square_well_eigenfunction(solve_real_spectrum(Z, n + 1)[n])
+    origin_calls = {"right": 0, "left": 0}
+
+    def counted(name, side):
+        def ev(x):
+            origin_calls[name] += x == 0.0
+            return side(x)
+        return ev
+
+    normalize_sides(f.level, 1, counted("right", f.right), counted("left", f.left))
+    assert origin_calls == {"right": 1, "left": 1}
 
 
 def test_zero_coupling_ground_state_shape():
@@ -56,18 +79,18 @@ def test_zero_coupling_ground_state_shape():
 def test_zero_coupling_odd_levels_fallback():
     # antisymmetric members have a node at the origin; the sin form takes over
     level = solve_real_spectrum(0.0, 2)[1]
-    f = square_well_eigenfunction(level, alpha=1.0)
+    f = square_well_eigenfunction(level)
     t = math.pi
     for x in (-0.6, -0.25, 0.3, 0.85):
         assert f(x) == pytest.approx(1j * math.sin(t * x) / t, rel=1e-10)
-    assert f.origin.alpha == 0
+    assert f(0.0) == 0
 
 
 def test_eval_sw_eigenfunction_domain():
     level = solve_real_spectrum(1.0, 1)[0]
-    assert eval_sw_eigenfunction(level, 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert eval_sw_eigenfunction(level, 1.0) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
-        eval_sw_eigenfunction(level, 1.0, 1.2)
+        eval_sw_eigenfunction(level, 1.2)
 
 
 def test_schrodinger_residual_small_on_eigenfunctions():
@@ -149,12 +172,7 @@ def test_gegenbauer_validation():
     with pytest.raises(ValueError):
         gegenbauer_eval(-1, 1, 0.0)
     with pytest.raises(ValueError):
-        GegenbauerPoly(2, 0)
-
-
-def test_gegenbauer_poly_callable_matches_eval():
-    p = GegenbauerPoly(3, 2)
-    assert p(-0.4) == pytest.approx(gegenbauer_eval(3, 2, -0.4))
+        gegenbauer_eval(2, 0, 0.0)
 
 
 def test_limit_form_ground_shapes():
