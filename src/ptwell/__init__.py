@@ -24,7 +24,7 @@ _EXPORTS = {
         "square_well_potential"),
     "oracle_verifier": (
         "MismatchValue", "ShootingConfig", "Side", "find_spectrum_numeric",
-        "integrate_side", "mismatch", "rk4_order_estimate"),
+        "integrate_side", "mismatch"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -31,13 +31,24 @@ both sides in one product.  Energies are integrated several at a time, as
 a third array axis down the same tree, with energies times blocks per
 side up to BATCH_BLOCKS; the scans hand over whole grids, and the secant
 runs of one search advance in lockstep, each round's pending energies in
-one call.  numpy is imported on the first potential that is not constant
-on both sides, so the bare well, and every process that never integrates
-a partner potential, runs without it.
+one call.
+
+Most partner potentials are PT-symmetric, V(-x) = conj V(x).  Every
+step-matrix entry above is even or odd in h, so at a real E the left
+side's steps are D conj(M) D (D = diag(1, -1)) of the right side's, and
+psi_L(x) = conj psi_R(-x).  When a potential's own samples show that
+mirror symmetry (`_mirrored`), its real energies, the scans' and the real
+secants', integrate the right side alone and take the left as
+(conj psi, -conj psi'); complex energies and every other potential keep
+both sides.  The pt_symmetric flag never decides.
+
+numpy is imported on the first potential that is not constant on both
+sides, so the bare well, and every process that never integrates a
+partner potential, runs without it.
 """
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -57,6 +68,11 @@ BATCH_BLOCKS = 4000
 # 32 slower (docs/decisions.md)
 BLOCK = 8
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
+# relative deviation of a left sample from its right partner's conjugate up
+# to which real energies integrate one side: pair-eliminated members deviate
+# by at most 4e-14, members within 1e-4 of Z_crit(0) by 1.6e-12 to 3.5e-8
+# (docs/decisions.md)
+MIRROR_TOL = 1e-12
 
 
 class Side(Enum):
@@ -319,12 +335,62 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
     return psi, dpsi
 
 
+@lru_cache(maxsize=1)
+def _mirrored(V, h: float, delta: float) -> bool:
+    """Whether the left samples are the right ones' mirror image, V(-x) = conj V(x).
+
+    Every left node and midpoint sample must lie within MIRROR_TOL of the
+    conjugate of its right partner, relative to that partner.  The samples
+    decide, not the potential's pt_symmetric flag: a flag is a claim, and
+    just above Z_crit(0) a PT-symmetric member's sides differ by up to
+    2.5e-8 (docs/decisions.md).  The bare well's constant sides take the
+    power on both sides and are never mirrored.
+    """
+    sides, blocks = _sampled_sides(V, h, delta)
+    if blocks is None:
+        return False
+    import numpy as np  # here, not at module level: see the module docstring
+
+    right, left = sides[Side.RIGHT], sides[Side.LEFT]
+    return all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
+               for r, l in zip(right[:2], left[:2]))
+
+
+def _side_pairs(V, Es, cfg: ShootingConfig):
+    """Per energy in Es, the (right, left) (psi, dpsi, logscale) at x = 0.
+
+    At a real energy of a mirrored potential the left step matrices are
+    D conj(M) D (D = diag(1, -1)) of the right ones, bit for bit, and so is
+    the left start value, so only the right side is integrated and the
+    left is (conj psi, -conj dpsi, logscale).  Other energies take both
+    sides.
+    """
+    if not _mirrored(V, cfg.h, cfg.delta):
+        return list(zip(*_integrate(V, Es, cfg)))
+    real = [k for k, E in enumerate(Es) if E.imag == 0.0]
+    other = [k for k, E in enumerate(Es) if E.imag != 0.0]
+    pairs = [None] * len(Es)
+    if real:
+        blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
+        right = _rk4_step_product(blocks[:, :, :1], [Es[k] for k in real],
+                                  [_start(cfg, Side.RIGHT)])[0]
+        for k, (psi, dpsi, logscale) in zip(real, right):
+            pairs[k] = (psi, dpsi, logscale), (psi.conjugate(), -dpsi.conjugate(), logscale)
+    if other:
+        for k, r, l in zip(other, *_integrate(V, [Es[k] for k in other], cfg)):
+            pairs[k] = r, l
+    return pairs
+
+
 def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     """`mismatch` at every energy in Es, BATCH_BLOCKS / (blocks per side) energies at a time.
 
     Each value is the one `mismatch` returns at that energy alone, bit for
-    bit: rescaling is by powers of two per energy, and the normalized value
-    does not see them.
+    bit: whether an energy takes one side or two depends on the energy and
+    the potential only, rescaling is by powers of two per energy, and the
+    normalized value does not see them.  At a real energy of a mirrored
+    potential the Wronskian is 2 Re(conj psi_R psi_R') and its imaginary
+    part exactly 0.0.
     """
     Es = [complex(E) for E in Es]
     blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
@@ -332,8 +398,7 @@ def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     out = []
     for k in range(0, len(Es), per):
         batch = Es[k:k + per]
-        right, left = _integrate(V, batch, cfg)
-        for E, (pR, dR, _), (pL, dL, _) in zip(batch, right, left):
+        for E, ((pR, dR, _), (pL, dL, _)) in zip(batch, _side_pairs(V, batch, cfg)):
             w = pL * dR - dL * pR
             # side values reach 1e100 before rescaling, so square none of them
             scale = math.hypot(abs(pL), abs(dL)) * math.hypot(abs(pR), abs(dR))
@@ -465,7 +530,8 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     the lower member of a conjugate pair always comes first.
 
     search_box is a pair of complex corners.  PT-symmetric potentials whose
-    box straddles the real axis are scanned for real roots; otherwise, when
+    box straddles the real axis are scanned for real roots (on one side
+    per energy where the samples mirror, see `mismatches`); otherwise, when
     no seeds are given, the box is sampled for mismatch minima.  Extra
     complex seeds (e.g. closed predictions perturbed by a few percent) are
     solved first.  Every root comes from one damped secant (`_secant`):
@@ -508,15 +574,3 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
             f"only {len(found)} of {count} levels converged in the search box")
     return found[:count]
 
-
-def rk4_order_estimate(V, E: complex, cfg: ShootingConfig = ShootingConfig(),
-                       ladder=(1.6e-3, 8e-4, 4e-4, 2e-4)) -> float:
-    """Observed convergence exponent of the mismatch under step halving.
-
-    E should sit near, not on, an eigenvalue: at a root the leading error
-    terms cancel and the ratio turns into noise.
-    """
-    vals = [mismatch(V, E, replace(cfg, h=h)).normalized for h in ladder]
-    diffs = [abs(vals[i] - vals[i + 1]) for i in range(len(vals) - 1)]
-    exps = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
-    return sum(exps) / len(exps)

