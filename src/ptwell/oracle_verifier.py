@@ -23,24 +23,25 @@ neighbouring steps is a 2x2 matrix polynomial of degree 16 in E:
 
 block j of columns C[k][:, j], identity steps padding n to a multiple of
 8.  A potential's two sides always take the same n steps, so they are
-sampled and cached together: with the samples, `_sampled_sides` keeps the
-coefficients of both sides' blocks stacked as one (17, 4, 2, n/8) array
-(k, rows a, b, c, d, side, block).  An energy then costs Horner's rule in
-elementwise array operations and a pairwise tree over n/8 blocks, for
-both sides in one product.  Energies are integrated several at a time, as
-a third array axis down the same tree, with energies times blocks per
-side up to BATCH_BLOCKS; the scans hand over whole grids, and the secant
-runs of one search advance in lockstep, each round's pending energies in
-one call.
+sampled and cached together (`_sampled_sides`), with the coefficients of
+the blocks of every side that is integrated, stacked as one
+(17, 4, sides, n/8) array (k, rows a, b, c, d, side, block).  An energy
+then costs Horner's rule in elementwise array operations and a pairwise
+tree over n/8 blocks, for every integrated side in one product.  Energies
+are integrated several at a time, as a third array axis down the same
+tree, with energies times blocks per side up to BATCH_BLOCKS; the scans
+hand over whole grids, and the secant runs of one search advance in
+lockstep, each round's pending energies in one call.
 
 Most partner potentials are PT-symmetric, V(-x) = conj V(x).  Every
-step-matrix entry above is even or odd in h, so at a real E the left
-side's steps are D conj(M) D (D = diag(1, -1)) of the right side's, and
-psi_L(x) = conj psi_R(-x).  When a potential's own samples show that
-mirror symmetry (`_mirrored`), its real energies, the scans' and the real
-secants', integrate the right side alone and take the left as
-(conj psi, -conj psi'); complex energies and every other potential keep
-both sides.  The pt_symmetric flag never decides.
+step-matrix entry above is even or odd in h, so the left side's steps at
+E are D conj(M) D (D = diag(1, -1)) of the right side's at conj E, and
+psi_L(x; E) = conj psi_R(-x; conj E).  Whether a potential's own samples
+show that mirror symmetry is decided once, when they are taken; the
+pt_symmetric flag never decides.  A mirrored potential, the bare well
+included, integrates only its right side, at every E and conj E, and
+takes the left as (conj psi, -conj psi') at conj E; any other potential
+integrates both sides.
 
 numpy is imported on the first potential that is not constant on both
 sides, so the bare well, and every process that never integrates a
@@ -62,14 +63,15 @@ GRID_RESOLUTION = 240  # real-axis scan points
 # energies times blocks per side in one step product: 32 energies at
 # h = 1e-3, where 8 ran a quarter slower and 64 took more peak memory, and
 # 6 at 2e-4, where 32 made arrays too large for the allocator to keep, so
-# every product page-faulted in fresh memory (docs/decisions.md)
+# every product page-faulted in fresh memory; twice the energies in a
+# one-side product was no faster (docs/decisions.md)
 BATCH_BLOCKS = 4000
 # steps per pre-multiplied block: 16 was no faster and cost more to build,
 # 32 slower (docs/decisions.md)
 BLOCK = 8
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
 # relative deviation of a left sample from its right partner's conjugate up
-# to which real energies integrate one side: pair-eliminated members deviate
+# to which a potential integrates one side: pair-eliminated members deviate
 # by at most 4e-14, members within 1e-4 of Z_crit(0) by 1.6e-12 to 3.5e-8
 # (docs/decisions.md)
 MIRROR_TOL = 1e-12
@@ -274,12 +276,16 @@ def _sampled_sides(V, h: float, delta: float):
     integrator an order of convergence.  Both sides take the same n steps.
     A potential with array evaluators (its `arrays`) takes each side's
     positions in one evaluation.
-    Returns (sides, blocks): sides maps each Side to (nodes, mids, hh,
-    constant), constant being the side's common sample value or None.
+    Returns (sides, blocks, mirrored).  sides maps each Side to (nodes,
+    mids, hh, constant), constant being the side's common sample value or
+    None.  mirrored says whether every left sample lies within MIRROR_TOL
+    of the conjugate of its right partner, relative to that partner,
+    V(-x) = conj V(x); the bare well's two constants are compared directly.
     When both sides are constant, the samples are lists and blocks is
-    None; else the samples are complex128 arrays and blocks is the
-    (2 BLOCK + 1, 4, 2, nb) stack of both sides' block coefficients, right
-    side first, for `_rk4_step_product`.
+    None; else the samples are complex128 arrays and blocks stacks the
+    `_block_coefficients` of the sides `_side_pairs` integrates, the right
+    side alone when mirrored, else right and left, as the
+    (2 BLOCK + 1, 4, sides, nb) array `_rk4_step_product` takes.
     """
     n = max(1, round((1.0 - delta) / h))
     arrays = getattr(V, "arrays", None)
@@ -290,17 +296,21 @@ def _sampled_sides(V, h: float, delta: float):
         nodes, vn = _samples(sample, [x0 * (n - k) / n for k in range(n + 1)])
         mids, vm = _samples(sample, [x0 * (n - k - 0.5) / n for k in range(n)])
         sides[side] = (nodes, mids, -x0 / n, vn if vn is not None and vn == vm else None)
-    if all(constant is not None for *_, constant in sides.values()):
-        return sides, None
+    right, left = sides[Side.RIGHT][3], sides[Side.LEFT][3]
+    if right is not None and left is not None:
+        return sides, None, abs(left - right.conjugate()) <= MIRROR_TOL * abs(right)
     import numpy as np  # here, not at module level: see the module docstring
 
     sides = {side: (np.asarray(nodes, dtype=np.complex128), np.asarray(mids, dtype=np.complex128),
                     hh, constant)
              for side, (nodes, mids, hh, constant) in sides.items()}
+    mirrored = all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
+                   for r, l in zip(sides[Side.RIGHT][:2], sides[Side.LEFT][:2]))
     # one side at a time: building both as one array raised the oracle
     # workload's peak memory by 5 % against 1.4 % (docs/decisions.md)
-    blocks = np.stack([_block_coefficients(*s[:3]) for s in sides.values()], axis=2)
-    return sides, blocks
+    blocks = np.stack([_block_coefficients(*sides[side][:3])
+                       for side in list(Side)[:1 if mirrored else 2]], axis=2)
+    return sides, blocks, mirrored
 
 
 def _start(cfg: ShootingConfig, side: Side):
@@ -309,14 +319,35 @@ def _start(cfg: ShootingConfig, side: Side):
     return complex(cfg.delta ** cfg.p), complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
 
 
-def _integrate(V, Es, cfg: ShootingConfig):
-    """Per side, right then left, (psi, dpsi, logscale) at x = 0 for each energy in Es."""
-    sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
-    starts = [_start(cfg, side) for side in Side]
+def _side_pairs(V, Es, cfg: ShootingConfig):
+    """Per energy in Es, the (right, left) (psi, dpsi, logscale) at x = 0.
+
+    When `_sampled_sides` finds V mirrored, the left step matrices at E are
+    D conj(M(conj E)) D (D = diag(1, -1)) of the right ones at conj E, and
+    so is the left start value, so only the right side is integrated, at
+    every E and conj E of Es, each energy once, and the left side at E is
+    (conj psi, -conj dpsi, logscale) of the right side at conj E.  Any
+    other potential integrates both sides at Es.  Either way all energies
+    go through one step product, or one constant power per side and energy.
+    """
+    sides, blocks, mirrored = _sampled_sides(V, cfg.h, cfg.delta)
+    integrated = list(Side)[:1 if mirrored else 2]
+    conj = [E.conjugate() for E in Es]
+    energies = list(dict.fromkeys(Es + conj if mirrored else Es))
+    starts = [_start(cfg, side) for side in integrated]
     if blocks is None:
-        return [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in Es]
-                for (_, mids, hh, constant), start in zip(sides.values(), starts)]
-    return _rk4_step_product(blocks, Es, starts)
+        values = [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in energies]
+                  for (_, mids, hh, constant), start in zip(map(sides.get, integrated), starts)]
+    else:
+        values = _rk4_step_product(blocks, energies, starts)
+    at = dict(zip(energies, zip(*values)))
+    if not mirrored:
+        return [at[E] for E in Es]
+    pairs = []
+    for E, C in zip(Es, conj):
+        psi, dpsi, logscale = at[C][0]
+        pairs.append((at[E][0], (psi.conjugate(), -dpsi.conjugate(), logscale)))
+    return pairs
 
 
 def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConfig()):
@@ -325,72 +356,27 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
     Startup uses the local regular behavior psi = delta^p at distance delta
     from the wall.  If intermediate renormalization fired and the common
     factor is too large to restore, the returned pair is the renormalized
-    one (the direction is what the mismatch consumes).
+    one (the direction is what the mismatch consumes).  The side comes from
+    `_side_pairs`, so a mirrored potential's left side is the conjugate
+    mirror image of its right side at conj E.
     """
-    right, left = _integrate(V, [complex(E)], cfg)
-    psi, dpsi, logscale = (right if side is Side.RIGHT else left)[0]
+    right, left = _side_pairs(V, [complex(E)], cfg)[0]
+    psi, dpsi, logscale = right if side is Side.RIGHT else left
     if logscale != 0.0 and logscale < 700.0:
         f = math.exp(logscale)
         return psi * f, dpsi * f
     return psi, dpsi
 
 
-@lru_cache(maxsize=1)
-def _mirrored(V, h: float, delta: float) -> bool:
-    """Whether the left samples are the right ones' mirror image, V(-x) = conj V(x).
-
-    Every left node and midpoint sample must lie within MIRROR_TOL of the
-    conjugate of its right partner, relative to that partner.  The samples
-    decide, not the potential's pt_symmetric flag: a flag is a claim, and
-    just above Z_crit(0) a PT-symmetric member's sides differ by up to
-    2.5e-8 (docs/decisions.md).  The bare well's constant sides take the
-    power on both sides and are never mirrored.
-    """
-    sides, blocks = _sampled_sides(V, h, delta)
-    if blocks is None:
-        return False
-    import numpy as np  # here, not at module level: see the module docstring
-
-    right, left = sides[Side.RIGHT], sides[Side.LEFT]
-    return all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
-               for r, l in zip(right[:2], left[:2]))
-
-
-def _side_pairs(V, Es, cfg: ShootingConfig):
-    """Per energy in Es, the (right, left) (psi, dpsi, logscale) at x = 0.
-
-    At a real energy of a mirrored potential the left step matrices are
-    D conj(M) D (D = diag(1, -1)) of the right ones, bit for bit, and so is
-    the left start value, so only the right side is integrated and the
-    left is (conj psi, -conj dpsi, logscale).  Other energies take both
-    sides.
-    """
-    if not _mirrored(V, cfg.h, cfg.delta):
-        return list(zip(*_integrate(V, Es, cfg)))
-    real = [k for k, E in enumerate(Es) if E.imag == 0.0]
-    other = [k for k, E in enumerate(Es) if E.imag != 0.0]
-    pairs = [None] * len(Es)
-    if real:
-        blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
-        right = _rk4_step_product(blocks[:, :, :1], [Es[k] for k in real],
-                                  [_start(cfg, Side.RIGHT)])[0]
-        for k, (psi, dpsi, logscale) in zip(real, right):
-            pairs[k] = (psi, dpsi, logscale), (psi.conjugate(), -dpsi.conjugate(), logscale)
-    if other:
-        for k, r, l in zip(other, *_integrate(V, [Es[k] for k in other], cfg)):
-            pairs[k] = r, l
-    return pairs
-
-
 def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     """`mismatch` at every energy in Es, BATCH_BLOCKS / (blocks per side) energies at a time.
 
     Each value is the one `mismatch` returns at that energy alone, bit for
-    bit: whether an energy takes one side or two depends on the energy and
-    the potential only, rescaling is by powers of two per energy, and the
-    normalized value does not see them.  At a real energy of a mirrored
-    potential the Wronskian is 2 Re(conj psi_R psi_R') and its imaginary
-    part exactly 0.0.
+    bit: whether sides are integrated or mirrored depends on the potential
+    only, rescaling is by powers of two per energy, and the normalized
+    value does not see them.  On a mirrored potential the value at conj E
+    is the exact conjugate of the value at E, and at a real energy the
+    Wronskian is 2 Re(conj psi_R psi_R') with imaginary part exactly 0.0.
     """
     Es = [complex(E) for E in Es]
     blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
@@ -530,9 +516,13 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     the lower member of a conjugate pair always comes first.
 
     search_box is a pair of complex corners.  PT-symmetric potentials whose
-    box straddles the real axis are scanned for real roots (on one side
-    per energy where the samples mirror, see `mismatches`); otherwise, when
-    no seeds are given, the box is sampled for mismatch minima.  Extra
+    box straddles the real axis are scanned for real roots; otherwise, when
+    no seeds are given, the box is sampled for mismatch minima.  The scan
+    is the one place the pt_symmetric flag is read: it asks whether the
+    mismatch is real on the real axis, which holds for every PT-symmetric
+    potential, also for the members just above Z_crit(0) whose samples
+    differ from their mirror image by more than MIRROR_TOL and so take
+    both sides.  Those need the scan to find their real levels.  Extra
     complex seeds (e.g. closed predictions perturbed by a few percent) are
     solved first.  Every root comes from one damped secant (`_secant`):
     on the real mismatch from a scan bracket's two points, so real roots

@@ -25,7 +25,7 @@ from functools import lru_cache
 from .spectral_core import (Branch, IllegalPlanError, SpectralLevel, Spectrum,
                             classify_spectrum, find_critical_coupling,
                             indexed_spectrum)
-from .wavefunctions import (PiecewiseEigenfunction, chebyshev_grid,
+from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
                             normalize_sides, pt_defect, pt_transform,
                             ratio_stats, square_well_eigenfunction)
 
@@ -57,11 +57,16 @@ class EliminationPlan:
                                    "use real|clower|cupper") from None
 
 
-class Piecewise:
-    """A function of x with a right branch on x >= 0 and a left one on x < 0.
-
-    Subclasses provide right_eval and left_eval.
-    """
+@dataclass(frozen=True, eq=False)
+class PiecewisePotential:
+    """V by side, right_eval on x >= 0 and left_eval on x < 0.  arrays, when
+    given, is the (right, left) pair of the same evaluators over numpy
+    arrays of x, for samplers that have numpy loaded."""
+    right_eval: object
+    left_eval: object
+    endpoint_exponent: int
+    pt_symmetric: bool
+    arrays: tuple = None
 
     def __call__(self, x: float) -> complex:
         # x = 0 takes the right branch
@@ -69,29 +74,11 @@ class Piecewise:
 
 
 @dataclass(frozen=True, eq=False)
-class PiecewisePotential(Piecewise):
-    """V by side.  arrays, when given, is the (right, left) pair of the same
-    evaluators over numpy arrays of x, for samplers that have numpy loaded."""
-    right_eval: object
-    left_eval: object
-    endpoint_exponent: int
-    pt_symmetric: bool
-    arrays: tuple = None
-
-
-@dataclass(frozen=True, eq=False)
-class Superpotential(Piecewise):
-    """W by side; right_deriv(x, w) and left_deriv(x, w) give W' at x from w = W(x)."""
-    right_eval: object
-    left_eval: object
+class Superpotential(PiecewisePair):
+    """W by side: right(x) and left(x) each return (W, W') at x."""
+    right: object
+    left: object
     factorization_energy: complex
-    right_deriv: object
-    left_deriv: object
-
-    def derivative(self, x: float) -> complex:
-        if x >= 0:
-            return self.right_deriv(x, self.right_eval(x))
-        return self.left_deriv(x, self.left_eval(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,16 +264,18 @@ def _crum_potential(Z: float, eliminated) -> PiecewisePotential:
 
 def _crum_superpotential(Z: float, eliminated, level: SpectralLevel) -> Superpotential:
     """W = -psi'/psi of `level` after `eliminated`: sign w of the table that
-    eliminates it last; W' = W^2 - V + E_f, V from the table's earlier steps."""
+    eliminates it last; W' = W^2 - V + E_f, V from the same table's earlier
+    steps, so each side builds one table per x."""
     E = level.energy
 
     def side(ev):
-        def w_deriv(x, w):
-            return w * w - (ev.c + ev._table(x)[2][0]) + E
-        return (lambda x: ev.sign * ev._table(x)[2][1]), w_deriv
+        def value_and_slope(x):
+            U_prev, w, _ = ev._table(x)[2]
+            w *= ev.sign
+            return w, w * w - (ev.c + U_prev) + E
+        return value_and_slope
 
-    (wR, dR), (wL, dL) = map(side, _sides(Z, _canonical(eliminated) + [level]))
-    return Superpotential(wR, wL, E, dR, dL)
+    return Superpotential(*map(side, _sides(Z, _canonical(eliminated) + [level])), E)
 
 
 def square_well_potential(Z: float) -> PiecewisePotential:
@@ -314,14 +303,13 @@ def partner_potential(W: Superpotential, endpoint_exponent: int,
     """
     Ef = W.factorization_energy
 
-    def side(w_eval, w_deriv):
+    def side(w_side):
         def V(x):
-            w = w_eval(x)
-            return w ** 2 + w_deriv(x, w) + Ef
+            w, dw = w_side(x)
+            return w ** 2 + dw + Ef
         return V
 
-    return PiecewisePotential(side(W.right_eval, W.right_deriv), side(W.left_eval, W.left_deriv),
-                              endpoint_exponent, pt_symmetric)
+    return PiecewisePotential(side(W.right), side(W.left), endpoint_exponent, pt_symmetric)
 
 
 def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigenfunction:
@@ -335,14 +323,14 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     E = psi.level.energy
     Ef = W.factorization_energy
 
-    def image(side, w_eval):
+    def image(side, w_side):
         def ev(x):
             p, d = side(x)
-            w = w_eval(x)
+            w = w_side(x)[0]
             return d + w * p, (w ** 2 + Ef - E) * p + w * d
         return ev
 
-    right, left = image(psi.right, W.right_eval), image(psi.left, W.left_eval)
+    right, left = image(psi.right, W.right), image(psi.left, W.left)
     probe = [(psi.value_and_slope(x), W(x)) for x in _ANNIHILATION_PROBE]
     scale = max(abs(d) + abs(w * p) for (p, d), w in probe)
     if max(abs(d + w * p) for (p, d), w in probe) < 1e-10 * scale:

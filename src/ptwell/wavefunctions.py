@@ -13,17 +13,15 @@ from dataclasses import dataclass
 from .spectral_core import SpectralLevel
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseEigenfunction:
-    """An eigenfunction whose sides right(x) (x >= 0) and left(x) (x < 0)
-    each return the pair (psi, psi') at the physical coordinate x."""
-    level: SpectralLevel
-    member_depth: int
-    right: object
-    left: object
+class PiecewisePair:
+    """A function of x whose sides right(x) (x >= 0) and left(x) (x < 0)
+    each return the pair (f, f') at the physical coordinate x.
+
+    Subclasses provide right and left.
+    """
 
     def value_and_slope(self, x: float):
-        # x = 0 takes the right side; continuity makes this immaterial
+        # x = 0 takes the right side; a value is continuous there, W' is not
         return self.right(x) if x >= 0 else self.left(x)
 
     def __call__(self, x: float) -> complex:
@@ -31,6 +29,15 @@ class PiecewiseEigenfunction:
 
     def derivative(self, x: float) -> complex:
         return self.value_and_slope(x)[1]
+
+
+@dataclass(frozen=True, eq=False)
+class PiecewiseEigenfunction(PiecewisePair):
+    """An eigenfunction whose sides return (psi, psi')."""
+    level: SpectralLevel
+    member_depth: int
+    right: object
+    left: object
 
 
 def normalize_sides(level: SpectralLevel, depth: int, right, left) -> PiecewiseEigenfunction:

@@ -139,7 +139,7 @@ def test_array_sampling_matches_scalar_evaluator(Z, plan):
     crossover."""
     for member in build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)[1:]:
         V = member.potential
-        sides, _ = _sampled_sides(V, 2e-3, 1e-6)
+        sides = _sampled_sides(V, 2e-3, 1e-6)[0]
         for side, ev in ((Side.RIGHT, V.right_eval), (Side.LEFT, V.left_eval)):
             nodes, mids, _, _ = sides[side]
             n = len(mids)

@@ -22,12 +22,12 @@ from ptwell import (
 )
 from ptwell import oracle_verifier
 from ptwell.oracle_verifier import (BLOCK, GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
-                                    _integrate, _mirrored, _ordered_levels, _real_axis_starts,
-                                    _rk4_step_product, _sampled_sides, _secant, linspace,
-                                    mismatches)
+                                    _ordered_levels, _real_axis_starts, _rk4_step_product,
+                                    _sampled_sides, _secant, _side_pairs, linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
 
-from oracle_reference import rk4_order_estimate
+from oracle_reference import (rk4_order_estimate, two_sided, two_sided_blocks,
+                              two_sided_mismatches)
 
 
 def test_config_validation():
@@ -127,7 +127,7 @@ def test_constant_side_power_matches_step_loop(Z, E):
     for mem in members:
         V = mem.potential
         cfg = ShootingConfig.for_potential(V)
-        sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+        sides, blocks, _ = _sampled_sides(V, cfg.h, cfg.delta)
         assert (blocks is None) == (mem.depth == 1)
         for k, side in enumerate(Side):
             nodes, mids, hh, constant = sides[side]
@@ -137,7 +137,7 @@ def test_constant_side_power_matches_step_loop(Z, E):
             want = _restored(*loop)
             assert _close(integrate_side(V, E, side, cfg), want)
             # batched with E = -1e5, which rescales whole tree levels, E keeps its own exponent
-            assert _close(_restored(*_integrate(V, [complex(E), -1e5 + 0j], cfg)[k][0]), want)
+            assert _close(_restored(*_side_pairs(V, [complex(E), -1e5 + 0j], cfg)[0][k]), want)
 
 
 @pytest.mark.parametrize("h, n", [(1.6e-3, 625), (3e-3, 333)])
@@ -146,19 +146,23 @@ def test_block_product_matches_step_loop_when_blocks_are_padded(h, n, Z):
     # n is no multiple of BLOCK, so the last block ends in identity steps;
     # 1.6e-3 is the first step of rk4_order_estimate's ladder
     assert n % BLOCK
+    # the two-sided reference and the oracle's own sides, mirrored or not
     members = build_hierarchy(Z, EliminationPlan.from_text(_PLANS[Z]), 4, levels=8)
+    Es = [complex(E) for E in _ENERGIES]
     for mem in members[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
-        sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
-        assert blocks.shape == (2 * BLOCK + 1, 4, 2, -(-n // BLOCK))
+        sides, blocks, mirrored = _sampled_sides(V, cfg.h, cfg.delta)
+        assert blocks.shape == (2 * BLOCK + 1, 4, 1 if mirrored else 2, -(-n // BLOCK))
+        assert two_sided_blocks(V, cfg)[0].shape == (2 * BLOCK + 1, 4, 2, -(-n // BLOCK))
+        reference, pairs = two_sided(V, Es, cfg), _side_pairs(V, Es, cfg)
         for k, side in enumerate(Side):
             nodes, mids, hh, _ = sides[side]
             assert len(mids) == n
-            got = _integrate(V, _ENERGIES, cfg)[k]
-            for E, value in zip(_ENERGIES, got):
-                want = _restored(*_step_loop(nodes, mids, complex(E), hh, *_start(cfg, side)))
+            for E, value, pair in zip(Es, reference[k], pairs):
+                want = _restored(*_step_loop(nodes, mids, E, hh, *_start(cfg, side)))
                 assert _close(_restored(*value), want)
+                assert _close(_restored(*pair[k]), want)
 
 
 def test_stacked_sides_equal_each_side_alone_bit_for_bit():
@@ -168,12 +172,15 @@ def test_stacked_sides_equal_each_side_alone_bit_for_bit():
     for mem in members[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        _, blocks = _sampled_sides(V, cfg.h, cfg.delta)
-        starts = [_start(cfg, side) for side in Side]
+        blocks, starts = two_sided_blocks(V, cfg)
         both = _rk4_step_product(blocks, Es, starts)
-        assert both == _integrate(V, Es, cfg)
         for k in range(2):
             assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], Es, starts[k:k + 1])[0]
+        # the oracle's right side is the stacked product's; its left one too unless mirrored
+        pairs = [list(side) for side in zip(*_side_pairs(V, [complex(E) for E in Es], cfg))]
+        assert pairs[0] == both[0]
+        if not _sampled_sides(V, cfg.h, cfg.delta)[2]:
+            assert pairs[1] == both[1]
 
 
 def test_one_constant_side_goes_through_the_product(monkeypatch):
@@ -182,7 +189,7 @@ def test_one_constant_side_goes_through_the_product(monkeypatch):
     V = PiecewisePotential(lambda x: complex(4.0, -2.0), lambda x: complex(30.0 * x * x, 2.0),
                            1, False)
     cfg = ShootingConfig(h=1e-3)
-    sides, blocks = _sampled_sides(V, cfg.h, cfg.delta)
+    sides, blocks, _ = _sampled_sides(V, cfg.h, cfg.delta)
     assert sides[Side.RIGHT][3] == complex(4.0, -2.0) and sides[Side.LEFT][3] is None
     assert blocks is not None
 
@@ -242,14 +249,6 @@ def test_batched_mismatch_is_pointwise_bit_for_bit(Z, plan):
         assert batched == [mismatch(V, E, cfg).normalized for E in Es]
 
 
-def _two_sided(V, Es, cfg):
-    """MismatchValues from both sides integrated, as `mismatches` builds them."""
-    right, left = _integrate(V, Es, cfg)
-    return [MismatchValue(E, pL * dR - dL * pR,
-                          math.hypot(abs(pL), abs(dL)) * math.hypot(abs(pR), abs(dR)))
-            for E, (pR, dR, _), (pL, dL, _) in zip(Es, right, left)]
-
-
 def _bits(values):
     return [(m.wronskian.real.hex(), m.wronskian.imag.hex(), m.scale.hex()) for m in values]
 
@@ -273,22 +272,67 @@ _COMPLEX_ENERGIES = [3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, complex(-40186.3, 0
 
 
 def test_real_seed_members_mirror_bit_for_bit(monkeypatch):
-    # a real-seed member's Crum tables are mirror images, so one side at a
-    # real energy gives the two-sided Wronskian exactly
+    # a real-seed member's Crum tables are mirror images, so the right side
+    # at E and conj E gives the two-sided Wronskian exactly, complex E too
     products = _count_sides(monkeypatch)
     for mem in build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 5,
                                levels=9)[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _mirrored(V, cfg.h, cfg.delta)
+        assert _sampled_sides(V, cfg.h, cfg.delta)[2]
         del products[:]
         got = mismatches(V, _REAL_ENERGIES, cfg)
         assert products == [(1, len(_REAL_ENERGIES))]
-        assert _bits(got) == _bits(_two_sided(V, _REAL_ENERGIES, cfg))
+        assert _bits(got) == _bits(two_sided_mismatches(V, _REAL_ENERGIES, cfg))
         assert all(m.wronskian.imag == 0.0 for m in got)
         del products[:]
-        mismatches(V, _COMPLEX_ENERGIES, cfg)
-        assert products == [(2, len(_COMPLEX_ENERGIES))]
+        got = mismatches(V, _COMPLEX_ENERGIES, cfg)
+        assert products == [(1, 2 * len(_COMPLEX_ENERGIES))]
+        assert _bits(got) == _bits(two_sided_mismatches(V, _COMPLEX_ENERGIES, cfg))
+
+
+@pytest.mark.parametrize("Z", [0.0, 2.0, 8.0])
+def test_bare_well_mirrors_exactly(Z, monkeypatch):
+    # the well's constants -iZ and iZ are conjugates, so its right side's
+    # power at E and conj E gives the two-sided values exactly
+    V = square_well_potential(Z)
+    cfg = ShootingConfig.for_potential(V)
+    assert _sampled_sides(V, cfg.h, cfg.delta)[1:] == (None, True)
+    powers = []
+    counted = oracle_verifier._rk4_constant_power
+
+    def counting(*args):
+        powers.append(args[0])
+        return counted(*args)
+
+    monkeypatch.setattr(oracle_verifier, "_rk4_constant_power", counting)
+    for Es, sides in ((_REAL_ENERGIES, 1), (_COMPLEX_ENERGIES, 2)):
+        del powers[:]
+        got = mismatches(V, Es, cfg)
+        assert len(powers) == sides * len(Es)
+        # equal as numbers: at Z = 0 and a real E the two-sided imaginary
+        # part is -0.0, the mirrored one x - x = 0.0
+        assert [(m.wronskian, m.scale) for m in got] == \
+            [(m.wronskian, m.scale) for m in two_sided_mismatches(V, Es, cfg)]
+
+
+def test_conjugate_energies_share_one_side(monkeypatch):
+    # on a mirrored member E alone integrates the right side at E and conj E,
+    # and a batch holding both integrates those same two for the pair; the
+    # values at E and conj E are exact conjugates
+    V = build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
+    cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    assert _sampled_sides(V, cfg.h, cfg.delta)[2]
+    products = _count_sides(monkeypatch)
+    for E in _COMPLEX_ENERGIES:
+        del products[:]
+        alone = mismatch(V, E, cfg)
+        assert products == [(1, 2)]
+        del products[:]
+        m, c = mismatches(V, [E, E.conjugate()], cfg)
+        assert products == [(1, 2)]
+        assert _bits([m]) == _bits([alone])
+        assert (c.wronskian, c.scale) == (m.wronskian.conjugate(), m.scale)
 
 
 def test_pair_eliminated_members_mirror_within_rounding():
@@ -297,11 +341,12 @@ def test_pair_eliminated_members_mirror_within_rounding():
                                levels=9)[2:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _mirrored(V, cfg.h, cfg.delta)
-        got = mismatches(V, _REAL_ENERGIES, cfg)
-        want = _two_sided(V, _REAL_ENERGIES, cfg)
-        for m, w in zip(got, want):
-            assert m.wronskian.imag == 0.0
+        assert _sampled_sides(V, cfg.h, cfg.delta)[2]
+        Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
+        got = mismatches(V, Es, cfg)
+        want = two_sided_mismatches(V, Es, cfg)
+        for E, m, w in zip(Es, got, want):
+            assert m.wronskian.imag == 0.0 or E.imag != 0.0
             assert abs(m.normalized - w.normalized) <= 1e-12
 
 
@@ -328,7 +373,7 @@ def _flagged_off_mirror():
                                   lambda x: real.right_eval(-x).conjugate() * factor,
                                   real.endpoint_exponent, True)
 
-    assert _mirrored(flagged(1.0), 2e-3, 1e-6)
+    assert _sampled_sides(flagged(1.0), 2e-3, 1e-6)[2]
     return flagged(1.0 + 1e-9)
 
 
@@ -337,12 +382,12 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
     # the samples decide, never the pt_symmetric flag
     V = build()
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-    assert not _mirrored(V, cfg.h, cfg.delta)
+    assert not _sampled_sides(V, cfg.h, cfg.delta)[2]
     Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
     products = _count_sides(monkeypatch)
     got = mismatches(V, Es, cfg)
     assert products == [(2, len(Es))]
-    assert _bits(got) == _bits(_two_sided(V, Es, cfg))
+    assert _bits(got) == _bits(two_sided_mismatches(V, Es, cfg))
 
 
 def test_partner_sides_are_not_constant():
@@ -539,6 +584,18 @@ def test_search_roots_do_not_depend_on_batch_size(search, monkeypatch):
     one = find_spectrum_numeric(*args, seeds=seeds)
     assert [(E.real.hex(), E.imag.hex()) for E in one] == \
         [(E.real.hex(), E.imag.hex()) for E in default]
+
+
+def test_pair_roots_from_conjugate_seeds_are_exact_conjugates():
+    # member 4 at Z = 17 keeps a conjugate pair; it mirrors, so its mismatch
+    # at conj E is the exact conjugate of the value at E, and the secant
+    # runs from conjugate seeds stay exact conjugates
+    (V, count, box, _), seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, True)
+    assert seeds[1] == seeds[0].conjugate()
+    cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    lower, upper, _ = find_spectrum_numeric(V, count, box, cfg, seeds=seeds)
+    assert lower.imag < 0.0
+    assert (upper.real.hex(), upper.imag.hex()) == (lower.real.hex(), (-lower.imag).hex())
 
 
 def _linspace_cases():

@@ -15,6 +15,7 @@ from ptwell import (
     partner_potential,
     square_well_potential,
 )
+from ptwell import susy_hierarchy
 from ptwell.susy_hierarchy import _darboux, _sides
 from ptwell.wavefunctions import chebyshev_grid, limit_form, schrodinger_residual
 
@@ -233,6 +234,28 @@ def test_superpotential_routes_agree_at_every_depth():
                 assert W.derivative(x) == pytest.approx(dq, rel=1e-6, abs=1e-6)
                 partner = W(x) ** 2 + W.derivative(x) + W.factorization_energy
                 assert partner == pytest.approx(child.potential(x), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("x", [0.3, -0.3])
+def test_superpotential_slope_builds_one_table(x, monkeypatch):
+    # W and W' come from one Darboux table at x, as a potential value does
+    tables = []
+    counted = susy_hierarchy._darboux
+
+    def counting(*args):
+        tables.append(args)
+        return counted(*args)
+
+    h = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real"), 4, levels=6)
+    W = h[2].superpotential
+    monkeypatch.setattr(susy_hierarchy, "_darboux", counting)
+    for read in (W, W.derivative, h[3].potential):
+        del tables[:]
+        read(x)
+        assert len(tables) == 1
+    del tables[:]
+    partner_potential(W, 4, True)(x)
+    assert len(tables) == 1
 
 
 def test_second_step_superpotential_mirror():
