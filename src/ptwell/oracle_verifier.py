@@ -371,12 +371,16 @@ def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConf
 def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     """`mismatch` at every energy in Es, BATCH_BLOCKS / (blocks per side) energies at a time.
 
-    Each value is the one `mismatch` returns at that energy alone, bit for
-    bit: whether sides are integrated or mirrored depends on the potential
-    only, rescaling is by powers of two per energy, and the normalized
-    value does not see them.  On a mirrored potential the value at conj E
-    is the exact conjugate of the value at E, and at a real energy the
-    Wronskian is 2 Re(conj psi_R psi_R') with imaginary part exactly 0.0.
+    Each `.normalized` is the one `mismatch` returns at that energy alone,
+    bit for bit: whether sides are integrated or mirrored depends on the
+    potential only, and rescaling is by exact powers of two, which the
+    normalized value does not see.  The raw `.wronskian` and `.scale` are
+    not batch-independent: once any product in a batch passes 1e100, every
+    product of that tree level is rescaled, so both can carry a power of
+    two that depends on the rest of the batch.  On a mirrored potential
+    the value at conj E is the exact conjugate of the value at E, and at a
+    real energy the Wronskian is 2 Re(conj psi_R psi_R') with imaginary
+    part exactly 0.0.
     """
     Es = [complex(E) for E in Es]
     blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]

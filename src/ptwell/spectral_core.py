@@ -258,19 +258,18 @@ def _curve_s(t: float) -> float:
                    s0, 1e-13 * (1 + r), "G = 0 curve")
 
 
-def _merge_residual(t: float) -> float:
-    """dG/dt on the G = 0 curve Z(t) = 2 t s(t).
+def _merge_residual(t: float, s: float) -> float:
+    """dG/dt on the G = 0 curve Z(t) = 2 t s(t), with s = _curve_s(t).
 
     There dZ/dt = -2t dG/dt / (sinh 2s + 2s cosh 2s), so this vanishes at
     the peak of Z(t).  It runs from -2 lo at the lower band edge to 2 hi at
     the upper one.
     """
-    return matching_residual_dt(t, 2 * t * _curve_s(t))
+    return matching_residual_dt(t, 2 * t * s)
 
 
-def _merge_residual_dt(t: float) -> float:
+def _merge_residual_dt(t: float, s: float) -> float:
     """d/dt of _merge_residual, with ds/dt = -q/D from s sinh 2s = -t sin 2t."""
-    s = _curve_s(t)
     D = math.sinh(2 * s) + 2 * s * math.cosh(2 * s)  # d(s sinh 2s)/ds
     dD = 4 * (math.cosh(2 * s) + s * math.sinh(2 * s))
     q = math.sin(2 * t) + 2 * t * math.cos(2 * t)  # d(t sin 2t)/dt
@@ -286,13 +285,23 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     It rises from 0 at the lower band edge and falls to 0 at the upper one,
     and is tangent to a constant-Z line only at its peak, where dG/dt = 0
     as well.  Bisection brackets that zero to 0.1, then Newton polishes it.
+    s(t) is solved once per point: Newton's residual and derivative at an
+    iterate, and the returned s at the last one, share it.
     """
     if nu < 0:
         raise ValueError("band index must be nonnegative")
     lo, hi = band_bounds(nu)
-    t = _newton(_merge_residual, _merge_residual_dt, _bisect(_merge_residual, lo, hi, 0.1),
+    curve_s = lru_cache(maxsize=1)(_curve_s)
+
+    def residual(t):
+        return _merge_residual(t, curve_s(t))
+
+    def residual_dt(t):
+        return _merge_residual_dt(t, curve_s(t))
+
+    t = _newton(residual, residual_dt, _bisect(residual, lo, hi, 0.1),
                 2e-11 * hi, f"tangency (band {nu})")
-    s = _curve_s(t)
+    s = curve_s(t)
     return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
 
@@ -330,10 +339,17 @@ def _continue_pair(crit: CriticalCoupling, Z: float) -> complex:
     """Lower pair energy of band crit.nu at Z, continued from the merge point.
 
     The first point is Newton from e_merge - 1e-3 i at z_crit + 0.05 (or Z).
-    Each step predicts along the tangent dE/dZ = -F_Z/F_E and corrects by
-    Newton at the new coupling.  A step is accepted when the correction is
-    under a tenth of the predicted move, which rejects a jump onto a
-    neighbouring pair; the step then doubles, otherwise it halves.
+    From there the walk steps in sigma = sqrt(Z - z_crit), in which the pair
+    is analytic (E - e_merge grows like sigma at the exceptional point).  Each
+    step predicts along the tangent dE/dsigma = 2 sigma dE/dZ, dE/dZ =
+    -F_Z/F_E, and corrects by Newton at the new coupling.  A step is accepted
+    when the correction is under a tenth of the predicted move, which rejects
+    a jump onto a neighbouring pair.  The next step is scaled so that its
+    correction would be about 0.05 of its move (the correction is second
+    order in the step): by at most x4 and at least x0.1, so by under x0.5
+    after a rejection, and by x0.5 when the corrector fails.  A coupling
+    step 2 sigma dsigma under 1e-6 is a stall.  The last step lands exactly
+    on Z.
     """
     def stalled(z):
         return ConvergenceError(f"pair {crit.nu} continuation stalled at Z={z} on the way to Z={Z}")
@@ -343,38 +359,64 @@ def _continue_pair(crit: CriticalCoupling, Z: float) -> complex:
         E = _pair_newton(complex(crit.e_merge, -1e-3), z)
     except ConvergenceError as exc:
         raise stalled(crit.z_crit) from exc
-    dz = 0.05
+    sig, sig_end = math.sqrt(z - crit.z_crit), math.sqrt(Z - crit.z_crit)
+    dsig = sig
     while z < Z:
-        zn = min(z + dz, Z)
-        pred = E - (zn - z) * _kappa_condition_dZ(E, z) / _kappa_condition_dE(E, z)
+        slope = -2 * sig * _kappa_condition_dZ(E, z) / _kappa_condition_dE(E, z)
+        sn = min(sig + dsig, sig_end)
+        zn = Z if sn == sig_end else min(crit.z_crit + sn * sn, Z)
+        pred = E + (sn - sig) * slope
         try:
             En = _pair_newton(pred, zn)
-            accept = abs(En - pred) <= 0.1 * abs(pred - E) + 1e-9 * (1 + abs(E))
         except ConvergenceError:
-            accept = False
-        if accept:
-            z, E = zn, En
-            dz *= 2
+            accept, scale = False, 0.5
         else:
-            dz *= 0.5
-            if dz < 1e-6:
-                raise stalled(z)
+            move, err = abs(pred - E), abs(En - pred)
+            accept = err <= 0.1 * move + 1e-9 * (1 + abs(E))
+            # err/move grows like the step: aim the next step at err = 0.05 move
+            scale = 4.0 if 80 * err <= move else max(0.1, 0.05 * move / err)
+        dsig *= scale
+        if accept:
+            sig, z, E = sn, zn, En
+        elif 2 * sig * dsig < 1e-6:
+            raise stalled(z)
     return E
+
+
+def _polish_pair(E: complex, Z: float) -> complex:
+    """Plain Newton steps from the pair root E while |F| falls, at most 8.
+
+    Just above an exceptional point F_E is proportional to Im E, so the
+    residual _newton stops at can leave E far from the root (14 % of Im E
+    at Z_crit(0)(1 + 1e-12)); these steps take |F| to its rounding floor.
+    """
+    f = kappa_condition_residual(E, Z)
+    for _ in range(8):
+        d = _kappa_condition_dE(E, Z)
+        if d == 0:
+            break
+        En = E - f / d
+        fn = kappa_condition_residual(En, Z)
+        if abs(fn) >= abs(f):
+            break
+        E, f = En, fn
+    return complex(E.real, -abs(E.imag))
 
 
 def solve_complex_pair(Z: float, nu: int):
     """The complex-conjugate pair of band nu for Z above its critical coupling.
 
     Returns (lower, upper) SpectralLevels with energies e0 -+ i eps0, eps0 > 0.
-    The pair is continued from the merge point by tangent predictor and Newton
-    corrector, with coupling steps doubled on success and halved on a stall or
-    a jump.
+    The pair is continued from the merge point in sigma = sqrt(Z - Z_crit) by
+    tangent predictor and Newton corrector, each step sized from the last
+    correction, and the root at Z is polished by plain Newton steps while
+    the residual falls.
     """
     crit = find_critical_coupling(nu)
     if Z <= crit.z_crit:
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    E0 = _pair_newton(_continue_pair(crit, Z), Z)
+    E0 = _polish_pair(_pair_newton(_continue_pair(crit, Z), Z), Z)
     if E0.imag == 0:
         raise ConvergenceError("pair solver landed on a real energy")
     E1 = E0.conjugate()

@@ -249,6 +249,24 @@ def test_batched_mismatch_is_pointwise_bit_for_bit(Z, plan):
         assert batched == [mismatch(V, E, cfg).normalized for E in Es]
 
 
+def test_batched_raw_mismatch_differs_by_a_power_of_two():
+    # -40186.3 + 0.74i passes 1e100 and rescales whole tree levels of its batch,
+    # so the raw fields at 0.5 - 30i move by one exact power of two; only
+    # .normalized is batch-independent
+    V = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 4,
+                        levels=9)[3].potential
+    cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    E = 0.5 - 30j
+    alone = mismatch(V, E, cfg)
+    batched = mismatches(V, [E, complex(-40186.3, 0.74)], cfg)[0]
+    mantissa, k = math.frexp(alone.scale / batched.scale)
+    assert mantissa == 0.5 and k != 0
+    assert math.ldexp(batched.scale, k - 1) == alone.scale
+    assert complex(math.ldexp(batched.wronskian.real, k - 1),
+                   math.ldexp(batched.wronskian.imag, k - 1)) == alone.wronskian
+    assert batched.normalized == alone.normalized
+
+
 def _bits(values):
     return [(m.wronskian.real.hex(), m.wronskian.imag.hex(), m.scale.hex()) for m in values]
 

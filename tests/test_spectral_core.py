@@ -286,9 +286,11 @@ def test_pair_continuation_stall_names_band(monkeypatch, good_calls):
     assert len(calls) < 40
 
 
-@pytest.mark.parametrize("Z, budget", [(100.0, 2000), (300.0, 5000)])
+@pytest.mark.parametrize("Z, budget", [(100.0, 1100), (300.0, 2900)])
 def test_pair_continuation_residual_count(monkeypatch, Z, budget):
-    # fixed 0.05 steps took 47,086 and 330,113 residual calls here
+    # fixed 0.05 steps took 47,086 and 330,113 residual calls here, and coupling
+    # steps that doubled or halved 1,434 and 3,999; steps in sqrt(Z - Z_crit)
+    # sized from the last correction take 956 and 2,590
     spectral_core.find_critical_coupling.cache_clear()
     real_residual = spectral_core.kappa_condition_residual
     calls = [0]
@@ -300,6 +302,24 @@ def test_pair_continuation_residual_count(monkeypatch, Z, budget):
     monkeypatch.setattr(spectral_core, "kappa_condition_residual", counting)
     classify_spectrum(Z, 8)
     assert calls[0] <= budget
+
+
+@pytest.mark.parametrize("nu", [0, 1, 5, 10, 20])
+def test_critical_coupling_solves_the_curve_once_per_point(monkeypatch, nu):
+    # Newton's residual and derivative at an iterate share one s(t); solving it
+    # for each took 12-14 solves per band
+    spectral_core.find_critical_coupling.cache_clear()
+    real_curve_s = spectral_core._curve_s
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return real_curve_s(t)
+
+    monkeypatch.setattr(spectral_core, "_curve_s", counting)
+    find_critical_coupling(nu)
+    spectral_core.find_critical_coupling.cache_clear()
+    assert len(calls) <= 8
 
 
 @pytest.mark.parametrize("Z", ["near_critical", 100.0, 300.0])
@@ -338,3 +358,22 @@ def test_broken_pairs_property(Z):
         assert lower == lowers[k]
         assert lower.imag < 0 and upper == lower.conjugate()
         assert abs(kappa_condition_residual(lower, Z)) < 1e-10
+
+
+@pytest.mark.parametrize("offset", [1e-12, 1e-10])
+def test_pair_energy_just_above_exceptional_point(offset):
+    # F_E vanishes with Im E at the exceptional point, so the root is only as
+    # good as the residual's last digits allow: bound the error by the
+    # conditioning, 64 eps |E| / |Im E| (about 1.7e-8 at 1 + 1e-12)
+    mp = pytest.importorskip("mpmath")
+    Z = find_critical_coupling(0).z_crit * (1 + offset)
+
+    def residual(E):
+        rho, sigma = mp.sqrt(-E - 1j * Z), mp.sqrt(1j * Z - E)
+        return rho * mp.coth(rho) + sigma * mp.coth(sigma)
+
+    E = solve_complex_pair(Z, 0)[0].energy
+    with mp.workdps(40):
+        ref = complex(mp.findroot(residual, mp.mpc(E)))
+    assert ref.imag < 0
+    assert abs(E - ref) <= 64 * 2.0 ** -52 * abs(ref) / abs(ref.imag), (E, ref)
