@@ -144,18 +144,20 @@ def kappa_condition_residual(E: complex, Z: float) -> complex:
     return rho * coth(rho) + sigma * coth(sigma)
 
 
-def _newton(f, df, x, tol: float, what: str):
+def _newton(f, df, x, tol, what: str):
     """Damped Newton for a real or complex scalar root of f, df its derivative.
 
     Each step is halved until |f| decreases.  Once |f| < tol, one more plain
     step is taken if it does not raise |f|: it pushes the residual to its
     rounding floor, which the ill-conditioned wavenumber form downstream
-    needs.  A step that no halving improves is a stall.
+    needs.  A step that no halving improves is a stall.  tol is a number,
+    or a function tol(x, f'(x)) for a residual whose rounding floor moves
+    with the iterate.
     """
     fx = f(x)
     for _ in range(100):
         d = df(x)
-        if abs(fx) < tol:
+        if abs(fx) < (tol(x, d) if callable(tol) else tol):
             if d != 0:
                 xn = x - fx / d
                 if abs(f(xn)) <= abs(fx):
@@ -190,19 +192,39 @@ def _bisect(f, neg: float, pos: float, width: float) -> float:
     return 0.5 * (neg + pos)
 
 
+def _band_split(Z: float, nu: int):
+    """A point of band nu where G < 0, which separates its two real roots; None
+    once Z exceeds the band's critical coupling and the roots are a complex pair.
+
+    At the band's midpoint sin 2t = -1, so G(mid) = s sinh 2s - mid.  If that
+    is negative the midpoint splits the roots, as it does for every band well
+    below its critical coupling, and the critical coupling is not needed.
+    Since s sinh 2s >= 2 s^2, G(mid) < 0 needs 2 s^2 < mid; testing that
+    first keeps sinh from overflowing at large Z.  Otherwise the roots, if
+    any, straddle the merge point t_merge, where G <= 0 up to Z_crit.
+    """
+    lo, hi = band_bounds(nu)
+    mid = 0.5 * (lo + hi)
+    s = Z / (2 * mid)
+    if 2 * s * s < mid and matching_residual(mid, Z) < 0:
+        return mid
+    crit = find_critical_coupling(nu)
+    return crit.t_merge if Z <= crit.z_crit else None
+
+
 def _band_roots(Z: float, nu: int):
     """Roots of G in band nu, increasing; none once Z exceeds the band's critical coupling.
 
-    For 0 < Z <= Z_crit, G > 0 at both band ends and G < 0 at the merge
-    point, so [lo, t_merge] and [t_merge, hi] each bracket one root:
-    bisection to 1e-8, then Newton to 1e-12.
+    For 0 < Z <= Z_crit, G > 0 at both band ends, so each end and the split
+    point of `_band_split` bracket one root: bisection to 1e-8, then Newton
+    to 1e-12.
     """
     lo, hi = band_bounds(nu)
     if Z == 0:
         # exact endpoint roots t = (2 nu + 1) pi / 2 and (nu + 1) pi
         return [lo, hi]
-    crit = find_critical_coupling(nu)
-    if Z > crit.z_crit:
+    split = _band_split(Z, nu)
+    if split is None:
         return []
 
     def G(t):
@@ -211,7 +233,7 @@ def _band_roots(Z: float, nu: int):
     def dG(t):
         return matching_residual_dt(t, Z)
 
-    return [_newton(G, dG, _bisect(G, crit.t_merge, end, 1e-8), 1e-12,
+    return [_newton(G, dG, _bisect(G, split, end, 1e-8), 1e-12,
                     f"matching-residual (Z={Z})") for end in (lo, hi)]
 
 
@@ -328,59 +350,49 @@ def _kappa_condition_dZ(E: complex, Z: float) -> complex:
     return 0.5j * (_r_coth_r_dr(sigma) / sigma - _r_coth_r_dr(rho) / rho)
 
 
-def _pair_newton(E: complex, Z: float) -> complex:
-    """The pair member near E, returned as the lower one (Im E <= 0)."""
+def _pair_newton(E: complex, Z: float, nu: int) -> complex:
+    """The pair member of band nu near E, returned as the lower one (Im E <= 0).
+
+    Newton stops at |F| <= 16 eps (|E| |F_E| + |rho coth rho| + |sigma coth sigma|).
+    The first term, a few ulps of E times the slope, is the rounding floor
+    of F at large Z; the term sizes are the floor next to an exceptional
+    point, where F_E is proportional to Im E.
+    """
+    def tol(E, dE):
+        terms = sum(abs(r * coth(r)) for r in (halfplane_sqrt(-E - 1j * Z),
+                                                halfplane_sqrt(1j * Z - E)))
+        return 16 * 2.0 ** -52 * (abs(E) * abs(dE) + terms)
+
     E = _newton(lambda E: kappa_condition_residual(E, Z), lambda E: _kappa_condition_dE(E, Z),
-                E, 1e-10, f"complex-pair (Z={Z})")
+                E, tol, f"pair {nu} (Z={Z})")
     return complex(E.real, -abs(E.imag))
 
 
-def _continue_pair(crit: CriticalCoupling, Z: float) -> complex:
-    """Lower pair energy of band crit.nu at Z, continued from the merge point.
+def _pair_seed(crit: CriticalCoupling, Z: float) -> complex:
+    """Newton seed for the lower pair member of band crit.nu at Z > crit.z_crit.
 
-    The first point is Newton from e_merge - 1e-3 i at z_crit + 0.05 (or Z).
-    From there the walk steps in sigma = sqrt(Z - z_crit), in which the pair
-    is analytic (E - e_merge grows like sigma at the exceptional point).  Each
-    step predicts along the tangent dE/dsigma = 2 sigma dE/dZ, dE/dZ =
-    -F_Z/F_E, and corrects by Newton at the new coupling.  A step is accepted
-    when the correction is under a tenth of the predicted move, which rejects
-    a jump onto a neighbouring pair.  The next step is scaled so that its
-    correction would be about 0.05 of its move (the correction is second
-    order in the step): by at most x4 and at least x0.1, so by under x0.5
-    after a rejection, and by x0.5 when the corrector fails.  A coupling
-    step 2 sigma dsigma under 1e-6 is a stall.  The last step lands exactly
-    on Z.
+    Within 0.05 of Z_crit the pair is the square-root (Kato) branch of the
+    exceptional point, F ~ F_Z dZ + F_EE dE^2 / 2 there:
+    E = e_merge + sqrt(-2 F_Z (Z - Z_crit) / F_EE), the member with Im E < 0,
+    with F_EE a central difference of F_E (a seed needs no more).
+    Further up, with E = y^2 - iZ the pair condition reads
+    y cot y = -sigma coth sigma, sigma = sqrt(2iZ - y^2): each member lives
+    on one half of the well, and for large Z y tends to (nu + 1) pi.  Three
+    fixed-point passes y <- (nu + 1) pi + atan(-y / (sigma coth sigma)) from
+    there give the seed.
     """
-    def stalled(z):
-        return ConvergenceError(f"pair {crit.nu} continuation stalled at Z={z} on the way to Z={Z}")
-
-    z = min(crit.z_crit + 0.05, Z)
-    try:
-        E = _pair_newton(complex(crit.e_merge, -1e-3), z)
-    except ConvergenceError as exc:
-        raise stalled(crit.z_crit) from exc
-    sig, sig_end = math.sqrt(z - crit.z_crit), math.sqrt(Z - crit.z_crit)
-    dsig = sig
-    while z < Z:
-        slope = -2 * sig * _kappa_condition_dZ(E, z) / _kappa_condition_dE(E, z)
-        sn = min(sig + dsig, sig_end)
-        zn = Z if sn == sig_end else min(crit.z_crit + sn * sn, Z)
-        pred = E + (sn - sig) * slope
-        try:
-            En = _pair_newton(pred, zn)
-        except ConvergenceError:
-            accept, scale = False, 0.5
-        else:
-            move, err = abs(pred - E), abs(En - pred)
-            accept = err <= 0.1 * move + 1e-9 * (1 + abs(E))
-            # err/move grows like the step: aim the next step at err = 0.05 move
-            scale = 4.0 if 80 * err <= move else max(0.1, 0.05 * move / err)
-        dsig *= scale
-        if accept:
-            sig, z, E = sn, zn, En
-        elif 2 * sig * dsig < 1e-6:
-            raise stalled(z)
-    return E
+    dz = Z - crit.z_crit
+    if dz < 0.05:
+        e0, z0, h = complex(crit.e_merge), crit.z_crit, 1e-4
+        f_ee = (_kappa_condition_dE(e0 + h, z0) - _kappa_condition_dE(e0 - h, z0)) / (2 * h)
+        de = cmath.sqrt(-2 * _kappa_condition_dZ(e0, z0) * dz / f_ee)
+        return e0 + (de if de.imag < 0 else -de)
+    y0 = (crit.nu + 1) * math.pi
+    y = complex(y0)
+    for _ in range(3):
+        sigma = cmath.sqrt(2j * Z - y * y)
+        y = y0 + cmath.atan(-y / (sigma * coth(sigma)))
+    return y * y - 1j * Z
 
 
 def _polish_pair(E: complex, Z: float) -> complex:
@@ -388,7 +400,8 @@ def _polish_pair(E: complex, Z: float) -> complex:
 
     Just above an exceptional point F_E is proportional to Im E, so the
     residual _newton stops at can leave E far from the root (14 % of Im E
-    at Z_crit(0)(1 + 1e-12)); these steps take |F| to its rounding floor.
+    at Z_crit(0)(1 + 1e-12) under an absolute 1e-10 stop); these steps take
+    |F| to its rounding floor.
     """
     f = kappa_condition_residual(E, Z)
     for _ in range(8):
@@ -407,18 +420,18 @@ def solve_complex_pair(Z: float, nu: int):
     """The complex-conjugate pair of band nu for Z above its critical coupling.
 
     Returns (lower, upper) SpectralLevels with energies e0 -+ i eps0, eps0 > 0.
-    The pair is continued from the merge point in sigma = sqrt(Z - Z_crit) by
-    tangent predictor and Newton corrector, each step sized from the last
-    correction, and the root at Z is polished by plain Newton steps while
-    the residual falls.
+    The pair is solved directly at Z: Newton from `_pair_seed`, stopped by
+    a residual rule scaled by conditioning (`_pair_newton`), then polished
+    by plain Newton steps while the residual falls.  A direct Newton does not hold
+    the band by construction; `classify_spectrum` certifies the band order.
     """
     crit = find_critical_coupling(nu)
     if Z <= crit.z_crit:
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    E0 = _polish_pair(_pair_newton(_continue_pair(crit, Z), Z), Z)
+    E0 = _polish_pair(_pair_newton(_pair_seed(crit, Z), Z, nu), Z)
     if E0.imag == 0:
-        raise ConvergenceError("pair solver landed on a real energy")
+        raise ConvergenceError(f"pair {nu} solver landed on a real energy at Z={Z}")
     E1 = E0.conjugate()
     lower = SpectralLevel(0, E0, WaveNumber(halfplane_sqrt(-E0 - 1j * Z)),
                           WaveNumber(halfplane_sqrt(1j * Z - E0)), Branch.COMPLEX_PAIR_LOWER)
@@ -432,17 +445,22 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
 
     Pair members carry the two-sided wavenumbers rho = sqrt(-E - iZ),
     sigma = sqrt(iZ - E) on the Re >= 0 branch; real levels carry the
-    conjugate pair (kappa, kappa*).
+    conjugate pair (kappa, kappa*).  Pairs are solved in band order until
+    a band still has real roots or 2 (pairs) >= count: every real level and
+    every later pair lies above them.  Each pair must lie strictly above
+    the one before it in Re E, or the solve left its band and
+    `ConvergenceError` names it.
     """
     if Z < 0:
         raise ValueError("coupling must be nonnegative")
     entries = []
     nu = 0
-    while True:
-        crit = find_critical_coupling(nu)
-        if Z <= crit.z_crit:
-            break
+    while 2 * len(entries) < count and _band_split(Z, nu) is None:
         lo, up = solve_complex_pair(Z, nu)
+        if entries and not lo.energy.real > entries[-1][0].energy.real:
+            raise ConvergenceError(
+                f"pair {nu} at Z={Z} does not lie above pair {nu - 1}: Re E = "
+                f"{lo.energy.real!r} against {entries[-1][0].energy.real!r}")
         entries.append((lo, up))
         nu += 1
     reals = solve_real_spectrum(Z, max(count - 2 * len(entries), 0))

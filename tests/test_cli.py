@@ -35,6 +35,16 @@ def test_spectrum_broken_phase_lists_pair(capsys):
     assert doc["levels"][1]["branch"] == "ComplexPairUpper"
 
 
+def test_spectrum_large_coupling_lists_distinct_pairs(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "3000", "--levels", "12")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["broken_pairs"] == [[k, k + 1] for k in range(0, 12, 2)]
+    lowers = [(doc["levels"][i]["re"], doc["levels"][i]["im"]) for i, _ in doc["broken_pairs"]]
+    assert len(set(lowers)) == 6
+    assert doc["levels"][0]["re"] == pytest.approx(9.6895, abs=1e-4)
+
+
 def test_spectrum_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "spectrum", "--coupling", "3.7", "--levels", "6")
     _, second, _ = run_cli(capsys, "spectrum", "--coupling", "3.7", "--levels", "6")

@@ -267,30 +267,39 @@ def test_classify_second_pair_appears_past_second_critical():
     assert spec.levels[2].energy.imag < 0 < spec.levels[3].energy.imag
 
 
-@pytest.mark.parametrize("good_calls", [0, 1])
-def test_pair_continuation_stall_names_band(monkeypatch, good_calls):
-    # a corrector that never converges (from the first point, or after it) must end
-    # in a typed error naming the band and the target, after a bounded number of tries
-    real_newton = spectral_core._pair_newton
+@pytest.mark.parametrize("offset", [0.01, 3.5])
+def test_pair_solve_failure_names_band(monkeypatch, offset):
+    # a residual without a root, reached from the square-root seed (offset 0.01)
+    # or the one-sided seed (3.5), must end in a typed error naming the band and
+    # the coupling, after a bounded number of calls
+    Z = find_critical_coupling(0).z_crit + offset
     calls = []
 
-    def failing(E, Z):
-        calls.append(Z)
-        if len(calls) <= good_calls:
-            return real_newton(E, Z)
-        raise ConvergenceError("no convergence")
+    def rootless(E, Z):
+        calls.append(E)
+        return 1.0 + 0j
 
-    monkeypatch.setattr(spectral_core, "_pair_newton", failing)
-    with pytest.raises(ConvergenceError, match=r"pair 0 continuation stalled at Z=.* to Z=8\.0"):
-        solve_complex_pair(8.0, 0)
-    assert len(calls) < 40
+    monkeypatch.setattr(spectral_core, "kappa_condition_residual", rootless)
+    with pytest.raises(ConvergenceError, match=rf"pair 0 \(Z={Z!r}\) Newton stalled"):
+        solve_complex_pair(Z, 0)
+    assert len(calls) < 100
 
 
-@pytest.mark.parametrize("Z, budget", [(100.0, 1100), (300.0, 2900)])
-def test_pair_continuation_residual_count(monkeypatch, Z, budget):
-    # fixed 0.05 steps took 47,086 and 330,113 residual calls here, and coupling
-    # steps that doubled or halved 1,434 and 3,999; steps in sqrt(Z - Z_crit)
-    # sized from the last correction take 956 and 2,590
+def test_classify_certifies_band_order(monkeypatch):
+    # a pair solve that lands on another band's pair is a typed error naming the
+    # band, not a duplicated level
+    real_solve = spectral_core.solve_complex_pair
+    monkeypatch.setattr(spectral_core, "solve_complex_pair", lambda Z, nu: real_solve(Z, 0))
+    with pytest.raises(ConvergenceError, match=r"pair 1 at Z=14\.0 does not lie above pair 0"):
+        classify_spectrum(14.0, 8)
+
+
+@pytest.mark.parametrize("Z, budget", [(100.0, 30), (300.0, 30)])
+def test_pair_residual_count(monkeypatch, Z, budget):
+    # eight levels are the four lowest pairs.  A walk from the merge point in
+    # fixed 0.05 steps took 47,086 and 330,113 residual calls here, and steps in
+    # sqrt(Z - Z_crit) sized from the last correction took 956 and 2,590 (for
+    # every broken pair); the direct solve at Z of the four pairs takes 25 and 24
     spectral_core.find_critical_coupling.cache_clear()
     real_residual = spectral_core.kappa_condition_residual
     calls = [0]
@@ -302,6 +311,15 @@ def test_pair_continuation_residual_count(monkeypatch, Z, budget):
     monkeypatch.setattr(spectral_core, "kappa_condition_residual", counting)
     classify_spectrum(Z, 8)
     assert calls[0] <= budget
+
+
+@pytest.mark.parametrize("Z, count, budget", [(2.0, 21, 1), (98.0, 8, 4)])
+def test_critical_solves_per_request(Z, count, budget):
+    # a band whose midpoint has G < 0 is plainly unbroken and needs no critical
+    # coupling; asking every band for it took 11 and 10 solves here
+    find_critical_coupling.cache_clear()
+    classify_spectrum(Z, count)
+    assert find_critical_coupling.cache_info().misses <= budget
 
 
 @pytest.mark.parametrize("nu", [0, 1, 5, 10, 20])
@@ -358,6 +376,49 @@ def test_broken_pairs_property(Z):
         assert lower == lowers[k]
         assert lower.imag < 0 and upper == lower.conjugate()
         assert abs(kappa_condition_residual(lower, Z)) < 1e-10
+
+
+def _pair_floor(E, Z):
+    # 16 eps (|E| |F_E| + |rho coth rho| + |sigma coth sigma|): the rounding floor
+    # of the pair residual, at large Z and next to an exceptional point
+    rho, sigma = cmath.sqrt(-E - 1j * Z), cmath.sqrt(1j * Z - E)
+    terms = abs(rho * coth(rho)) + abs(sigma * coth(sigma))
+    return 16 * 2.0 ** -52 * (abs(E) * abs(_kappa_condition_dE(E, Z)) + terms)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=300.0, max_value=1e6, exclude_min=True))
+def test_large_coupling_pairs_property(Z):
+    spec = classify_spectrum(Z, 12)
+    assert spec.broken_pairs == tuple((2 * k, 2 * k + 1) for k in range(6))
+    lowers = [spec.levels[i].energy for i, _ in spec.broken_pairs]
+    # distinct bands give distinct pairs, in band order
+    assert all(a.real < b.real for a, b in zip(lowers, lowers[1:]))
+    for i, j in spec.broken_pairs:
+        lower, upper = spec.levels[i].energy, spec.levels[j].energy
+        assert lower.imag < 0 and upper == lower.conjugate()
+        assert abs(kappa_condition_residual(lower, Z)) <= _pair_floor(lower, Z)
+
+
+def test_large_coupling_pairs_keep_their_bands():
+    # above Z = 2,150 a continuation walk let band 0 land on band 1's pair
+    # (38.7586 - 2999.30i at Z = 3000); band 0's pair has Re E = 9.6895
+    mp = pytest.importorskip("mpmath")
+    Z = 3000.0
+    spec = classify_spectrum(Z, 12)
+    energies = [level.energy for level in spec.levels]
+    assert len(set(energies)) == 12
+
+    def residual(E):
+        rho, sigma = mp.sqrt(-E - 1j * Z), mp.sqrt(1j * Z - E)
+        return rho * mp.coth(rho) + sigma * mp.coth(sigma)
+
+    with mp.workdps(40):
+        # seeded from the one-sided limit y = pi / (1 + 1/sqrt(2iZ)), E = y^2 - iZ
+        y = mp.pi / (1 + 1 / mp.sqrt(2j * Z))
+        ref = complex(mp.findroot(residual, y * y - 1j * Z))
+    assert ref.real == pytest.approx(9.6895, abs=1e-4)
+    assert abs(energies[0] - ref) <= 1e-12 * abs(ref), (energies[0], ref)
 
 
 @pytest.mark.parametrize("offset", [1e-12, 1e-10])
