@@ -158,11 +158,7 @@ def _newton(f, df, x, tol, what: str):
     for _ in range(100):
         d = df(x)
         if abs(fx) < (tol(x, d) if callable(tol) else tol):
-            if d != 0:
-                xn = x - fx / d
-                if abs(f(xn)) <= abs(fx):
-                    x = xn
-            return x
+            return _last_step(f, x, fx, d)
         if d == 0:
             break
         step = fx / d
@@ -178,18 +174,59 @@ def _newton(f, df, x, tol, what: str):
     raise ConvergenceError(f"{what} Newton stalled at {x}")
 
 
-def _bisect(f, neg: float, pos: float, width: float) -> float:
-    """Midpoint of a sign change of f, f(neg) < 0 < f(pos), bracketed to `width`.
+def _last_step(f, x, fx, d):
+    """x moved by one plain Newton step if that does not raise |f|, else x."""
+    if d != 0:
+        xn = x - fx / d
+        if abs(f(xn)) <= abs(fx):
+            return xn
+    return x
 
-    The ends may come in either order; f is never evaluated at them.
+
+def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str) -> float:
+    """Root of f inside a sign change f(neg) < 0 < f(pos); the ends may come
+    in either order, and f is never evaluated at them.
+
+    Newton starts at the bracket's midpoint.  Every iterate shrinks the
+    bracket by the sign of f there, and a step that leaves the bracket is
+    replaced by its midpoint, so the root stays held.  The stop is
+    `_newton`'s: once |f| < tol, one more plain step if it does not raise
+    |f|.  A bracket that no longer shrinks is a stall.
     """
-    while abs(pos - neg) > width:
-        mid = 0.5 * (neg + pos)
-        if f(mid) < 0:
-            neg = mid
+    x = 0.5 * (neg + pos)
+    for _ in range(100):
+        fx = f(x)
+        d = df(x)
+        if abs(fx) < tol:
+            return _last_step(f, x, fx, d)
+        if fx < 0:
+            neg = x
         else:
-            pos = mid
-    return 0.5 * (neg + pos)
+            pos = x
+        # x is now an end of the bracket, so a step that stays strictly
+        # inside it moves
+        xn = x - fx / d if d != 0 else x
+        if not min(neg, pos) < xn < max(neg, pos):
+            xn = 0.5 * (neg + pos)
+            if xn in (neg, pos):
+                break
+        x = xn
+    raise ConvergenceError(f"{what} Newton stalled at {x}")
+
+
+def _far_above_critical(Z: float, nu: int) -> bool:
+    """A rigorous certificate that Z - 0.05 exceeds the band's critical coupling.
+
+    G = s sinh 2s + t sin 2t >= s sinh 2s - t, and s sinh 2s - t falls with
+    t (s = z/2t), so if it is positive at the band's upper end hi for
+    z = Z - 0.05, G > 0 on the whole band there and its roots have merged.
+    s sinh 2s >= 2 s^2, so 2 s^2 > hi decides it first without overflowing
+    sinh at large Z.
+    """
+    z = Z - 0.05
+    _, hi = band_bounds(nu)
+    s = z / (2 * hi)
+    return z > 0 and (2 * s * s > hi or s * math.sinh(2 * s) - hi > 0)
 
 
 def _band_split(Z: float, nu: int):
@@ -200,14 +237,18 @@ def _band_split(Z: float, nu: int):
     is negative the midpoint splits the roots, as it does for every band well
     below its critical coupling, and the critical coupling is not needed.
     Since s sinh 2s >= 2 s^2, G(mid) < 0 needs 2 s^2 < mid; testing that
-    first keeps sinh from overflowing at large Z.  Otherwise the roots, if
-    any, straddle the merge point t_merge, where G <= 0 up to Z_crit.
+    first keeps sinh from overflowing at large Z.  Otherwise a band that
+    `_far_above_critical` certifies broken has none, again without its
+    critical coupling.  Only in between are the roots, if any, split at the
+    merge point t_merge, where G <= 0 up to Z_crit.
     """
     lo, hi = band_bounds(nu)
     mid = 0.5 * (lo + hi)
     s = Z / (2 * mid)
     if 2 * s * s < mid and matching_residual(mid, Z) < 0:
         return mid
+    if _far_above_critical(Z, nu):
+        return None
     crit = find_critical_coupling(nu)
     return crit.t_merge if Z <= crit.z_crit else None
 
@@ -216,8 +257,10 @@ def _band_roots(Z: float, nu: int):
     """Roots of G in band nu, increasing; none once Z exceeds the band's critical coupling.
 
     For 0 < Z <= Z_crit, G > 0 at both band ends, so each end and the split
-    point of `_band_split` bracket one root: bisection to 1e-8, then Newton
-    to 1e-12.
+    point of `_band_split` bracket one root, found by one bracketed Newton.
+    It stops at |G| < max(1e-12, 8 eps hi^2): sin 2t carries the rounding
+    of its argument, about eps hi, and t multiplies it, so G's rounding
+    floor is about eps hi^2, and a fixed 1e-12 lies below it from hi ~ 24 on.
     """
     lo, hi = band_bounds(nu)
     if Z == 0:
@@ -233,8 +276,9 @@ def _band_roots(Z: float, nu: int):
     def dG(t):
         return matching_residual_dt(t, Z)
 
-    return [_newton(G, dG, _bisect(G, split, end, 1e-8), 1e-12,
-                    f"matching-residual (Z={Z})") for end in (lo, hi)]
+    tol = max(1e-12, 8 * 2.0 ** -52 * hi * hi)
+    return [_bracketed_newton(G, dG, split, end, tol, f"matching-residual (Z={Z})")
+            for end in (lo, hi)]
 
 
 def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
@@ -306,7 +350,8 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     In band nu, G = 0 is the curve Z(t) = 2 t s(t) with s sinh 2s = -t sin 2t.
     It rises from 0 at the lower band edge and falls to 0 at the upper one,
     and is tangent to a constant-Z line only at its peak, where dG/dt = 0
-    as well.  Bisection brackets that zero to 0.1, then Newton polishes it.
+    as well.  dG/dt runs from negative at the lower band edge to positive at
+    the upper one, so the band brackets that zero for one bracketed Newton.
     s(t) is solved once per point: Newton's residual and derivative at an
     iterate, and the returned s at the last one, share it.
     """
@@ -321,8 +366,7 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     def residual_dt(t):
         return _merge_residual_dt(t, curve_s(t))
 
-    t = _newton(residual, residual_dt, _bisect(residual, lo, hi, 0.1),
-                2e-11 * hi, f"tangency (band {nu})")
+    t = _bracketed_newton(residual, residual_dt, lo, hi, 2e-11 * hi, f"tangency (band {nu})")
     s = curve_s(t)
     return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
@@ -368,8 +412,10 @@ def _pair_newton(E: complex, Z: float, nu: int) -> complex:
     return complex(E.real, -abs(E.imag))
 
 
-def _pair_seed(crit: CriticalCoupling, Z: float) -> complex:
-    """Newton seed for the lower pair member of band crit.nu at Z > crit.z_crit.
+def _pair_seed(nu: int, Z: float, crit: CriticalCoupling = None) -> complex:
+    """Newton seed for the lower pair member of band nu at Z above its critical
+    coupling; crit is that band's CriticalCoupling, or None where
+    `_far_above_critical` holds and Z - Z_crit > 0.05 is known without it.
 
     Within 0.05 of Z_crit the pair is the square-root (Kato) branch of the
     exceptional point, F ~ F_Z dZ + F_EE dE^2 / 2 there:
@@ -381,13 +427,12 @@ def _pair_seed(crit: CriticalCoupling, Z: float) -> complex:
     fixed-point passes y <- (nu + 1) pi + atan(-y / (sigma coth sigma)) from
     there give the seed.
     """
-    dz = Z - crit.z_crit
-    if dz < 0.05:
+    if crit is not None and Z - crit.z_crit < 0.05:
         e0, z0, h = complex(crit.e_merge), crit.z_crit, 1e-4
         f_ee = (_kappa_condition_dE(e0 + h, z0) - _kappa_condition_dE(e0 - h, z0)) / (2 * h)
-        de = cmath.sqrt(-2 * _kappa_condition_dZ(e0, z0) * dz / f_ee)
+        de = cmath.sqrt(-2 * _kappa_condition_dZ(e0, z0) * (Z - z0) / f_ee)
         return e0 + (de if de.imag < 0 else -de)
-    y0 = (crit.nu + 1) * math.pi
+    y0 = (nu + 1) * math.pi
     y = complex(y0)
     for _ in range(3):
         sigma = cmath.sqrt(2j * Z - y * y)
@@ -424,12 +469,14 @@ def solve_complex_pair(Z: float, nu: int):
     a residual rule scaled by conditioning (`_pair_newton`), then polished
     by plain Newton steps while the residual falls.  A direct Newton does not hold
     the band by construction; `classify_spectrum` certifies the band order.
+    Where `_far_above_critical` holds, the band's critical coupling is not
+    solved: the seed is the one-sided one it would have chosen anyway.
     """
-    crit = find_critical_coupling(nu)
-    if Z <= crit.z_crit:
+    crit = None if _far_above_critical(Z, nu) else find_critical_coupling(nu)
+    if crit is not None and Z <= crit.z_crit:
         raise ConvergenceError(
             f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    E0 = _polish_pair(_pair_newton(_pair_seed(crit, Z), Z, nu), Z)
+    E0 = _polish_pair(_pair_newton(_pair_seed(nu, Z, crit), Z, nu), Z)
     if E0.imag == 0:
         raise ConvergenceError(f"pair {nu} solver landed on a real energy at Z={Z}")
     E1 = E0.conjugate()

@@ -45,6 +45,13 @@ def test_spectrum_large_coupling_lists_distinct_pairs(capsys):
     assert doc["levels"][0]["re"] == pytest.approx(9.6895, abs=1e-4)
 
 
+def test_spectrum_many_levels_at_large_coupling(capsys):
+    # a fixed |G| < 1e-12 stop made the matching-residual Newton stall at t = 91.1
+    code, out, _ = run_cli(capsys, "spectrum", "--coupling", "100", "--levels", "60")
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == 60
+
+
 def test_spectrum_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "spectrum", "--coupling", "3.7", "--levels", "6")
     _, second, _ = run_cli(capsys, "spectrum", "--coupling", "3.7", "--levels", "6")

@@ -19,6 +19,8 @@ from ptwell import (
 )
 from ptwell.spectral_core import (
     _band_roots,
+    _bracketed_newton,
+    _far_above_critical,
     _kappa_condition_dE,
     _kappa_condition_dZ,
     band_bounds,
@@ -191,12 +193,43 @@ def test_critical_point_sits_on_tangency(nu):
 
 @pytest.mark.parametrize("nu", [0, 3, 10])
 def test_band_roots_straddle_merge_just_below_critical(nu):
+    # at Z_crit (1 - 10^-k) the two roots lie about 10^(-k/2) apart around
+    # t_merge; each bracketed Newton must keep to its own side of the split
     c = find_critical_coupling(nu)
-    Z = c.z_crit * (1 - 1e-8)
-    roots = _band_roots(Z, nu)
-    assert len(roots) == 2
-    assert roots[0] < c.t_merge < roots[1]
-    assert all(abs(matching_residual(t, Z)) < 1e-12 for t in roots)
+    hi = band_bounds(nu)[1]
+    tol = max(1e-12, 8 * 2.0 ** -52 * hi * hi)
+    for k in range(4, 13):
+        Z = c.z_crit * (1 - 10.0 ** -k)
+        roots = _band_roots(Z, nu)
+        assert len(roots) == 2, k
+        assert roots[0] < c.t_merge < roots[1], k
+        assert all(abs(matching_residual(t, Z)) < tol for t in roots), k
+
+
+def test_bracketed_newton_stall_is_typed():
+    # a sign change without a root: the bracket closes on the jump, then stalls
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 1.3 else 1.0
+
+    with pytest.raises(ConvergenceError, match=r"jump Newton stalled at ") as err:
+        _bracketed_newton(step, lambda x: 0.0, 1.0, 2.0, 1e-12, "jump")
+    assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(1.3, abs=1e-15)
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("nu", range(41))
+def test_far_above_critical_is_sound(nu):
+    # the certificate may hold only where Z - 0.05 > Z_crit; it is tested on
+    # both sides of that edge, and it must hold a little further up
+    z_crit = find_critical_coupling(nu).z_crit
+    edge = z_crit + 0.05
+    for Z in [0.0, 0.5 * edge, edge] + [edge + d for k in range(1, 13)
+                                        for d in (10.0 ** -k, -(10.0 ** -k))]:
+        assert not _far_above_critical(Z, nu) or Z - 0.05 > z_crit, (nu, Z)
+    assert _far_above_critical(edge + 5.0, nu)
 
 
 @pytest.mark.parametrize("nu", [0, 3, 10])
@@ -313,10 +346,12 @@ def test_pair_residual_count(monkeypatch, Z, budget):
     assert calls[0] <= budget
 
 
-@pytest.mark.parametrize("Z, count, budget", [(2.0, 21, 1), (98.0, 8, 4)])
+@pytest.mark.parametrize("Z, count, budget", [(2.0, 21, 1), (98.0, 8, 0), (17.0, 8, 0)])
 def test_critical_solves_per_request(Z, count, budget):
-    # a band whose midpoint has G < 0 is plainly unbroken and needs no critical
-    # coupling; asking every band for it took 11 and 10 solves here
+    # a band whose midpoint has G < 0 is plainly unbroken, and one that
+    # _far_above_critical certifies is plainly broken: neither needs its
+    # critical coupling.  Asking every band took 11 and 10 solves at (2, 21)
+    # and (98, 8); the midpoint test alone took 4 at (98, 8) and 2 at (17, 8)
     find_critical_coupling.cache_clear()
     classify_spectrum(Z, count)
     assert find_critical_coupling.cache_info().misses <= budget
@@ -325,7 +360,7 @@ def test_critical_solves_per_request(Z, count, budget):
 @pytest.mark.parametrize("nu", [0, 1, 5, 10, 20])
 def test_critical_coupling_solves_the_curve_once_per_point(monkeypatch, nu):
     # Newton's residual and derivative at an iterate share one s(t); solving it
-    # for each took 12-14 solves per band
+    # for each took 12-14 solves per band, and bisecting to 0.1 before Newton 8
     spectral_core.find_critical_coupling.cache_clear()
     real_curve_s = spectral_core._curve_s
     calls = []
@@ -337,7 +372,38 @@ def test_critical_coupling_solves_the_curve_once_per_point(monkeypatch, nu):
     monkeypatch.setattr(spectral_core, "_curve_s", counting)
     find_critical_coupling(nu)
     spectral_core.find_critical_coupling.cache_clear()
-    assert len(calls) <= 8
+    assert len(calls) <= 6
+
+
+def test_real_level_residual_count(monkeypatch):
+    # one bracketed Newton per root; bisecting each root to 1e-8 before Newton
+    # took 672 calls here
+    spectral_core.find_critical_coupling.cache_clear()
+    real_residual = spectral_core.matching_residual
+    calls = [0]
+
+    def counting(t, Z):
+        calls[0] += 1
+        return real_residual(t, Z)
+
+    monkeypatch.setattr(spectral_core, "matching_residual", counting)
+    classify_spectrum(2.0, 21)
+    assert calls[0] <= 200
+
+
+@pytest.mark.parametrize("Z, count", [(100.0, 60), (300.0, 56), (300.0, 200), (1000.0, 300)])
+def test_many_real_levels_against_mpmath(Z, count):
+    # a fixed stop |G| < 1e-12 lies below G's rounding floor eps hi^2 from
+    # hi ~ 24 on, and Newton stalled at t = 91.1 (Z = 100) and 87.8 (Z = 300)
+    mp = pytest.importorskip("mpmath")
+    levels = [lv for lv in classify_spectrum(Z, count).levels if lv.branch is Branch.REAL]
+    assert levels
+    with mp.workdps(40):
+        for level in levels[::7]:
+            t0 = -level.kappa_right.value.imag
+            t = mp.findroot(lambda t: (Z / (2 * t)) * mp.sinh(Z / t) + t * mp.sin(2 * t), t0)
+            ref = float(t * t - (Z / (2 * t)) ** 2)
+            assert abs(level.energy.real - ref) <= 1e-12 * abs(ref), (level.index, level.energy, ref)
 
 
 @pytest.mark.parametrize("Z", ["near_critical", 100.0, 300.0])
