@@ -11,8 +11,9 @@ with seeds k_1..k_k, the eliminated levels' wavenumbers,
     V = V_1 - 2 d^2/du^2 ln Wr(sinh k_1 u, ..., sinh k_k u),
     psi_n ~ Wr(sinh k_1 u, ..., sinh k_k u, sinh kappa_n u) / Wr(sinh k_1 u, ..., sinh k_k u).
 
-One evaluator per side (`_CrumSide`) gives a member's potential, its
-eigenfunctions and its next step's superpotential.  Member 1 is the well.
+One table per side and point (`_CrumSide`, `_seed_table`) eliminates a
+member's seeds; its potential, each of its eigenfunctions and its next
+step's superpotential read that table.  Member 1 is the well.
 Since sigma(E) = conj rho(E*), a member is PT-symmetric exactly when its
 eliminated energies are closed under conjugation.
 """
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .spectral_core import (Branch, IllegalPlanError, SpectralLevel, Spectrum,
-                            classify_spectrum, find_critical_coupling,
+from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, SpectralLevel,
+                            Spectrum, classify_spectrum, find_critical_coupling,
                             indexed_spectrum)
 from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
                             normalize_sides, pt_defect, pt_transform,
@@ -94,14 +95,20 @@ class HierarchyMember:
 _ANNIHILATION_PROBE = tuple(chebyshev_grid(50))
 _SERIES_TOL = 1e-17  # a series stops where the bound on its next term over its first is below
 _INV_FACTORIAL = [1.0 / math.factorial(m) for m in range(171)]  # 170! is the last float
+# seed tables kept across sides: a member's 200-point grid, both sides, with
+# the points where a level's basis is not V's, twice over, since
+# hierarchy_relations_check reads two members point by point
+_SEED_TABLES = 512
 
 
 def _darboux(fs, ds, steps, chain):
     """Eliminate the seed columns of (fs, ds) = (f, df/du), complex numbers or
     numpy arrays, in place.  steps holds per seed s lam_s and lam_j - lam_s
     for the later columns j; chain says whether column j carries f_{j-1}.
-    Returns U = V - V_1 before and after the last step, and its w = f_s'/f_s."""
-    U = U_prev = w = 0j
+    Returns U = V - V_1, each step's w = f_s'/f_s and w^2, and, with chain,
+    each step's chain term for one more column: the last seed column before it."""
+    U = 0j
+    ws, w2s, last = [], [], []
     s = 0
     for lam, dlams in steps:
         prev = fs[s]
@@ -116,6 +123,7 @@ def _darboux(fs, ds, steps, chain):
                 ds[j] = (dlam + w2) * f - w * d + prev
                 prev = f
                 j += 1
+            last.append(prev)
         else:  # most points: a fifth faster than testing chain per column
             for dlam in dlams:
                 f = fs[j]
@@ -123,9 +131,11 @@ def _darboux(fs, ds, steps, chain):
                 fs[j] = d - w * f
                 ds[j] = (dlam + w2) * f - w * d
                 j += 1
-        U_prev, U = U, 2.0 * (w2 - lam) - U
+        ws.append(w)
+        w2s.append(w2)
+        U = 2.0 * (w2 - lam) - U
         s += 1
-    return U_prev, w, U
+    return U, ws, w2s, last
 
 
 @lru_cache(maxsize=None)
@@ -140,52 +150,88 @@ def _series_terms(bucket: int) -> int:
     return d
 
 
-def _series(lams, buckets: int):
-    """Per bucket and column j >= 1, Horner coefficients (value, slope), highest
-    power first, of G_j = u^(2j+1) sum_d h_d t^d/(2d+2j+1)! and G_j' = u^(2j)
-    sum_d h_d t^d/(2d+2j)!, t = u^2, h_d complete homogeneous in lam_0..lam_j."""
-    terms = _series_terms(buckets - 1)
-    h = [1.0] + [0.0] * (terms - 1)
-    columns = []
-    for j, lam in enumerate(lams):
-        acc = 0j
-        for d in range(terms):  # h_d(lam_0..lam_j) = h_d(lam_0..lam_j-1) + lam_j h_d-1(lam_0..lam_j)
-            acc = h[d] = h[d] + lam * acc
-        if j:
-            columns.append([(h[d] * _INV_FACTORIAL[2 * d + 2 * j + 1], h[d] * _INV_FACTORIAL[2 * d + 2 * j])
-                            for d in reversed(range(terms))])
-    return [[c[terms - _series_terms(b):] for c in columns] for b in range(buckets)]
+def _extend(h, lam):
+    """The complete homogeneous h_d(lam_0..lam_j), d < len(h), from h = h_d(lam_0..lam_j-1)
+    and lam = lam_j: h_d(..lam_j) = h_d(..lam_j-1) + lam_j h_d-1(..lam_j)."""
+    out, acc = [], 0j
+    for hd in h:
+        acc = hd + lam * acc
+        out.append(acc)
+    return out
+
+
+def _horner(h, j: int, buckets: int):
+    """Per bucket, Horner coefficients (value, slope), highest power first, of column
+    j >= 1: G_j = u^(2j+1) sum_d h_d t^d/(2d+2j+1)! and G_j' = u^(2j) sum_d h_d t^d/(2d+2j)!,
+    t = u^2, h_d = h_d(lam_0..lam_j)."""
+    terms = len(h)
+    coefficients = [(h[d] * _INV_FACTORIAL[2 * d + 2 * j + 1], h[d] * _INV_FACTORIAL[2 * d + 2 * j])
+                    for d in reversed(range(terms))]
+    return [coefficients[terms - _series_terms(b):] for b in range(buckets)]
+
+
+def _overflow(side, x: float) -> ConvergenceError:
+    return ConvergenceError(f"Crum table overflows at coupling {abs(side.c)!r}, x = {x!r}: "
+                            "sinh(kappa u) is past the float range")
 
 
 class _CrumSide:
-    """Crum's transform of sinh(kappa u) on one side, u = 1 - sign x, by a Darboux table.
+    """A member's seeds on one side, u = 1 - sign x, and its potential there.
 
-    The columns, each with its u-derivative, are the seeds (the eliminated
-    levels) and, for an eigenfunction, its level last.  Eliminating column s
-    takes w = f_s'/f_s, maps each later column by f_j <- (f_j' - w f_j,
-    (lam_j - lam_s + w^2) f_j - w f_j' + f_{j-1}), lam = kappa^2, and the
-    offset U = V - V_1 by U <- -U - 2 lam_s + 2 w^2.  Far from the wall the
-    columns are (sinh kappa u, kappa cosh kappa u) with chain term 0; near it,
-    where those cancel, the divided differences G_j = g[lam_0..lam_j] of
-    g(lam, u) = sinh(sqrt(lam) u)/sqrt(lam) (`_series`), whose
-    G_j'' = lam_j G_j + G_{j-1} gives the chain term.  U and w agree in both
-    bases; the last column differs by kappa_n prod_s (lam_n - lam_s).  The
-    crossover X = |kappa|_max u = min(n (n - 1)/4, 9) for n columns was
-    measured against a 40-digit referee (docs/decisions.md).
+    The seed table at x (`_seed_table`, shared by sides with equal seeds)
+    eliminates the seed columns, each with its u-derivative, in ascending
+    energy.  Column s gives w_s = f_s'/f_s, maps each later column by
+    f_j <- (f_j' - w_s f_j, (lam_j - lam_s + w_s^2) f_j - w_s f_j' + f_{j-1}),
+    lam = kappa^2, and the offset U = V - c by U <- -U - 2 lam_s + 2 w_s^2,
+    so V = c + U.  Each level of the member is one more column
+    (`_CrumColumn`), carried through the same w_s in O(k).
+
+    Far from the wall the columns are (sinh kappa u, kappa cosh kappa u)
+    with chain term 0.  Near it, where those cancel, they are the divided
+    differences G_j = g[lam_0..lam_j] of g(lam, u) = sinh(sqrt(lam) u)/sqrt(lam),
+    whose G_j'' = lam_j G_j + G_{j-1} gives the chain term; a level's is
+    the last seed column at each step, which the table keeps.  U and w agree
+    in both bases.  The crossover X = |kappa|_max u = min(n (n - 1)/4, 9)
+    for n columns was measured against a 40-digit referee
+    (docs/decisions.md).  V has n = k; a level has n = k + 1 with its own
+    kappa in the max, so at one x a level may read the near table where V
+    reads the far one.  The series reaches the levels' crossover, no further.
     """
 
-    def __init__(self, c: complex, sign: float, seeds, target=None):
-        self.c, self.sign = c, sign  # the well's value on this side; +1 on the right
-        self.kappas = list(seeds) + ([target] if target is not None else [])
-        lams = [k * k for k in self.kappas]
-        self.steps = [(lam, [m - lam for m in lams[s + 1:]]) for s, lam in enumerate(lams[:len(seeds)])]
-        self.buckets = min(len(lams) * (len(lams) - 1) // 2, 18)  # X-buckets below the crossover
-        self.per_u = 2 * max(abs(k) for k in self.kappas)  # bucket = int(|u| per_u)
-        self.scale = 1.0 if target is None else target * math.prod(lams[-1] - m for m in lams[:-1])
-        self.lams, self.series = lams, None  # series built on first use
+    def __init__(self, c: complex, sign: float, attr: str, seeds):
+        self.c, self.sign, self.attr = c, sign, attr  # the well's value on this side; +1 on the right
+        self.kappas = [getattr(lv, attr).value for lv in seeds]
+        self.lams = lams = [k * k for k in self.kappas]
+        self.steps = [(lam, [m - lam for m in lams[s + 1:]]) for s, lam in enumerate(lams)]
+        k = len(lams)
+        self.v_buckets = min(k * (k - 1) // 2, 18)  # X-buckets below V's crossover
+        self.buckets = min(k * (k + 1) // 2, 18)  # and below a level's, never fewer
+        self.per_u = 2 * max((abs(kappa) for kappa in self.kappas), default=0.0)  # bucket = int(|u| per_u)
+        self.series = self.h = None  # built on first use
+        self._key = (sign, c, tuple(self.kappas))
+        self._hash = hash(self._key)
+
+    def __eq__(self, other):
+        return isinstance(other, _CrumSide) and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def _series(self):
+        """Per bucket, the Horner coefficients of seed columns 1..k-1, and in
+        self.h the h_d of all seeds that a level's column extends."""
+        if self.series is None:
+            self.h = [1.0] + [0.0] * (_series_terms(self.buckets - 1) - 1)
+            columns = []
+            for j, lam in enumerate(self.lams):
+                self.h = _extend(self.h, lam)
+                if j:
+                    columns.append(_horner(self.h, j, self.buckets))
+            self.series = [[c[b] for c in columns] for b in range(self.buckets)]
+        return self.series
 
     def _columns(self, u, bucket, lib):
-        """Columns at u (an array if lib is numpy), far basis for bucket -1."""
+        """Seed columns at u (an array if lib is numpy), far basis for bucket -1."""
         fs, ds = [], []
         if bucket < 0:
             for k in self.kappas:
@@ -193,13 +239,11 @@ class _CrumSide:
                 fs.append(lib.sinh(z))
                 ds.append(k * lib.cosh(z))
             return fs, ds
-        if self.series is None:
-            self.series = _series(self.lams, self.buckets)
         k = self.kappas[0]
         fs.append(lib.sinh(k * u) / k)
         ds.append(lib.cosh(k * u))
         t = power = u * u
-        for coefficients in self.series[bucket]:
+        for coefficients in self._series()[bucket]:
             value = slope = 0j
             for a, b in coefficients:
                 value = value * t + a
@@ -209,21 +253,9 @@ class _CrumSide:
             power = power * t
         return fs, ds
 
-    def _table(self, x: float):
-        """(fs, ds, (U_prev, w, U), scale to the far basis's last column) at x."""
-        u = 1.0 - self.sign * x
-        bucket = int(abs(u) * self.per_u)
-        bucket = bucket if bucket < self.buckets else -1
-        fs, ds = self._columns(u, bucket, cmath)
-        return fs, ds, _darboux(fs, ds, self.steps, bucket >= 0), self.scale if bucket >= 0 else 1.0
-
     def potential(self, x: float) -> complex:
-        return self.c + self._table(x)[2][2]
-
-    def eigenfunction(self, x: float):
-        """(psi, psi') of the last column."""
-        fs, ds, _, scale = self._table(x)
-        return fs[-1] * scale, ds[-1] * (-self.sign * scale)
+        u = 1.0 - self.sign * x
+        return self.c + _seed_table(self, x, int(abs(u) * self.per_u) < self.v_buckets)[0]
 
     def potential_array(self, x):
         """V as a numpy array over a sequence of x, each bucket's points at once."""
@@ -231,19 +263,87 @@ class _CrumSide:
 
         u = 1.0 - self.sign * np.asarray(x)
         buckets = (abs(u) * self.per_u).astype(int)
-        buckets[buckets >= self.buckets] = -1
+        buckets[buckets >= self.v_buckets] = -1
         V = np.empty(u.shape, dtype=np.complex128)
         for bucket in np.unique(buckets).tolist():
             points = buckets == bucket
             fs, ds = self._columns(u[points], bucket, np)
-            V[points] = self.c + _darboux(fs, ds, self.steps, bucket >= 0)[2]
+            V[points] = self.c + _darboux(fs, ds, self.steps, bucket >= 0)[0]
         return V
 
 
-def _sides(Z: float, seeds, target=None):
-    """The right and left _CrumSide of the levels `seeds`, and of `target`."""
-    return [_CrumSide(c, sign, [getattr(lv, attr).value for lv in seeds],
-                      None if target is None else getattr(target, attr).value)
+@lru_cache(maxsize=_SEED_TABLES)
+def _seed_table(side: _CrumSide, x: float, near: bool):
+    """`_darboux` of the side's seed columns at x, in the near-wall basis if near.
+    Every reader of the side at x gets the same lists: they are read-only."""
+    u = 1.0 - side.sign * x
+    try:
+        fs, ds = side._columns(u, int(abs(u) * side.per_u) if near else -1, cmath)
+    except OverflowError:
+        raise _overflow(side, x) from None
+    return _darboux(fs, ds, side.steps, near)
+
+
+class _CrumColumn:
+    """One level's column on a side, carried through the side's seed tables."""
+
+    def __init__(self, side: _CrumSide, level: SpectralLevel):
+        self.side, self.energy = side, level.energy
+        self.kappa = kappa = getattr(level, side.attr).value
+        self.dlams = [kappa * kappa - lam for lam in side.lams]
+        self.per_u = max(side.per_u, 2 * abs(kappa))
+        self.scale = kappa * math.prod(self.dlams)  # the near basis's column over the far one's
+        self.series = None  # built on first use
+
+    def _bucket(self, x: float) -> int:
+        """The level's X-bucket at x, -1 (the far basis) from its crossover on."""
+        bucket = int(abs(1.0 - self.side.sign * x) * self.per_u)
+        return bucket if bucket < self.side.buckets else -1
+
+    def _column(self, x: float, bucket: int):
+        """(f, f', U) at x after the seeds, in the far basis's normalization."""
+        side = self.side
+        u = 1.0 - side.sign * x
+        U, ws, w2s, last = _seed_table(side, x, bucket >= 0)
+        if bucket < 0:
+            z = self.kappa * u
+            try:
+                f, d = cmath.sinh(z), self.kappa * cmath.cosh(z)
+            except OverflowError:
+                raise _overflow(side, x) from None
+            for w, w2, dlam in zip(ws, w2s, self.dlams):
+                f, d = d - w * f, (dlam + w2) * f - w * d
+            return f, d, U
+        if self.series is None:
+            side._series()  # and with it side.h, the seeds' h_d
+            self.series = _horner(_extend(side.h, self.kappa * self.kappa), len(ws), side.buckets)
+        t = u * u
+        value = slope = 0j
+        for a, b in self.series[bucket]:
+            value = value * t + a
+            slope = slope * t + b
+        power = t ** len(ws)
+        f, d = value * power * u, slope * power
+        for w, w2, dlam, prev in zip(ws, w2s, self.dlams, last):
+            f, d = d - w * f, (dlam + w2) * f - w * d + prev
+        return f * self.scale, d * self.scale, U
+
+    def eigenfunction(self, x: float):
+        """(psi, psi') in x."""
+        f, d, _ = self._column(x, self._bucket(x))
+        return f, d * -self.side.sign
+
+    def superpotential(self, x: float):
+        """(W, W') of eliminating this level: W = -psi'/psi, W' = W^2 - V + E_f."""
+        f, d, U = self._column(x, self._bucket(x))
+        w = d / f
+        w *= self.side.sign
+        return w, w * w - (self.side.c + U) + self.energy
+
+
+def _sides(Z: float, seeds):
+    """The right and left _CrumSide of the levels `seeds`."""
+    return [_CrumSide(c, sign, attr, seeds)
             for c, sign, attr in ((complex(0.0, -Z), 1.0, "kappa_right"),
                                   (complex(0.0, Z), -1.0, "kappa_left"))]
 
@@ -253,29 +353,13 @@ def _canonical(levels) -> list:
     return sorted(levels, key=lambda lv: (lv.energy.real, lv.energy.imag))
 
 
-def _crum_potential(Z: float, eliminated) -> PiecewisePotential:
-    right, left = _sides(Z, _canonical(eliminated))
+def _crum_potential(sides, eliminated) -> PiecewisePotential:
+    right, left = sides
     # pair members are exact conjugates (spectral_core); real levels have Im E = 0
     energies = [lv.energy for lv in eliminated]
     return PiecewisePotential(right.potential, left.potential, len(eliminated) + 1,
                               all(E.conjugate() in energies for E in energies),
                               (right.potential_array, left.potential_array))
-
-
-def _crum_superpotential(Z: float, eliminated, level: SpectralLevel) -> Superpotential:
-    """W = -psi'/psi of `level` after `eliminated`: sign w of the table that
-    eliminates it last; W' = W^2 - V + E_f, V from the same table's earlier
-    steps, so each side builds one table per x."""
-    E = level.energy
-
-    def side(ev):
-        def value_and_slope(x):
-            U_prev, w, _ = ev._table(x)[2]
-            w *= ev.sign
-            return w, w * w - (ev.c + U_prev) + E
-        return value_and_slope
-
-    return Superpotential(*map(side, _sides(Z, _canonical(eliminated) + [level])), E)
 
 
 def square_well_potential(Z: float) -> PiecewisePotential:
@@ -342,12 +426,11 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     return normalize_sides(lvl, psi.member_depth + 1, right, left)
 
 
-def _eigenfunctions(spectrum: Spectrum, eliminated):
-    if not eliminated:
+def _eigenfunctions(spectrum: Spectrum, sides, depth: int):
+    if depth == 1:
         return lambda n: square_well_eigenfunction(spectrum.levels[n])
-    seeds = _canonical(eliminated)
-    return lambda n: normalize_sides(spectrum.levels[n], len(seeds) + 1, *(
-        side.eigenfunction for side in _sides(0.0, seeds, spectrum.levels[n])))
+    return lambda n: normalize_sides(spectrum.levels[n], depth, *(
+        _CrumColumn(side, spectrum.levels[n]).eigenfunction for side in sides))
 
 
 def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8):
@@ -364,20 +447,24 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
     if len(plan.choices) < depth - 1:
         raise IllegalPlanError(f"plan has {len(plan.choices)} steps, depth {depth} needs {depth - 1}")
     spectrum = classify_spectrum(Z, levels)
-    potential = square_well_potential(Z)
     eliminated = ()
     members = []
     for m in range(1, depth + 1):
+        # V, every psi_n and W of a member read one pair of sides, and so share its seed tables
+        sides = _sides(Z, _canonical(eliminated))
+        potential = _crum_potential(sides, eliminated) if eliminated else square_well_potential(Z)
         choice = plan.choices[m - 1] if m - 1 < len(plan.choices) else None
-        e_idx = None if choice is None else _elim_index(spectrum, choice)
-        W = None if choice is None else _crum_superpotential(Z, eliminated, spectrum.levels[e_idx])
-        members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, eliminated),
+        W = None
+        if choice is not None:
+            level = spectrum.levels[_elim_index(spectrum, choice)]
+            W = Superpotential(*(_CrumColumn(side, level).superpotential for side in sides), level.energy)
+        members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, sides, m),
                                        eliminated))
         if m == depth:
             break
-        eliminated += (spectrum.levels[e_idx],)
-        spectrum = indexed_spectrum(spectrum.coupling, [lv for lv in spectrum.levels if lv.index != e_idx])
-        potential = _crum_potential(Z, eliminated)
+        eliminated += (level,)
+        spectrum = indexed_spectrum(spectrum.coupling,
+                                    [lv for lv in spectrum.levels if lv.index != level.index])
     return members
 
 

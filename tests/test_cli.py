@@ -174,6 +174,19 @@ def test_solver_failures_exit_2(capsys):
     assert "error" in err
 
 
+def test_hierarchy_past_the_float_range_exits_2(capsys):
+    # at Z = 1e6 sinh(kappa u) of member 2's seeds overflows a float; at 3e5 it does not
+    code, out, err = run_cli(capsys, "hierarchy", "--coupling", "1e6", "--depth", "3",
+                             "--plan", "clower,cupper", "--samples", "5")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ConvergenceError"
+    assert "coupling 1000000.0" in doc["detail"] and "x = " in doc["detail"]
+    code, _, _ = run_cli(capsys, "hierarchy", "--coupling", "3e5", "--depth", "3",
+                         "--plan", "clower,cupper", "--samples", "5")
+    assert code == 0
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ptwell.cli", "spectrum", "--coupling", "0", "--levels", "2"],

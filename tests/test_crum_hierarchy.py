@@ -38,42 +38,75 @@ def _points(side: str):
     return cli + [x0 * (ORACLE_STEPS - k) / ORACLE_STEPS for k in ORACLE_NODES]
 
 
-@pytest.mark.parametrize("Z, plan, sides", CASES)
-def test_members_match_crum_referee(Z, plan, sides):
-    """Potentials pointwise, and psi, psi' up to each side's normalization
-    wherever |psi| is above 1e-3 of its side's maximum or u <= 0.01."""
-    members = build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)
+def _side(side: str, Z: float):
+    """(kappa attribute, sign, well value) of the right ("R") or left side."""
+    return ("kappa_right", 1.0, -1j * Z) if side == "R" else ("kappa_left", -1.0, 1j * Z)
+
+
+def _check_members(members, side, Z, xs):
+    """Potentials pointwise, and psi, psi' of levels 0 and 1 up to each side's
+    normalization wherever |psi| is above 1e-3 of its side's maximum or u <= 0.01."""
     last = members[-1]
     extra = last.spectrum.levels[:2]
     columns = [lv.energy for lv in last.eliminated + extra]
+    attr, sign, c = _side(side, Z)
+    refs = [crum_chain(c, [getattr(lv, attr).value for lv in last.eliminated],
+                       [getattr(lv, attr).value for lv in extra], 1.0 - sign * x)
+            for x in xs]
+    kmax = max(abs(getattr(lv, attr).value) for lv in last.eliminated + extra)
+    for member in members[1:]:
+        k = member.depth - 1
+        for x, ref in zip(xs, refs):
+            V = complex(ref[k][0])
+            assert abs(member.potential(x) - V) <= RTOL * abs(V), (member.depth, x)
+        for n in range(2):
+            j = columns.index(member.spectrum.levels[n].energy)
+            psi = member.eigenfunctions(n)
+            evaluate = psi.right if side == "R" else psi.left
+            # (psi, psi') of the referee in x: d/dx = -sign d/du
+            want = [(complex(ref[k][1][j][0]), -sign * complex(ref[k][1][j][1])) for ref in refs]
+            peak = max(range(len(xs)), key=lambda i: abs(want[i][0]))
+            norm = evaluate(xs[peak])[0] / want[peak][0]
+            for x, (p, d) in zip(xs, want):
+                p, d = p * norm, d * norm
+                if abs(p) <= 1e-3 * abs(want[peak][0] * norm) and 1.0 - abs(x) > 0.01:
+                    continue
+                got, slope = evaluate(x)
+                assert abs(got - p) <= RTOL * abs(p), (member.depth, n, x)
+                assert abs(slope - d) <= RTOL * (abs(d) + kmax * abs(p)), (member.depth, n, x)
+
+
+@pytest.mark.parametrize("Z, plan, sides", CASES)
+def test_members_match_crum_referee(Z, plan, sides):
+    members = build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)
     for side in sides:
-        attr, sign, c = (("kappa_right", 1.0, -1j * Z) if side == "R"
-                         else ("kappa_left", -1.0, 1j * Z))
-        xs = _points(side)
-        refs = [crum_chain(c, [getattr(lv, attr).value for lv in last.eliminated],
-                           [getattr(lv, attr).value for lv in extra], 1.0 - sign * x)
-                for x in xs]
-        kmax = max(abs(getattr(lv, attr).value) for lv in last.eliminated + extra)
-        for member in members[1:]:
-            k = member.depth - 1
-            for x, ref in zip(xs, refs):
-                V = complex(ref[k][0])
-                assert abs(member.potential(x) - V) <= RTOL * abs(V), (member.depth, x)
-            for n in range(2):
-                j = columns.index(member.spectrum.levels[n].energy)
-                psi = member.eigenfunctions(n)
-                evaluate = psi.right if side == "R" else psi.left
-                # (psi, psi') of the referee in x: d/dx = -sign d/du
-                want = [(complex(ref[k][1][j][0]), -sign * complex(ref[k][1][j][1])) for ref in refs]
-                peak = max(range(len(xs)), key=lambda i: abs(want[i][0]))
-                norm = evaluate(xs[peak])[0] / want[peak][0]
-                for x, (p, d) in zip(xs, want):
-                    p, d = p * norm, d * norm
-                    if abs(p) <= 1e-3 * abs(want[peak][0] * norm) and 1.0 - abs(x) > 0.01:
-                        continue
-                    got, slope = evaluate(x)
-                    assert abs(got - p) <= RTOL * abs(p), (member.depth, n, x)
-                    assert abs(slope - d) <= RTOL * (abs(d) + kmax * abs(p)), (member.depth, n, x)
+        _check_members(members, side, Z, _points(side))
+
+
+def _between_crossovers(member, n, side, Z):
+    """Three x between V's crossover and that of level n's column, X = |kappa|_max u
+    = min(c (c - 1)/4, 9) for c columns: k seeds for V, k + 1 for the level.
+    V is in its far basis there and the level in its near-wall one."""
+    attr, sign, _ = _side(side, Z)
+    k = len(member.eliminated)
+    seeds = max(abs(getattr(lv, attr).value) for lv in member.eliminated)
+    level = max(seeds, abs(getattr(member.spectrum.levels[n], attr).value))
+    lo, hi = min(k * (k - 1) / 4, 9) / seeds, min((k + 1) * k / 4, 9) / level
+    return [sign * (1.0 - (lo + (hi - lo) * (i + 0.5) / 3)) for i in range(3)] if lo < hi else []
+
+
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real"),
+                                     (18.0, "clower,cupper,cupper,clower")])
+def test_points_between_the_crossovers_match_referee(Z, plan):
+    """A level's column takes the near-wall basis at points where V takes the
+    far one, so its seed table there is one V never reads."""
+    members = build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)
+    for side in "RL":
+        between = {m.depth: [x for n in range(2) for x in _between_crossovers(m, n, side, Z)]
+                   for m in members[2:]}
+        assert all(between.values()), between
+        _check_members(members, side, Z, _points(side) + sorted(sum(between.values(), [])))
 
 
 def test_cli_wall_samples_match_referee(capsys):

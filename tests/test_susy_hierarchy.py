@@ -16,7 +16,7 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import susy_hierarchy
-from ptwell.susy_hierarchy import _darboux, _sides
+from ptwell.susy_hierarchy import _CrumColumn, _seed_table, _sides
 from ptwell.wavefunctions import chebyshev_grid, limit_form, schrodinger_residual
 
 INTERIOR = (-0.85, -0.4, -0.15, 0.2, 0.55, 0.9)
@@ -100,22 +100,20 @@ def test_series_basis_matches_far_basis_at_crossover():
     # the series carries the most terms and the far table cancels the most
     for (Z, plan), k in itertools.product(CHAINS, range(1, 7)):
         member = build_hierarchy(Z, EliminationPlan.from_text(_padded(plan, 6)), 7, levels=9)[k]
-        for level in (None,) + member.spectrum.levels[:2]:
-            for side in _sides(Z, member.eliminated, level):
-                if side.buckets == 0:
-                    continue  # one column: no series
-                u = side.buckets / side.per_u * (1 - 1e-9)
-                near = side._columns(u, int(u * side.per_u), cmath)
-                far = side._columns(u, -1, cmath)
-                (_, w_near, U_near), (_, w_far, U_far) = (
-                    _darboux(*near, side.steps, True), _darboux(*far, side.steps, False))
-                if level is None:
-                    assert abs(U_near - U_far) <= CROSSOVER_RTOL * abs(side.c + U_far)
-                    assert abs(w_near - w_far) <= CROSSOVER_RTOL * abs(w_far)
-                    continue
-                f_near, d_near = near[0][-1] * side.scale, near[1][-1] * side.scale
-                f_far, d_far = far[0][-1], far[1][-1]
-                kmax = max(abs(kappa) for kappa in side.kappas)
+        for side in _sides(Z, member.eliminated):
+            if side.v_buckets:  # one column: no series
+                x = side.sign * (1.0 - side.v_buckets / side.per_u * (1 - 1e-9))
+                (U_near, w_near, _, _), (U_far, w_far, _, _) = (
+                    _seed_table(side, x, True), _seed_table(side, x, False))
+                assert abs(U_near - U_far) <= CROSSOVER_RTOL * abs(side.c + U_far)
+                assert abs(w_near[-1] - w_far[-1]) <= CROSSOVER_RTOL * abs(w_far[-1])
+            for level in member.spectrum.levels[:2]:
+                column = _CrumColumn(side, level)
+                x = side.sign * (1.0 - side.buckets / column.per_u * (1 - 1e-9))
+                assert column._bucket(x) == side.buckets - 1
+                f_near, d_near, _ = column._column(x, side.buckets - 1)
+                f_far, d_far, _ = column._column(x, -1)
+                kmax = column.per_u / 2
                 assert abs(f_near - f_far) <= CROSSOVER_RTOL * abs(f_far)
                 assert abs(d_near - d_far) <= CROSSOVER_RTOL * (abs(d_far) + kmax * abs(f_far))
 
@@ -180,8 +178,9 @@ def test_eigenfunction_slopes_match_difference_quotients(Z, plan):
 
 
 def test_deep_member_hyperbolic_call_counts(monkeypatch):
-    # at x = 0.3 the member-5 evaluator is in its far basis: one sinh and one
-    # cosh per column, the four seeds and, for psi, the level itself
+    # at x = 0.3 member 5 is in its far basis: one sinh and one cosh per
+    # column, the four seeds and, for psi, the level itself; V then reads
+    # psi's seed table and calls none
     h = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 5, levels=8)
     psi, V = h[4].eigenfunctions(0), h[4].potential
     calls = [0]
@@ -194,9 +193,13 @@ def test_deep_member_hyperbolic_call_counts(monkeypatch):
 
     monkeypatch.setattr(cmath, "sinh", counted(cmath.sinh))
     monkeypatch.setattr(cmath, "cosh", counted(cmath.cosh))
+    _seed_table.cache_clear()
     psi(0.3)
     assert calls[0] <= 10
     calls[0] = 0
+    V(0.3)
+    assert calls[0] == 0
+    _seed_table.cache_clear()
     V(0.3)
     assert calls[0] <= 8
 
@@ -236,26 +239,106 @@ def test_superpotential_routes_agree_at_every_depth():
                 assert partner == pytest.approx(child.potential(x), rel=1e-10, abs=1e-10)
 
 
+def _count_tables(monkeypatch):
+    """The seed tables built from here on, as (side, u, near) per build, from an empty cache."""
+    built = []
+    columns = susy_hierarchy._CrumSide._columns
+
+    def counting(side, u, bucket, lib):
+        built.append((side, u, bucket >= 0))
+        return columns(side, u, bucket, lib)
+
+    _seed_table.cache_clear()
+    monkeypatch.setattr(susy_hierarchy._CrumSide, "_columns", counting)
+    return built
+
+
 @pytest.mark.parametrize("x", [0.3, -0.3])
 def test_superpotential_slope_builds_one_table(x, monkeypatch):
-    # W and W' come from one Darboux table at x, as a potential value does
-    tables = []
-    counted = susy_hierarchy._darboux
-
-    def counting(*args):
-        tables.append(args)
-        return counted(*args)
-
+    # W and W' come from one seed table at x, and partner_potential reads W
+    # there again; member 4 has other seeds, so its potential builds its own
     h = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real"), 4, levels=6)
     W = h[2].superpotential
-    monkeypatch.setattr(susy_hierarchy, "_darboux", counting)
-    for read in (W, W.derivative, h[3].potential):
-        del tables[:]
-        read(x)
-        assert len(tables) == 1
-    del tables[:]
+    built = _count_tables(monkeypatch)
+    W(x)
+    assert len(built) == 1
+    W.derivative(x)
     partner_potential(W, 4, True)(x)
-    assert len(tables) == 1
+    assert len(built) == 1
+    h[3].potential(x)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("Z, plan", [(0.0, "real,real,real,real"), (2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real"),
+                                     (18.0, "clower,cupper,clower,cupper")])
+def test_potential_and_eigenfunctions_share_seed_tables(Z, plan, monkeypatch):
+    # V, then psi_0, then psi_1 over the benchmark's grid: at most one seed
+    # elimination per (x, basis).  An eigenfunction builds at the origin
+    # (u = 1), where it is normalized, and at grid points only in the near
+    # basis where no earlier read used it.  In a real plan psi_1 has the
+    # larger kappa, so its near points are psi_0's and it builds none.
+    grid = [j * 0.0099 for j in range(-100, 101) if j]
+    for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)[1:]:
+        built = _count_tables(monkeypatch)
+        for x in grid:
+            member.potential(x)
+        assert len(built) == len(grid)
+        for n in range(2):
+            before = len(built)
+            psi = member.eigenfunctions(n)
+            for x in grid:
+                psi(x)
+            assert all(near for _, u, near in built[before:] if u != 1.0)
+            if n == 1 and "c" not in plan:
+                assert len(built) == before
+        assert len(set(built)) == len(built)
+        monkeypatch.undo()
+
+
+def test_both_pair_orders_share_member_3_tables(monkeypatch):
+    # the two orders that eliminate a pair reach one member 3: equal sides,
+    # so the second order's potential reads the first one's seed tables
+    a, b = (build_hierarchy(8.0, EliminationPlan.from_text(plan), 3)[2]
+            for plan in ("clower,cupper", "cupper,clower"))
+    grid = chebyshev_grid(101)
+    built = _count_tables(monkeypatch)
+    first = [a.potential(x) for x in grid]
+    assert len(built) == len(grid)
+    assert [b.potential(x) for x in grid] == first
+    assert len(built) == len(grid)
+
+
+def _bits(value):
+    """The bits of a complex number, or of each in a tuple: -0.0 is not 0.0 here."""
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return value.real.hex(), value.imag.hex()
+
+
+def test_samples_do_not_depend_on_cache_order():
+    # V first or psi first, each from a cleared cache and again warm, bit for bit
+    grid = [j * 0.0099 for j in range(-100, 101, 7) if j] + [0.0, 1.0 - 1e-6, -(1.0 - 1e-6)]
+
+    def sample(order):
+        values = {}
+        for member in build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper,real,real"),
+                                      5, levels=8)[1:]:
+            reads = {"V": member.potential,
+                     "psi0": member.eigenfunctions(0).value_and_slope,
+                     "psi1": member.eigenfunctions(1).value_and_slope}
+            if member.superpotential is not None:
+                reads["W"] = member.superpotential.value_and_slope
+            for name in order:
+                if name in reads:
+                    values[member.depth, name] = [_bits(reads[name](x)) for x in grid]
+        return values
+
+    runs = []
+    for order in (("V", "W", "psi0", "psi1"), ("psi1", "psi0", "W", "V")):
+        _seed_table.cache_clear()
+        runs += [sample(order), sample(order)]
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_second_step_superpotential_mirror():
