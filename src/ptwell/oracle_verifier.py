@@ -27,7 +27,9 @@ sampled and cached together (`_sampled_sides`), with the coefficients of
 the blocks of every side that is integrated, stacked as one
 (17, 4, sides, n/8) array (k, rows a, b, c, d, side, block).  An energy
 then costs Horner's rule in elementwise array operations and a pairwise
-tree over n/8 blocks, for every integrated side in one product.  Energies
+tree over n/8 blocks, for every integrated side in one product, each
+tree level one broadcast 2x2 product; exponents and the exact size test
+are paid only where a level can rescale.  Energies
 are integrated several at a time, as a third array axis down the same
 tree, with energies times blocks per side up to BATCH_BLOCKS; the scans
 hand over whole grids, and the secant runs of one search advance in
@@ -214,14 +216,23 @@ def _rk4_step_product(blocks, Es, starts):
     evaluates the blocks of all B energies as one (4, S, B, nb) array, in
     elementwise operations only: a matmul or einsum may sum in an order
     that depends on B, and a value would then depend on its batch.  The
-    array is viewed as (4, S B, nb): rows a, b, c, d, one row of blocks
-    per side and energy, blocks on the last axis so that every array
-    operation runs down nb.  Neighbours along nb multiply pairwise up a
-    tree, carrying an odd tail; once a partial product passes 1e100, its
-    level is scaled by exact powers of two, one per product, side and
-    energy, summed up the tree, so each keeps its own exponent.  Returns,
-    per side, one (psi, dpsi, logscale) per energy; the solution is
-    (psi, dpsi) * exp(logscale).
+    array is viewed as (2, 2, S B, nb): entry [r, c] of every block, one
+    row of blocks per side and energy, blocks on the last axis so that
+    every array operation runs down nb.  Neighbours along nb multiply
+    pairwise up a tree, carrying an odd tail; a level is one 2x2 product
+    of the odd blocks m1 times the even blocks m0 in two broadcast
+    multiplies, m1[:, :1] m0[:1] + m1[:, 1:] m0[1:], for every entry, side
+    and energy at once.  Once a product's size, the sum of its entries'
+    |z|, passes 1e100, its level is scaled by exact powers of two, one per
+    product, side and energy, summed up the tree, so each keeps its own
+    exponent.  The exponents are created at the first level that
+    rescales, and the exact size test runs only where a pre-test trips:
+    some |Re| or |Im| of the level's products above 1e100 / 8.  Below
+    that each |z| is at most sqrt(2) 1e100 / 8, so a size is at most
+    0.71e100, and rounding cannot carry it past 1e100; a NaN trips the
+    pre-test and meets the exact test.
+    Returns, per side, one (psi, dpsi, logscale) per energy; the solution
+    is (psi, dpsi) * exp(logscale).
     """
     import numpy as np  # here, not at module level: see the module docstring
 
@@ -232,27 +243,28 @@ def _rk4_step_product(blocks, Es, starts):
         m += c
         m *= E
     m += cs[0]
-    m = m.reshape(4, -1, m.shape[3])
-    e = np.zeros(m.shape[1:], dtype=np.int64)
-    while m.shape[2] > 1:
-        pairs = m.shape[2] // 2
-        m0, m1 = m[:, :, 0:2 * pairs:2], m[:, :, 1:2 * pairs:2]
-        pm = np.empty(m.shape[:2] + (m.shape[2] - pairs,), dtype=np.complex128)
-        pm[:, :, pairs:] = m[:, :, 2 * pairs:]
-        prod, t = pm[:, :, :pairs], np.empty(m0.shape[1:], dtype=np.complex128)
-        for r in (0, 2):  # row r of m1 times column c of m0, written in place
-            for c in (0, 1):
-                np.multiply(m1[r], m0[c], out=prod[r + c])
-                prod[r + c] += np.multiply(m1[r + 1], m0[c + 2], out=t)
-        pe = np.concatenate((e[:, 0:2 * pairs:2] + e[:, 1:2 * pairs:2], e[:, 2 * pairs:]), axis=1)
-        size = np.abs(prod).sum(axis=0)
-        if (size > 1e100).any():  # rescaling every level would cost far more than this test
-            shift = np.frexp(size)[1]
-            prod *= np.ldexp(1.0, -shift)
-            pe[:, :pairs] += shift
-        m, e = pm, pe
+    m = m.reshape(2, 2, -1, m.shape[3])
+    e = None
+    while m.shape[3] > 1:
+        pairs = m.shape[3] // 2
+        m0, m1 = m[..., 0:2 * pairs:2], m[..., 1:2 * pairs:2]
+        prod = m1[:, :1] * m0[:1]  # row r of m1 times column c of m0, as [r, c]
+        prod += m1[:, 1:] * m0[1:]
+        if e is not None:
+            e = np.concatenate((e[:, 0:2 * pairs:2] + e[:, 1:2 * pairs:2], e[:, 2 * pairs:]),
+                               axis=1)
+        if not np.abs(prod.view(np.float64)).max() <= 1e100 / 8:  # the pre-test
+            size = np.abs(prod.reshape(4, *prod.shape[2:])).sum(axis=0)
+            if (size > 1e100).any():
+                shift = np.frexp(size)[1]
+                prod *= np.ldexp(1.0, -shift)
+                if e is None:
+                    e = np.zeros((size.shape[0], m.shape[3] - pairs), dtype=np.int64)
+                e[:, :pairs] += shift
+        m = np.concatenate((prod, m[..., 2 * pairs:]), axis=3) if m.shape[3] % 2 else prod
     log2 = math.log(2.0)
-    rows = list(zip(*m[:, :, 0].tolist(), e[:, 0].tolist()))
+    ks = e[:, 0].tolist() if e is not None else [0] * m.shape[2]
+    rows = list(zip(*m.reshape(4, -1).tolist(), ks))
     return [[(a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
              for a, b, c, d, k in rows[s * len(Es):(s + 1) * len(Es)]]
             for s, (psi, dpsi) in enumerate(starts)]

@@ -1,9 +1,12 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptwell import (
     ConvergenceError,
@@ -26,8 +29,8 @@ from ptwell.oracle_verifier import (BLOCK, GRID_RESOLUTION, ROOT_TOL, _box_minim
                                     _sampled_sides, _secant, _side_pairs, linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
 
-from oracle_reference import (rk4_order_estimate, two_sided, two_sided_blocks,
-                              two_sided_mismatches)
+from oracle_reference import (rk4_order_estimate, step_product_reference, two_sided,
+                              two_sided_blocks, two_sided_mismatches)
 
 
 def test_config_validation():
@@ -181,6 +184,102 @@ def test_stacked_sides_equal_each_side_alone_bit_for_bit():
         assert pairs[0] == both[0]
         if not _sampled_sides(V, cfg.h, cfg.delta)[2]:
             assert pairs[1] == both[1]
+
+
+def _product_bits(sides):
+    return [[(psi.real.hex(), psi.imag.hex(), dpsi.real.hex(), dpsi.imag.hex(), k.hex())
+             for psi, dpsi, k in side] for side in sides]
+
+
+@lru_cache(maxsize=None)
+def _chain(Z, plan):
+    return build_hierarchy(Z, EliminationPlan.from_text(plan), len(plan.split(",")) + 1,
+                           levels=9)
+
+
+# energies past 1e100 on every side and step, batched with energies that stay below
+_RESCALING = [-1e5, -4e4, complex(-40186.3, 0.74)]
+_PRODUCT_BATCHES = [[complex(-40186.3, 0.74)], [3.0 + 0.5j], [150.0 - 3.0j, -1e5, 40.0],
+                    linspace(0.5, 260.0, 14) + _RESCALING + linspace(-300.0, 1e4, 15)]
+
+
+# 13, 63, 125, 179 and 625 blocks: odd tails at different tree levels
+@pytest.mark.parametrize("h", [9.9e-3, 2e-3, 1e-3, 7e-4, 2e-4])
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real"),
+                                     (17.0, "clower,cupper,real")])
+def test_step_product_matches_reference_bit_for_bit(Z, plan, h):
+    rescaled = 0
+    for mem in _chain(Z, plan)[1:]:
+        V = mem.potential
+        cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
+        # both sides stacked, and the oracle's own blocks: the right side alone when mirrored
+        stacked, starts = two_sided_blocks(V, cfg)
+        own = _sampled_sides(V, cfg.h, cfg.delta)[1]
+        for blocks in (stacked, own):
+            for Es in _PRODUCT_BATCHES:
+                want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
+                got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
+                assert _product_bits(got) == _product_bits(want)
+                rescaled += any(k for side in want for *_, k in side)
+    assert rescaled
+
+
+def _scaled_blocks(matrix, nb):
+    # every block is E times matrix: C[1] holds it, every other coefficient is 0
+    blocks = np.zeros((2 * BLOCK + 1, 4, 1, nb), dtype=np.complex128)
+    blocks[1, :, 0] = np.array(matrix, dtype=np.complex128).reshape(4, 1)
+    return blocks
+
+
+# M^2 = I, 2 M and 2 M: the last two put all four entries of E^2 M^2 at one
+# modulus, at the phase pi/4 below, the least |Re| and |Im| a size can have
+@pytest.mark.parametrize("matrix", [((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (1.0, 1.0)),
+                                    ((1.0, 1j), (-1j, 1.0))])
+@pytest.mark.parametrize("nb", [2, 3, 7])
+def test_rescaling_starts_where_the_reference_rescales(matrix, nb):
+    # level 1's products E^2 M^2 have size 1e100 at |E|^2 = 1e100 / (size of M^2);
+    # the energies straddle it by a few ulps, so a product just below 1e100
+    # passes the pre-test and then the exact test, and one just above rescales
+    m = np.array(matrix, dtype=np.complex128)
+    size = float(np.abs(m @ m).sum())
+    Es = [cmath.rect(math.sqrt(1e100 / size * (1.0 + k * 2.0 ** -52)), math.pi / 8.0)
+          for k in range(-40, 41)]
+    blocks, starts = _scaled_blocks(matrix, nb), [(1.0 + 0j, 0.5 - 0.25j)]
+    rescaled = []
+    for batch in [[E] for E in Es] + [Es]:
+        want = step_product_reference(blocks, batch, starts)
+        assert _product_bits(_rk4_step_product(blocks, batch, starts)) == _product_bits(want)
+        rescaled.append(want[0][0][2] != 0.0)
+    if nb == 2:  # one level: both outcomes occur
+        assert any(rescaled) and not all(rescaled)
+
+
+def test_exponents_add_up_over_two_rescaled_levels():
+    # blocks 10^60 I, 10^60 I, I, I and the odd tail 10^150 I: level 1 rescales
+    # both products, and level 3 the tail's product with them, on top
+    blocks = np.zeros((2 * BLOCK + 1, 4, 1, 5), dtype=np.complex128)
+    blocks[0, 0, 0] = blocks[0, 3, 0] = [1e60, 1e60, 1.0, 1.0, 1e150]
+    starts = [(1.0 + 0j, 0.5 - 0.25j)]
+    want = step_product_reference(blocks, [0.0], starts)
+    assert _product_bits(_rk4_step_product(blocks, [0.0], starts)) == _product_bits(want)
+    assert abs(want[0][0][2] - 270.0 * math.log(10.0)) < 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(min_value=-1e5, max_value=1e4),
+                          st.one_of(st.just(0.0), st.floats(min_value=-100.0, max_value=100.0))),
+                min_size=1, max_size=40))
+def test_random_batches_match_reference_bit_for_bit(energies):
+    # member 3 at Z = 8, both sides and the oracle's own mirrored side
+    V = _chain(8.0, "clower,cupper,real,real")[2].potential
+    cfg = ShootingConfig(h=1e-3, p=V.endpoint_exponent)
+    stacked, starts = two_sided_blocks(V, cfg)
+    Es = [complex(re, im) for re, im in energies]
+    for blocks in (stacked, _sampled_sides(V, cfg.h, cfg.delta)[1]):
+        want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
+        got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
+        assert _product_bits(got) == _product_bits(want)
 
 
 def test_one_constant_side_goes_through_the_product(monkeypatch):
