@@ -14,7 +14,15 @@ from functools import lru_cache
 
 
 class ConvergenceError(Exception):
-    """A root search or Newton iteration failed to meet its tolerance."""
+    """A root search or Newton iteration failed to meet its tolerance.
+
+    Where the search has them, `stage` names it, `iterate` is its last
+    point and `bracket` the (low, high) interval still holding the root.
+    """
+
+    def __init__(self, message: str, *, stage: str = None, iterate=None, bracket=None):
+        super().__init__(message)
+        self.stage, self.iterate, self.bracket = stage, iterate, bracket
 
 
 class IllegalPlanError(Exception):
@@ -183,17 +191,23 @@ def _last_step(f, x, fx, d):
     return x
 
 
-def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str) -> float:
+def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str,
+                      start: float = None) -> float:
     """Root of f inside a sign change f(neg) < 0 < f(pos); the ends may come
     in either order, and f is never evaluated at them.
 
-    Newton starts at the bracket's midpoint.  Every iterate shrinks the
-    bracket by the sign of f there, and a step that leaves the bracket is
-    replaced by its midpoint, so the root stays held.  The stop is
-    `_newton`'s: once |f| < tol, one more plain step if it does not raise
-    |f|.  A bracket that no longer shrinks is a stall.
+    Newton starts at `start` if it lies strictly inside the bracket, else
+    at the bracket's midpoint.  Every iterate shrinks the bracket by the
+    sign of f there, and a step that leaves the bracket is replaced by its
+    midpoint, so the root stays held.  The stop is `_newton`'s: once
+    |f| < tol, one more plain step if it does not raise |f|.  A bracket
+    that no longer shrinks is a stall; its `ConvergenceError` carries the
+    stage `what`, the last iterate and the final bracket.
     """
-    x = 0.5 * (neg + pos)
+    if start is not None and min(neg, pos) < start < max(neg, pos):
+        x = start
+    else:
+        x = 0.5 * (neg + pos)
     for _ in range(100):
         fx = f(x)
         d = df(x)
@@ -211,7 +225,8 @@ def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str) -> f
             if xn in (neg, pos):
                 break
         x = xn
-    raise ConvergenceError(f"{what} Newton stalled at {x}")
+    raise ConvergenceError(f"{what} Newton stalled at {x}", stage=what, iterate=x,
+                           bracket=(min(neg, pos), max(neg, pos)))
 
 
 def _far_above_critical(Z: float, nu: int) -> bool:
@@ -258,6 +273,13 @@ def _band_roots(Z: float, nu: int):
 
     For 0 < Z <= Z_crit, G > 0 at both band ends, so each end and the split
     point of `_band_split` bracket one root, found by one bracketed Newton.
+    Its start is the root of G's linearization about the end, where
+    sin 2t = 0: G(end) = s_e sinh 2s_e (s_e = Z / 2 end), and the slope of
+    t sin 2t there is 2 end cos 2end, -2 lo at lo and 2 hi at hi.  As Z -> 0
+    the roots tend to the band ends, so this lands next to them.  Where it
+    is not strictly inside (split, end), beyond the split near Z_crit or on
+    the end itself at tiny Z, where the correction is below an ulp of the
+    end, the Newton starts at the bracket's midpoint instead.
     It stops at |G| < max(1e-12, 8 eps hi^2): sin 2t carries the rounding
     of its argument, about eps hi, and t multiplies it, so G's rounding
     floor is about eps hi^2, and a fixed 1e-12 lies below it from hi ~ 24 on.
@@ -276,9 +298,14 @@ def _band_roots(Z: float, nu: int):
     def dG(t):
         return matching_residual_dt(t, Z)
 
+    def start(end, slope):
+        s = Z / (2 * end)
+        return end - s * math.sinh(2 * s) / slope
+
     tol = max(1e-12, 8 * 2.0 ** -52 * hi * hi)
-    return [_bracketed_newton(G, dG, split, end, tol, f"matching-residual (Z={Z})")
-            for end in (lo, hi)]
+    return [_bracketed_newton(G, dG, split, end, tol, f"matching-residual (Z={Z})",
+                              start(end, slope))
+            for end, slope in ((lo, -2 * lo), (hi, 2 * hi))]
 
 
 def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:

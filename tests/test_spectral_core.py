@@ -218,6 +218,13 @@ def test_bracketed_newton_stall_is_typed():
         _bracketed_newton(step, lambda x: 0.0, 1.0, 2.0, 1e-12, "jump")
     assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(1.3, abs=1e-15)
     assert len(calls) < 100
+    # the fields say the same as the message, and the bracket still holds the jump
+    assert str(err.value) == f"jump Newton stalled at {err.value.iterate}"
+    assert err.value.stage == "jump"
+    low, high = err.value.bracket
+    assert low < 1.3 <= high
+    assert low <= err.value.iterate <= high
+    assert high - low <= 4 * math.ulp(1.3)
 
 
 @pytest.mark.parametrize("nu", range(41))
@@ -375,9 +382,12 @@ def test_critical_coupling_solves_the_curve_once_per_point(monkeypatch, nu):
     assert len(calls) <= 6
 
 
-def test_real_level_residual_count(monkeypatch):
-    # one bracketed Newton per root; bisecting each root to 1e-8 before Newton
-    # took 672 calls here
+@pytest.mark.parametrize("Z", [2.0, 0.1, 1e-4, 4.4])
+def test_real_level_residual_count(monkeypatch, Z):
+    # one bracketed Newton per root, started at the root of G's linearization
+    # about its band end; bisecting each root to 1e-8 before Newton took 672
+    # calls at Z = 2, and Newton from the bracket's midpoint 193, 233, 338
+    # and 182 at these couplings
     spectral_core.find_critical_coupling.cache_clear()
     real_residual = spectral_core.matching_residual
     calls = [0]
@@ -387,8 +397,52 @@ def test_real_level_residual_count(monkeypatch):
         return real_residual(t, Z)
 
     monkeypatch.setattr(spectral_core, "matching_residual", counting)
-    classify_spectrum(2.0, 21)
-    assert calls[0] <= 200
+    classify_spectrum(Z, 21)
+    assert calls[0] <= 100
+
+
+@pytest.mark.parametrize("Z, bands", [
+    (1e-8, range(11)),
+    (1e-4, range(22, 26)),
+    ("crit0", [0]),
+    ("crit1", [1]),
+])
+def test_roots_where_the_linearized_start_is_refused_against_mpmath(monkeypatch, Z, bands):
+    # at tiny Z the linearized start rounds onto the band end, and near Z_crit
+    # it can fall beyond the split point; Newton then starts at the midpoint.
+    # The error bound is G's rounding floor 8 eps hi^2 over |dG/dt| at the root
+    mp = pytest.importorskip("mpmath")
+    if Z == "crit0":
+        Z = find_critical_coupling(0).z_crit * (1 - 1e-9)
+    elif Z == "crit1":
+        Z = find_critical_coupling(1).z_crit * (1 - 1e-6)
+    real_newton = spectral_core._bracketed_newton
+    calls = []
+
+    def recording(f, df, neg, pos, tol, what, start=None):
+        root = real_newton(f, df, neg, pos, tol, what, start)
+        if what.startswith("matching-residual"):
+            calls.append((neg, pos, start, root))
+        return root
+
+    monkeypatch.setattr(spectral_core, "_bracketed_newton", recording)
+    refused = 0
+    with mp.workdps(40):
+        def G(t):
+            return (Z / (2 * t)) * mp.sinh(Z / t) + t * mp.sin(2 * t)
+
+        for nu in bands:
+            calls.clear()
+            hi = band_bounds(nu)[1]
+            assert len(_band_roots(Z, nu)) == 2
+            for neg, pos, start, root in calls:
+                if min(neg, pos) < start < max(neg, pos):
+                    continue
+                refused += 1
+                ref = mp.findroot(G, (mp.mpf(neg), mp.mpf(pos)), solver="illinois")
+                floor = 8 * 2.0 ** -52 * hi * hi / abs(mp.diff(G, ref))
+                assert abs(root - ref) <= floor, (nu, root, ref, floor)
+    assert refused
 
 
 @pytest.mark.parametrize("Z, count", [(100.0, 60), (300.0, 56), (300.0, 200), (1000.0, 300)])
