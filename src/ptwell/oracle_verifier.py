@@ -577,6 +577,7 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     found = _ordered_levels(found)
     if len(found) < count:
         raise ConvergenceError(
-            f"only {len(found)} of {count} levels converged in the search box")
+            f"only {len(found)} of {count} levels converged in the search box",
+            stage="search box", iterate=tuple(found), bracket=(lo, hi))
     return found[:count]
 

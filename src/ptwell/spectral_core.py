@@ -16,8 +16,10 @@ from functools import lru_cache
 class ConvergenceError(Exception):
     """A root search or Newton iteration failed to meet its tolerance.
 
-    Where the search has them, `stage` names it, `iterate` is its last
-    point and `bracket` the (low, high) interval still holding the root.
+    `stage` names the search or check that failed and `iterate` is the last
+    point it reached (for a level count that falls short, the levels it
+    found).  Where the search has one, `bracket` is its (low, high)
+    interval or search box.
     """
 
     def __init__(self, message: str, *, stage: str = None, iterate=None, bracket=None):
@@ -153,20 +155,16 @@ def kappa_condition_residual(E: complex, Z: float) -> complex:
 
 
 def _newton(f, df, x, tol, what: str):
-    """Damped Newton for a real or complex scalar root of f, df its derivative.
-
-    Each step is halved until |f| decreases.  Once |f| < tol, one more plain
-    step is taken if it does not raise |f|: it pushes the residual to its
-    rounding floor, which the ill-conditioned wavenumber form downstream
-    needs.  A step that no halving improves is a stall.  tol is a number,
-    or a function tol(x, f'(x)) for a residual whose rounding floor moves
-    with the iterate.
+    """Damped Newton for a complex root of f, df its derivative: each step is
+    halved until |f| falls.  Once |f| < tol(x, f'(x)), `_polish` takes f to
+    its rounding floor.  A step that no halving improves is a stall, raised
+    with the stage `what` and the last iterate.
     """
     fx = f(x)
     for _ in range(100):
         d = df(x)
-        if abs(fx) < (tol(x, d) if callable(tol) else tol):
-            return _last_step(f, x, fx, d)
+        if abs(fx) < tol(x, d):
+            return _polish(f, df, x, fx, d)
         if d == 0:
             break
         step = fx / d
@@ -179,40 +177,44 @@ def _newton(f, df, x, tol, what: str):
         else:
             break
         x, fx = xn, fn
-    raise ConvergenceError(f"{what} Newton stalled at {x}")
+    raise ConvergenceError(f"{what} Newton stalled at {x}", stage=what, iterate=x)
 
 
-def _last_step(f, x, fx, d):
-    """x moved by one plain Newton step if that does not raise |f|, else x."""
-    if d != 0:
+def _polish(f, df, x, fx, d):
+    """x moved by plain Newton steps while |f| strictly falls, at most 8, from
+    a root search's stop (fx and d are f and f' at x) to f's rounding floor.
+    An ill-conditioned root needs them: just above an exceptional point f' is
+    proportional to Im E, and a stop at |f| < 1e-10 left 14 % of Im E there.
+    """
+    for _ in range(8):
+        if d == 0:
+            break
         xn = x - fx / d
-        if abs(f(xn)) <= abs(fx):
-            return xn
+        fn = f(xn)
+        if not abs(fn) < abs(fx):
+            break
+        x, fx, d = xn, fn, df(xn)
     return x
 
 
 def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str,
-                      start: float = None) -> float:
+                      start: float) -> float:
     """Root of f inside a sign change f(neg) < 0 < f(pos); the ends may come
     in either order, and f is never evaluated at them.
 
     Newton starts at `start` if it lies strictly inside the bracket, else
     at the bracket's midpoint.  Every iterate shrinks the bracket by the
     sign of f there, and a step that leaves the bracket is replaced by its
-    midpoint, so the root stays held.  The stop is `_newton`'s: once
-    |f| < tol, one more plain step if it does not raise |f|.  A bracket
-    that no longer shrinks is a stall; its `ConvergenceError` carries the
-    stage `what`, the last iterate and the final bracket.
+    midpoint, so the root stays held.  Once |f| < tol, `_polish` takes f to
+    its rounding floor.  A bracket that no longer shrinks is a stall, raised
+    with the stage `what`, the last iterate and the final bracket.
     """
-    if start is not None and min(neg, pos) < start < max(neg, pos):
-        x = start
-    else:
-        x = 0.5 * (neg + pos)
+    x = start if min(neg, pos) < start < max(neg, pos) else 0.5 * (neg + pos)
     for _ in range(100):
         fx = f(x)
         d = df(x)
         if abs(fx) < tol:
-            return _last_step(f, x, fx, d)
+            return _polish(f, df, x, fx, d)
         if fx < 0:
             neg = x
         else:
@@ -320,7 +322,8 @@ def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
         res = kappa_condition_residual(E, Z)
         sinh_sq = (math.cosh(2 * ks) - math.cos(2 * kt)) / 2.0
         if abs(res) >= 1e-10 and abs(res) * sinh_sq >= 1e-12:
-            raise ConvergenceError(f"root t={t} fails the wavenumber condition ({abs(res):.2e})")
+            raise ConvergenceError(f"root t={t} fails the wavenumber condition ({abs(res):.2e})",
+                                   stage=f"wavenumber condition (Z={Z})", iterate=t)
     return SpectralLevel(index, E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
 
 
@@ -336,33 +339,28 @@ def solve_real_spectrum(Z: float, count: int):
                 levels.append(_verified_level(len(levels), t, Z))
         nu += 1
         if nu > count + 64:
-            raise ConvergenceError("ran out of bands before reaching the requested count")
+            raise ConvergenceError("ran out of bands before reaching the requested count",
+                                   stage=f"real levels (Z={Z})", iterate=nu - 1)
     return levels
 
 
 def _curve_s(t: float) -> float:
-    """s >= 0 with s sinh 2s = -t sin 2t: the G = 0 curve at t, inside a band."""
-    r = max(-t * math.sin(2 * t), 0.0)
-    # s sinh 2s is convex and exceeds both 2 s^2 and, for s >= 1/2, sinh(2s)/2,
-    # so Newton runs down to the root from this upper bound without overshoot
-    s0 = min(math.sqrt(r / 2), max(0.5, math.asinh(2 * r) / 2))
-    return _newton(lambda s: s * math.sinh(2 * s) - r,
-                   lambda s: math.sinh(2 * s) + 2 * s * math.cosh(2 * s),
-                   s0, 1e-13 * (1 + r), "G = 0 curve")
+    """s >= 0 with s sinh 2s = -t sin 2t: the G = 0 curve at t, inside a band.
 
-
-def _merge_residual(t: float, s: float) -> float:
-    """dG/dt on the G = 0 curve Z(t) = 2 t s(t), with s = _curve_s(t).
-
-    There dZ/dt = -2t dG/dt / (sinh 2s + 2s cosh 2s), so this vanishes at
-    the peak of Z(t).  It runs from -2 lo at the lower band edge to 2 hi at
-    the upper one.
+    s sinh 2s is convex and increasing and exceeds both 2 s^2 and, for
+    s >= 1/2, sinh(2s)/2, so s0 bounds the root from above, and Newton from
+    s0 runs down to it inside the bracket (0, 2 s0) by plain steps.
     """
-    return matching_residual_dt(t, 2 * t * s)
+    r = max(-t * math.sin(2 * t), 0.0)
+    s0 = min(math.sqrt(r / 2), max(0.5, math.asinh(2 * r) / 2))
+    return _bracketed_newton(lambda s: s * math.sinh(2 * s) - r,
+                             lambda s: math.sinh(2 * s) + 2 * s * math.cosh(2 * s),
+                             0.0, 2 * s0, 1e-13 * (1 + r), "G = 0 curve", s0)
 
 
 def _merge_residual_dt(t: float, s: float) -> float:
-    """d/dt of _merge_residual, with ds/dt = -q/D from s sinh 2s = -t sin 2t."""
+    """d/dt of dG/dt on the G = 0 curve Z(t) = 2 t s(t), with s = _curve_s(t)
+    and ds/dt = -q/D from s sinh 2s = -t sin 2t."""
     D = math.sinh(2 * s) + 2 * s * math.cosh(2 * s)  # d(s sinh 2s)/ds
     dD = 4 * (math.cosh(2 * s) + s * math.sinh(2 * s))
     q = math.sin(2 * t) + 2 * t * math.cos(2 * t)  # d(t sin 2t)/dt
@@ -377,10 +375,12 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     In band nu, G = 0 is the curve Z(t) = 2 t s(t) with s sinh 2s = -t sin 2t.
     It rises from 0 at the lower band edge and falls to 0 at the upper one,
     and is tangent to a constant-Z line only at its peak, where dG/dt = 0
-    as well.  dG/dt runs from negative at the lower band edge to positive at
-    the upper one, so the band brackets that zero for one bracketed Newton.
-    s(t) is solved once per point: Newton's residual and derivative at an
-    iterate, and the returned s at the last one, share it.
+    as well: on the curve dZ/dt = -2t dG/dt / (sinh 2s + 2s cosh 2s).
+    dG/dt runs from -2 lo at the lower band edge to 2 hi at the upper one,
+    so the band brackets that zero for one bracketed Newton from its
+    midpoint.  s(t) is solved once per point (`_curve_s`): Newton's
+    residual and derivative at an iterate, and the returned s at the last
+    one, share it.
     """
     if nu < 0:
         raise ValueError("band index must be nonnegative")
@@ -388,12 +388,13 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     curve_s = lru_cache(maxsize=1)(_curve_s)
 
     def residual(t):
-        return _merge_residual(t, curve_s(t))
+        return matching_residual_dt(t, 2 * t * curve_s(t))
 
     def residual_dt(t):
         return _merge_residual_dt(t, curve_s(t))
 
-    t = _bracketed_newton(residual, residual_dt, lo, hi, 2e-11 * hi, f"tangency (band {nu})")
+    t = _bracketed_newton(residual, residual_dt, lo, hi, 2e-11 * hi, f"tangency (band {nu})",
+                          0.5 * (lo + hi))
     s = curve_s(t)
     return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
@@ -427,7 +428,7 @@ def _pair_newton(E: complex, Z: float, nu: int) -> complex:
     Newton stops at |F| <= 16 eps (|E| |F_E| + |rho coth rho| + |sigma coth sigma|).
     The first term, a few ulps of E times the slope, is the rounding floor
     of F at large Z; the term sizes are the floor next to an exceptional
-    point, where F_E is proportional to Im E.
+    point, where F_E is proportional to Im E.  `_newton` then polishes E.
     """
     def tol(E, dE):
         terms = sum(abs(r * coth(r)) for r in (halfplane_sqrt(-E - 1j * Z),
@@ -467,45 +468,27 @@ def _pair_seed(nu: int, Z: float, crit: CriticalCoupling = None) -> complex:
     return y * y - 1j * Z
 
 
-def _polish_pair(E: complex, Z: float) -> complex:
-    """Plain Newton steps from the pair root E while |F| falls, at most 8.
-
-    Just above an exceptional point F_E is proportional to Im E, so the
-    residual _newton stops at can leave E far from the root (14 % of Im E
-    at Z_crit(0)(1 + 1e-12) under an absolute 1e-10 stop); these steps take
-    |F| to its rounding floor.
-    """
-    f = kappa_condition_residual(E, Z)
-    for _ in range(8):
-        d = _kappa_condition_dE(E, Z)
-        if d == 0:
-            break
-        En = E - f / d
-        fn = kappa_condition_residual(En, Z)
-        if abs(fn) >= abs(f):
-            break
-        E, f = En, fn
-    return complex(E.real, -abs(E.imag))
-
-
 def solve_complex_pair(Z: float, nu: int):
     """The complex-conjugate pair of band nu for Z above its critical coupling.
 
     Returns (lower, upper) SpectralLevels with energies e0 -+ i eps0, eps0 > 0.
-    The pair is solved directly at Z: Newton from `_pair_seed`, stopped by
-    a residual rule scaled by conditioning (`_pair_newton`), then polished
-    by plain Newton steps while the residual falls.  A direct Newton does not hold
-    the band by construction; `classify_spectrum` certifies the band order.
-    Where `_far_above_critical` holds, the band's critical coupling is not
-    solved: the seed is the one-sided one it would have chosen anyway.
+    The pair is solved directly at Z by `_pair_newton` from `_pair_seed`,
+    and its root taken as it comes: `_newton`'s tail has polished it.  A
+    direct Newton does not hold the band by construction; `classify_spectrum`
+    certifies the band order.  Where `_far_above_critical` holds, the band's
+    critical coupling is not solved: the seed is the one-sided one it would
+    have chosen anyway.
     """
     crit = None if _far_above_critical(Z, nu) else find_critical_coupling(nu)
+    stage = f"pair {nu} (Z={Z})"
     if crit is not None and Z <= crit.z_crit:
         raise ConvergenceError(
-            f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})")
-    E0 = _polish_pair(_pair_newton(_pair_seed(nu, Z, crit), Z, nu), Z)
+            f"pair {nu} is still real at Z={Z} (critical coupling {crit.z_crit:.6f})",
+            stage=stage, iterate=crit.z_crit)
+    E0 = _pair_newton(_pair_seed(nu, Z, crit), Z, nu)
     if E0.imag == 0:
-        raise ConvergenceError(f"pair {nu} solver landed on a real energy at Z={Z}")
+        raise ConvergenceError(f"pair {nu} solver landed on a real energy at Z={Z}",
+                               stage=stage, iterate=E0)
     E1 = E0.conjugate()
     lower = SpectralLevel(0, E0, WaveNumber(halfplane_sqrt(-E0 - 1j * Z)),
                           WaveNumber(halfplane_sqrt(1j * Z - E0)), Branch.COMPLEX_PAIR_LOWER)
@@ -534,7 +517,8 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
         if entries and not lo.energy.real > entries[-1][0].energy.real:
             raise ConvergenceError(
                 f"pair {nu} at Z={Z} does not lie above pair {nu - 1}: Re E = "
-                f"{lo.energy.real!r} against {entries[-1][0].energy.real!r}")
+                f"{lo.energy.real!r} against {entries[-1][0].energy.real!r}",
+                stage=f"pair {nu} (Z={Z})", iterate=lo.energy)
         entries.append((lo, up))
         nu += 1
     reals = solve_real_spectrum(Z, max(count - 2 * len(entries), 0))

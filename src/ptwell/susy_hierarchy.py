@@ -172,7 +172,7 @@ def _horner(h, j: int, buckets: int):
 
 def _overflow(side, x: float) -> ConvergenceError:
     return ConvergenceError(f"Crum table overflows at coupling {abs(side.c)!r}, x = {x!r}: "
-                            "sinh(kappa u) is past the float range")
+                            "sinh(kappa u) is past the float range", stage="Crum table", iterate=x)
 
 
 class _CrumSide:

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from ptwell import (
     Branch,
     ConvergenceError,
+    EliminationPlan,
+    ShootingConfig,
+    build_hierarchy,
     classify_spectrum,
     curve_X,
     curve_Y,
     curve_point,
     find_critical_coupling,
+    find_spectrum_numeric,
     solve_complex_pair,
     solve_real_spectrum,
     spectral_core,
+    square_well_potential,
 )
 from ptwell.spectral_core import (
     _band_roots,
@@ -215,7 +220,7 @@ def test_bracketed_newton_stall_is_typed():
         return -1.0 if x < 1.3 else 1.0
 
     with pytest.raises(ConvergenceError, match=r"jump Newton stalled at ") as err:
-        _bracketed_newton(step, lambda x: 0.0, 1.0, 2.0, 1e-12, "jump")
+        _bracketed_newton(step, lambda x: 0.0, 1.0, 2.0, 1e-12, "jump", start=1.5)
     assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(1.3, abs=1e-15)
     assert len(calls) < 100
     # the fields say the same as the message, and the bracket still holds the jump
@@ -334,12 +339,67 @@ def test_classify_certifies_band_order(monkeypatch):
         classify_spectrum(14.0, 8)
 
 
-@pytest.mark.parametrize("Z, budget", [(100.0, 30), (300.0, 30)])
+def _pair_stall(monkeypatch):
+    Z = find_critical_coupling(0).z_crit + 3.5
+    monkeypatch.setattr(spectral_core, "kappa_condition_residual", lambda E, Z: 1.0 + 0j)
+    return lambda: solve_complex_pair(Z, 0), f"pair 0 (Z={Z!r})", complex, None
+
+
+def _band_order(monkeypatch):
+    real_solve = spectral_core.solve_complex_pair
+    monkeypatch.setattr(spectral_core, "solve_complex_pair", lambda Z, nu: real_solve(Z, 0))
+    return (lambda: classify_spectrum(14.0, 8), "pair 1 (Z=14.0)",
+            real_solve(14.0, 0)[0].energy, None)
+
+
+def _search_box(_):
+    V = square_well_potential(2.0)
+    box = (complex(1.0, -0.5), complex(5.0, 0.5))
+    found = tuple(find_spectrum_numeric(V, 1, box, ShootingConfig.for_potential(V)))
+    return (lambda: find_spectrum_numeric(V, 3, box, ShootingConfig.for_potential(V)),
+            "search box", found, box)
+
+
+def _crum_table(_):
+    member = build_hierarchy(1e6, EliminationPlan.from_text("clower,cupper"), 3)[2]
+    return lambda: member.potential(0.0), "Crum table", 0.0, None
+
+
+@pytest.mark.parametrize("case", [
+    _pair_stall,
+    lambda _: (lambda: classify_spectrum(0.484, 22), "wavenumber condition (Z=0.484)",
+                float, None),
+    lambda _: (lambda: solve_real_spectrum(1e6, 1), "real levels (Z=1000000.0)", 65, None),
+    lambda _: (lambda: solve_complex_pair(2.0, 0), "pair 0 (Z=2.0)",
+                find_critical_coupling(0).z_crit, None),
+    _band_order,
+    _search_box,
+    _crum_table,
+], ids=["pair-stall", "wavenumber-guard", "band-exhaustion", "pair-still-real",
+        "band-order", "search-box", "crum-overflow"])
+def test_convergence_errors_carry_their_fields(monkeypatch, case):
+    # every raise names its stage and last point, and its bracket where the
+    # search has one; iterate is a type where the value is not known ahead
+    call, stage, iterate, bracket = case(monkeypatch)
+    with pytest.raises(ConvergenceError) as err:
+        call()
+    assert err.value.stage == stage
+    if isinstance(iterate, type):
+        assert isinstance(err.value.iterate, iterate)
+        assert str(err.value.iterate) in str(err.value)
+    else:
+        assert err.value.iterate == iterate
+    assert err.value.bracket == bracket
+
+
+@pytest.mark.parametrize("Z, budget", [(100.0, 22), (300.0, 22)])
 def test_pair_residual_count(monkeypatch, Z, budget):
     # eight levels are the four lowest pairs.  A walk from the merge point in
     # fixed 0.05 steps took 47,086 and 330,113 residual calls here, and steps in
     # sqrt(Z - Z_crit) sized from the last correction took 956 and 2,590 (for
-    # every broken pair); the direct solve at Z of the four pairs takes 25 and 24
+    # every broken pair).  The direct solve at Z of the four pairs took 25 and
+    # 24 with one last step after the stop and a separate polish that
+    # re-evaluated the residual; with one shared polish it takes 21 and 17
     spectral_core.find_critical_coupling.cache_clear()
     real_residual = spectral_core.kappa_condition_residual
     calls = [0]
@@ -419,7 +479,7 @@ def test_roots_where_the_linearized_start_is_refused_against_mpmath(monkeypatch,
     real_newton = spectral_core._bracketed_newton
     calls = []
 
-    def recording(f, df, neg, pos, tol, what, start=None):
+    def recording(f, df, neg, pos, tol, what, start):
         root = real_newton(f, df, neg, pos, tol, what, start)
         if what.startswith("matching-residual"):
             calls.append((neg, pos, start, root))
@@ -478,6 +538,39 @@ def test_pair_energies_against_mpmath(Z):
             assert abs(E - ref) <= 1e-12 * abs(ref), (nu, E, ref)
             nu += 1
     assert nu >= 1
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_levels_at_the_rounded_critical_coupling_against_mpmath(nu):
+    # at the rounded Z_crit the two roots of band nu sit within the square-root
+    # conditioning floor of the exceptional point: G's rounding floor eps hi^2
+    # moves them by sqrt(2 eps hi^2 / |G_tt|) in t, times dE/dt in E (1.0e-7,
+    # 3.1e-7 and 5.8e-7 here).  The truth may be a narrow pair (Im 2.7e-8 for
+    # nu = 0).  One plain step after the stop left 8.4e-7, 1.6e-6 and 1.6e-6
+    mp = pytest.importorskip("mpmath")
+    c = find_critical_coupling(nu)
+    Z, hi = c.z_crit, band_bounds(nu)[1]
+    levels = [lv.energy for lv in classify_spectrum(Z, 2 * nu + 2).levels
+              if lv.branch is Branch.REAL][:2]
+    with mp.workdps(40):
+        def residual(E):
+            rho, sigma = mp.sqrt(-E - 1j * Z), mp.sqrt(1j * Z - E)
+            return rho * mp.coth(rho) + sigma * mp.coth(sigma)
+
+        # both roots of the residual's quadratic model about e_merge, refined
+        e0 = mp.mpf(c.e_merge)
+        f0, f1, f2 = residual(e0), mp.diff(residual, e0, 1), mp.diff(residual, e0, 2)
+        disc = mp.sqrt(f1 * f1 - 2 * f2 * f0)
+        refs = [mp.findroot(residual, e0 + (sign * disc - f1) / f2) for sign in (1, -1)]
+
+        def G(t):
+            return (Z / (2 * t)) * mp.sinh(Z / t) + t * mp.sin(2 * t)
+
+        t = mp.mpf(c.t_merge)
+        dE_dt = 2 * t + Z ** 2 / (2 * t ** 3)
+        floor = float(dE_dt * mp.sqrt(2 * 2.0 ** -52 * hi * hi / abs(mp.diff(G, t, 2))))
+        for E in levels:
+            assert min(float(abs(E - ref)) for ref in refs) <= floor, (E, refs, floor)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
