@@ -14,9 +14,9 @@ _EXPORTS = {
         "kappa_from_energy", "matching_residual", "solve_complex_pair",
         "solve_real_spectrum"),
     "wavefunctions": (
-        "PiecewiseEigenfunction", "chebyshev_grid", "eval_sw_eigenfunction",
-        "gegenbauer_eval", "limit_form", "pt_defect", "pt_transform",
-        "schrodinger_residual", "square_well_eigenfunction"),
+        "PiecewiseEigenfunction", "chebyshev_grid", "gegenbauer_eval",
+        "limit_form", "pt_defect", "pt_transform", "schrodinger_residual",
+        "square_well_eigenfunction"),
     "susy_hierarchy": (
         "EliminationPlan", "HierarchyMember", "LevelAnnihilated",
         "PiecewisePotential", "PlanChoice", "Superpotential", "build_hierarchy",

@@ -56,10 +56,11 @@ def _emit(args, text: str):
         print(text)
 
 
-def _level_row(lv) -> dict:
-    k = lv.kappa_right.value
-    return {"n": lv.index, "re": lv.energy.real, "im": lv.energy.imag,
-            "branch": lv.branch.value, "s": k.real, "t": -k.imag}
+def _level_rows(levels) -> list:
+    """One row per level; a level's n is its position."""
+    return [{"n": n, "re": lv.energy.real, "im": lv.energy.imag, "branch": lv.branch.value,
+             "s": lv.kappa_right.value.real, "t": -lv.kappa_right.value.imag}
+            for n, lv in enumerate(levels)]
 
 
 def _sample_row(potential, x: float) -> dict:
@@ -71,7 +72,7 @@ def cmd_spectrum(args) -> int:
     spec = classify_spectrum(args.coupling, args.levels)
     out = {
         "coupling": args.coupling,
-        "levels": [_level_row(lv) for lv in spec.levels],
+        "levels": _level_rows(spec.levels),
         "broken_pairs": [list(p) for p in spec.broken_pairs],
         "residuals": [abs(kappa_condition_residual(lv.energy, args.coupling))
                       for lv in spec.levels],
@@ -135,7 +136,7 @@ def cmd_hierarchy(args) -> int:
             "depth": mem.depth,
             "pt_symmetric": mem.potential.pt_symmetric,
             "endpoint_exponent": mem.potential.endpoint_exponent,
-            "spectrum": [_level_row(lv) for lv in mem.spectrum.levels],
+            "spectrum": _level_rows(mem.spectrum.levels),
             "samples": [_sample_row(mem.potential, x) for x in xs],
         } for mem in members],
         "relations": report,

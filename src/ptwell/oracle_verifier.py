@@ -72,6 +72,7 @@ BATCH_BLOCKS = 4000
 # 32 slower (docs/decisions.md)
 BLOCK = 8
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
+DELTA = 1e-6           # start offset from each wall, where psi = DELTA^p
 # relative deviation of a left sample from its right partner's conjugate up
 # to which a potential integrates one side: pair-eliminated members deviate
 # by at most 4e-14, members within 1e-4 of Z_crit(0) by 1.6e-12 to 3.5e-8
@@ -87,21 +88,14 @@ class Side(Enum):
 @dataclass(frozen=True)
 class ShootingConfig:
     h: float = 2e-4
-    delta: float = 1e-6
     p: int = 1
 
     def __post_init__(self):
         # raised, not asserted: `python -O` would accept a negative step
         if not 0.0 < self.h < 1e-2:
             raise ValueError(f"RK4 step h must lie in (0, 1e-2), got {self.h!r}")
-        if not 0.0 < self.delta < 1e-3:
-            raise ValueError(f"start offset delta must lie in (0, 1e-3), got {self.delta!r}")
         if self.p < 1:
             raise ValueError(f"endpoint exponent p must be at least 1, got {self.p!r}")
-
-    @classmethod
-    def for_potential(cls, V, **kw) -> "ShootingConfig":
-        return cls(p=V.endpoint_exponent, **kw)
 
 
 @dataclass(frozen=True)
@@ -279,7 +273,7 @@ def _samples(sample, xs):
 
 # the potential being checked is all its callers reuse; more keeps old ones alive
 @lru_cache(maxsize=1)
-def _sampled_sides(V, h: float, delta: float):
+def _sampled_sides(V, h: float):
     """Potential samples on the integration nodes and midpoints of both sides.
 
     Node positions are affine in the step index so the last node lands on
@@ -299,11 +293,11 @@ def _sampled_sides(V, h: float, delta: float):
     side alone when mirrored, else right and left, as the
     (2 BLOCK + 1, 4, sides, nb) array `_rk4_step_product` takes.
     """
-    n = max(1, round((1.0 - delta) / h))
+    n = max(1, round((1.0 - DELTA) / h))
     arrays = getattr(V, "arrays", None)
     sides = {}
     for side, ev in zip(Side, arrays or (V.right_eval, V.left_eval)):
-        x0 = 1.0 - delta if side is Side.RIGHT else -(1.0 - delta)
+        x0 = 1.0 - DELTA if side is Side.RIGHT else -(1.0 - DELTA)
         sample = ev if arrays else (lambda xs, ev=ev: [ev(x) for x in xs])
         nodes, vn = _samples(sample, [x0 * (n - k) / n for k in range(n + 1)])
         mids, vm = _samples(sample, [x0 * (n - k - 0.5) / n for k in range(n)])
@@ -326,9 +320,9 @@ def _sampled_sides(V, h: float, delta: float):
 
 
 def _start(cfg: ShootingConfig, side: Side):
-    """(psi, psi') at distance delta from the wall: the regular behavior psi = delta^p."""
+    """(psi, psi') at distance DELTA from the wall: the regular behavior psi = DELTA^p."""
     sgn = -1.0 if side is Side.RIGHT else 1.0
-    return complex(cfg.delta ** cfg.p), complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
+    return complex(DELTA ** cfg.p), complex(sgn * cfg.p * DELTA ** (cfg.p - 1))
 
 
 def _side_pairs(V, Es, cfg: ShootingConfig):
@@ -342,7 +336,7 @@ def _side_pairs(V, Es, cfg: ShootingConfig):
     other potential integrates both sides at Es.  Either way all energies
     go through one step product, or one constant power per side and energy.
     """
-    sides, blocks, mirrored = _sampled_sides(V, cfg.h, cfg.delta)
+    sides, blocks, mirrored = _sampled_sides(V, cfg.h)
     integrated = list(Side)[:1 if mirrored else 2]
     conj = [E.conjugate() for E in Es]
     energies = list(dict.fromkeys(Es + conj if mirrored else Es))
@@ -365,7 +359,7 @@ def _side_pairs(V, Es, cfg: ShootingConfig):
 def integrate_side(V, E: complex, side: Side, cfg: ShootingConfig = ShootingConfig()):
     """(psi(0), psi'(0)) of the regular solution started at the wall.
 
-    Startup uses the local regular behavior psi = delta^p at distance delta
+    Startup uses the local regular behavior psi = DELTA^p at distance DELTA
     from the wall.  If intermediate renormalization fired and the common
     factor is too large to restore, the returned pair is the renormalized
     one (the direction is what the mismatch consumes).  The side comes from
@@ -395,7 +389,7 @@ def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     part exactly 0.0.
     """
     Es = [complex(E) for E in Es]
-    blocks = _sampled_sides(V, cfg.h, cfg.delta)[1]
+    blocks = _sampled_sides(V, cfg.h)[1]
     per = max(1, BATCH_BLOCKS // (1 if blocks is None else blocks.shape[3]))
     out = []
     for k in range(0, len(Es), per):

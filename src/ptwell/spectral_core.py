@@ -8,7 +8,7 @@ found from the two-sided wavenumber condition instead.
 """
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -44,7 +44,6 @@ class WaveNumber:
 
 @dataclass(frozen=True)
 class SpectralLevel:
-    index: int
     energy: complex
     kappa_right: WaveNumber
     kappa_left: WaveNumber
@@ -53,9 +52,17 @@ class SpectralLevel:
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Levels in order; a level's index is its position in `levels`."""
     coupling: float
     levels: tuple
-    broken_pairs: tuple = field(default_factory=tuple)
+
+    @property
+    def broken_pairs(self) -> tuple:
+        """(i, i + 1) for each lower pair member i directly followed by an upper one."""
+        levels = self.levels
+        return tuple((i, i + 1) for i in range(len(levels) - 1)
+                     if levels[i].branch is Branch.COMPLEX_PAIR_LOWER
+                     and levels[i + 1].branch is Branch.COMPLEX_PAIR_UPPER)
 
 
 @dataclass(frozen=True)
@@ -310,7 +317,7 @@ def _band_roots(Z: float, nu: int):
             for end, slope in ((lo, -2 * lo), (hi, 2 * hi))]
 
 
-def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
+def _verified_level(t: float, Z: float) -> SpectralLevel:
     kap = kappa_from_energy(t * t - (Z / (2 * t)) ** 2 if Z else t * t, Z)
     ks, kt = kap.value.real, -kap.value.imag  # (s, t) recomputed from E
     E = complex(kt ** 2 - ks ** 2)
@@ -324,7 +331,7 @@ def _verified_level(index: int, t: float, Z: float) -> SpectralLevel:
         if abs(res) >= 1e-10 and abs(res) * sinh_sq >= 1e-12:
             raise ConvergenceError(f"root t={t} fails the wavenumber condition ({abs(res):.2e})",
                                    stage=f"wavenumber condition (Z={Z})", iterate=t)
-    return SpectralLevel(index, E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
+    return SpectralLevel(E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
 
 
 def solve_real_spectrum(Z: float, count: int):
@@ -336,7 +343,7 @@ def solve_real_spectrum(Z: float, count: int):
     while len(levels) < count:
         for t in _band_roots(Z, nu):
             if len(levels) < count:
-                levels.append(_verified_level(len(levels), t, Z))
+                levels.append(_verified_level(t, Z))
         nu += 1
         if nu > count + 64:
             raise ConvergenceError("ran out of bands before reaching the requested count",
@@ -490,9 +497,9 @@ def solve_complex_pair(Z: float, nu: int):
         raise ConvergenceError(f"pair {nu} solver landed on a real energy at Z={Z}",
                                stage=stage, iterate=E0)
     E1 = E0.conjugate()
-    lower = SpectralLevel(0, E0, WaveNumber(halfplane_sqrt(-E0 - 1j * Z)),
+    lower = SpectralLevel(E0, WaveNumber(halfplane_sqrt(-E0 - 1j * Z)),
                           WaveNumber(halfplane_sqrt(1j * Z - E0)), Branch.COMPLEX_PAIR_LOWER)
-    upper = SpectralLevel(1, E1, WaveNumber(halfplane_sqrt(-E1 - 1j * Z)),
+    upper = SpectralLevel(E1, WaveNumber(halfplane_sqrt(-E1 - 1j * Z)),
                           WaveNumber(halfplane_sqrt(1j * Z - E1)), Branch.COMPLEX_PAIR_UPPER)
     return lower, upper
 
@@ -524,17 +531,4 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
     reals = solve_real_spectrum(Z, max(count - 2 * len(entries), 0))
     flat = [lv for pair in entries for lv in pair] + list(reals)
     flat.sort(key=lambda lv: (lv.energy.real, lv.energy.imag))
-    return indexed_spectrum(Z, flat[:count])
-
-
-def indexed_spectrum(coupling: float, levels) -> Spectrum:
-    """The spectrum of `levels` in the given order, indexed from 0.
-
-    A broken pair is a lower pair member directly followed by an upper one.
-    """
-    levels = tuple(SpectralLevel(i, lv.energy, lv.kappa_right, lv.kappa_left, lv.branch)
-                   for i, lv in enumerate(levels))
-    broken = tuple((i, i + 1) for i in range(len(levels) - 1)
-                   if levels[i].branch is Branch.COMPLEX_PAIR_LOWER
-                   and levels[i + 1].branch is Branch.COMPLEX_PAIR_UPPER)
-    return Spectrum(coupling, levels, broken)
+    return Spectrum(Z, tuple(flat[:count]))

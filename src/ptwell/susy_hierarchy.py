@@ -24,8 +24,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, SpectralLevel,
-                            Spectrum, classify_spectrum, find_critical_coupling,
-                            indexed_spectrum)
+                            Spectrum, classify_spectrum, find_critical_coupling)
 from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
                             normalize_sides, pt_defect, pt_transform,
                             ratio_stats, square_well_eigenfunction)
@@ -170,11 +169,6 @@ def _horner(h, j: int, buckets: int):
     return [coefficients[terms - _series_terms(b):] for b in range(buckets)]
 
 
-def _overflow(side, x: float) -> ConvergenceError:
-    return ConvergenceError(f"Crum table overflows at coupling {abs(side.c)!r}, x = {x!r}: "
-                            "sinh(kappa u) is past the float range", stage="Crum table", iterate=x)
-
-
 class _CrumSide:
     """A member's seeds on one side, u = 1 - sign x, and its potential there.
 
@@ -187,7 +181,9 @@ class _CrumSide:
     (`_CrumColumn`), carried through the same w_s in O(k).
 
     Far from the wall the columns are (sinh kappa u, kappa cosh kappa u)
-    with chain term 0.  Near it, where those cancel, they are the divided
+    with chain term 0, each divided by its sinh kappa u but an eigenfunction's:
+    U and w see no column's scale, and (1, kappa coth kappa u) stays finite
+    past the float range.  Near it, where those cancel, they are the divided
     differences G_j = g[lam_0..lam_j] of g(lam, u) = sinh(sqrt(lam) u)/sqrt(lam),
     whose G_j'' = lam_j G_j + G_{j-1} gives the chain term; a level's is
     the last seed column at each step, which the table keeps.  U and w agree
@@ -235,9 +231,8 @@ class _CrumSide:
         fs, ds = [], []
         if bucket < 0:
             for k in self.kappas:
-                z = k * u
-                fs.append(lib.sinh(z))
-                ds.append(k * lib.cosh(z))
+                fs.append(1.0)
+                ds.append(k / lib.tanh(k * u))
             return fs, ds
         k = self.kappas[0]
         fs.append(lib.sinh(k * u) / k)
@@ -277,10 +272,7 @@ def _seed_table(side: _CrumSide, x: float, near: bool):
     """`_darboux` of the side's seed columns at x, in the near-wall basis if near.
     Every reader of the side at x gets the same lists: they are read-only."""
     u = 1.0 - side.sign * x
-    try:
-        fs, ds = side._columns(u, int(abs(u) * side.per_u) if near else -1, cmath)
-    except OverflowError:
-        raise _overflow(side, x) from None
+    fs, ds = side._columns(u, int(abs(u) * side.per_u) if near else -1, cmath)
     return _darboux(fs, ds, side.steps, near)
 
 
@@ -300,17 +292,18 @@ class _CrumColumn:
         bucket = int(abs(1.0 - self.side.sign * x) * self.per_u)
         return bucket if bucket < self.side.buckets else -1
 
-    def _column(self, x: float, bucket: int):
-        """(f, f', U) at x after the seeds, in the far basis's normalization."""
+    def _column(self, x: float, bucket: int, unit: bool = False):
+        """(f, f', U) at x after the seeds, in the far basis's normalization;
+        with unit, a far-basis column is divided by its sinh kappa u."""
         side = self.side
         u = 1.0 - side.sign * x
         U, ws, w2s, last = _seed_table(side, x, bucket >= 0)
         if bucket < 0:
             z = self.kappa * u
-            try:
+            if unit:
+                f, d = 1.0, self.kappa / cmath.tanh(z)
+            else:
                 f, d = cmath.sinh(z), self.kappa * cmath.cosh(z)
-            except OverflowError:
-                raise _overflow(side, x) from None
             for w, w2, dlam in zip(ws, w2s, self.dlams):
                 f, d = d - w * f, (dlam + w2) * f - w * d
             return f, d, U
@@ -329,15 +322,21 @@ class _CrumColumn:
         return f * self.scale, d * self.scale, U
 
     def eigenfunction(self, x: float):
-        """(psi, psi') in x."""
-        f, d, _ = self._column(x, self._bucket(x))
+        """(psi, psi') in x; ConvergenceError where they leave the float range."""
+        try:
+            f, d, _ = self._column(x, self._bucket(x))
+        except OverflowError:  # cmath's sinh and cosh; products go to inf instead
+            f = d = math.inf
+        if not (cmath.isfinite(f) and cmath.isfinite(d)):
+            raise ConvergenceError(f"Crum table overflows at coupling {abs(self.side.c)!r}, "
+                                   f"x = {x!r}: sinh(kappa u) is past the float range",
+                                   stage="Crum table", iterate=x)
         return f, d * -self.side.sign
 
     def superpotential(self, x: float):
         """(W, W') of eliminating this level: W = -psi'/psi, W' = W^2 - V + E_f."""
-        f, d, U = self._column(x, self._bucket(x))
-        w = d / f
-        w *= self.side.sign
+        f, d, U = self._column(x, self._bucket(x), unit=True)
+        w = self.side.sign * d / f
         return w, w * w - (self.side.c + U) + self.energy
 
 
@@ -367,13 +366,13 @@ def square_well_potential(Z: float) -> PiecewisePotential:
     return PiecewisePotential(lambda x: complex(0.0, -Z), lambda x: complex(0.0, Z), 1, True)
 
 
-def _elim_index(spectrum: Spectrum, choice: PlanChoice) -> int:
-    """Index of the first level of the branch `choice` names (the lowest real one for "real")."""
+def _elim_level(spectrum: Spectrum, choice: PlanChoice) -> SpectralLevel:
+    """The first level of the branch `choice` names (the lowest real one for "real")."""
     want = {PlanChoice.LOWEST_REAL: Branch.REAL, PlanChoice.COMPLEX_LOWER: Branch.COMPLEX_PAIR_LOWER,
             PlanChoice.COMPLEX_UPPER: Branch.COMPLEX_PAIR_UPPER}[choice]
     for lv in spectrum.levels:
         if lv.branch is want:
-            return lv.index
+            return lv
     raise IllegalPlanError("no real level left to eliminate" if want is Branch.REAL
                            else f"no {want.value} level in the spectrum")
 
@@ -402,7 +401,9 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     A cross-check of the hierarchy's own eigenfunctions.  The derivative of
     the image needs no W': with W' = W^2 - V + E_f the chain rule collapses
     to phi' = (W^2 + E_f - E) psi + W psi'.  Applying the operator to the
-    eliminated level itself raises LevelAnnihilated.
+    eliminated level itself raises LevelAnnihilated.  The image keeps
+    psi's level, which the partner's spectrum holds one place lower when it
+    lies above the eliminated one.
     """
     E = psi.level.energy
     Ef = W.factorization_energy
@@ -418,18 +419,14 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     probe = [(psi.value_and_slope(x), W(x)) for x in _ANNIHILATION_PROBE]
     scale = max(abs(d) + abs(w * p) for (p, d), w in probe)
     if max(abs(d + w * p) for (p, d), w in probe) < 1e-10 * scale:
-        raise LevelAnnihilated(f"level {psi.level.index} is the factorization level")
-
-    key_new = (E.real, E.imag) > (Ef.real, Ef.imag)
-    lvl = SpectralLevel(psi.level.index - 1 if key_new else psi.level.index,
-                        E, psi.level.kappa_right, psi.level.kappa_left, psi.level.branch)
-    return normalize_sides(lvl, psi.member_depth + 1, right, left)
+        raise LevelAnnihilated(f"the level at E = {E!r} is the factorization level")
+    return normalize_sides(psi.level, right, left)
 
 
 def _eigenfunctions(spectrum: Spectrum, sides, depth: int):
     if depth == 1:
         return lambda n: square_well_eigenfunction(spectrum.levels[n])
-    return lambda n: normalize_sides(spectrum.levels[n], depth, *(
+    return lambda n: normalize_sides(spectrum.levels[n], *(
         _CrumColumn(side, spectrum.levels[n]).eigenfunction for side in sides))
 
 
@@ -437,7 +434,8 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
     """Member list of the partner chain; member 1 is the well with `levels` levels.
 
     Each step eliminates the planned level, so member m keeps
-    levels - m + 1 of them.  An exhausted or illegal plan step raises
+    levels - m + 1 of them: the very level objects of member m - 1 but the
+    eliminated one.  An exhausted or illegal plan step raises
     IllegalPlanError.
     """
     if depth < 1:
@@ -456,15 +454,14 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         choice = plan.choices[m - 1] if m - 1 < len(plan.choices) else None
         W = None
         if choice is not None:
-            level = spectrum.levels[_elim_index(spectrum, choice)]
+            level = _elim_level(spectrum, choice)
             W = Superpotential(*(_CrumColumn(side, level).superpotential for side in sides), level.energy)
         members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, sides, m),
                                        eliminated))
         if m == depth:
             break
         eliminated += (level,)
-        spectrum = indexed_spectrum(spectrum.coupling,
-                                    [lv for lv in spectrum.levels if lv.index != level.index])
+        spectrum = Spectrum(Z, tuple(lv for lv in spectrum.levels if lv is not level))
     return members
 
 

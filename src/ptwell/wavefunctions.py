@@ -35,13 +35,12 @@ class PiecewisePair:
 class PiecewiseEigenfunction(PiecewisePair):
     """An eigenfunction whose sides return (psi, psi')."""
     level: SpectralLevel
-    member_depth: int
     right: object
     left: object
 
 
-def normalize_sides(level: SpectralLevel, depth: int, right, left) -> PiecewiseEigenfunction:
-    """The depth-`depth` eigenfunction of `level` from unnormalized sides.
+def normalize_sides(level: SpectralLevel, right, left) -> PiecewiseEigenfunction:
+    """The eigenfunction of `level` from unnormalized sides.
 
     right(x) and left(x) return (psi, psi') at the physical coordinate x.
     Each side is divided by its own origin value so the match
@@ -62,7 +61,7 @@ def normalize_sides(level: SpectralLevel, depth: int, right, left) -> PiecewiseE
             return p / c, d / c
         return ev
 
-    return PiecewiseEigenfunction(level, depth, scaled(right, cR), scaled(left, cL))
+    return PiecewiseEigenfunction(level, scaled(right, cR), scaled(left, cL))
 
 
 def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
@@ -83,8 +82,7 @@ def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
         # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
         # every closed form; the limit command prints these last bits
         return PiecewiseEigenfunction(
-            level, 1,
-            lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
+            level, lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
 
     def right(x):
         w = 1.0 - x
@@ -94,14 +92,7 @@ def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
         v = 1.0 + x
         return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
 
-    return normalize_sides(level, 1, right, left)
-
-
-def eval_sw_eigenfunction(level: SpectralLevel, x: float) -> complex:
-    """Value at x of the well eigenfunction, psi(0) = 1 (or psi'(0) = i)."""
-    if not -1.0 <= x <= 1.0:
-        raise ValueError("x outside the well")
-    return square_well_eigenfunction(level)(x)
+    return normalize_sides(level, right, left)
 
 
 def pt_transform(f):

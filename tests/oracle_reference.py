@@ -73,7 +73,7 @@ def two_sided_blocks(V, cfg: ShootingConfig):
     takes them, with their start values; blocks is None when both sides are constant."""
     import numpy as np
 
-    sides = _sampled_sides(V, cfg.h, cfg.delta)[0]
+    sides = _sampled_sides(V, cfg.h)[0]
     starts = [_start(cfg, side) for side in Side]
     if all(constant is not None for *_, constant in sides.values()):
         return None, starts
@@ -85,7 +85,7 @@ def two_sided(V, Es, cfg: ShootingConfig):
     in Es, each side integrated on its own samples, mirrored or not."""
     blocks, starts = two_sided_blocks(V, cfg)
     if blocks is None:
-        sides = _sampled_sides(V, cfg.h, cfg.delta)[0]
+        sides = _sampled_sides(V, cfg.h)[0]
         return [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in Es]
                 for (_, mids, hh, constant), start in zip(sides.values(), starts)]
     return _rk4_step_product(blocks, Es, starts)

@@ -46,7 +46,7 @@ def test_criterion_1_zero_coupling_spectrum():
     for n, level in enumerate(closed):
         assert abs(level.energy - (n + 1) ** 2 * math.pi**2 / 4) < 1e-10
     V = square_well_potential(0.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     oracle = find_spectrum_numeric(V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), cfg)
     for n, E in enumerate(oracle):
         assert abs(E - (n + 1) ** 2 * math.pi**2 / 4) < 1e-8
@@ -84,7 +84,7 @@ def test_criterion_4_oracle_cross_validation():
     """Closed-form and shooting spectra agree at Z=2; integrator is 4th order."""
     closed = solve_real_spectrum(2.0, 8)
     V = square_well_potential(2.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     oracle = find_spectrum_numeric(V, 8, (complex(1.0, -1.0), complex(165.0, 1.0)), cfg)
     for E, level in zip(oracle, closed):
         assert abs(E - level.energy) < 1e-6
@@ -97,7 +97,7 @@ def test_criterion_5_susy_pairing():
     chain = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=8)
     bare = chain[0].spectrum.levels
     V2 = chain[1].potential
-    cfg = ShootingConfig.for_potential(V2)
+    cfg = ShootingConfig(p=V2.endpoint_exponent)
     oracle = find_spectrum_numeric(V2, 6, (complex(1.0, -1.0), complex(165.0, 1.0)), cfg)
     for E, level in zip(oracle, bare[1:7]):
         assert abs(E - level.energy) < 1e-6
@@ -150,7 +150,7 @@ def test_criterion_7_broken_phase():
     assert abs(kappa_condition_residual(lower.energy, 8.0)) < 1e-10
     assert abs(kappa_condition_residual(upper.energy, 8.0)) < 1e-10
     V = square_well_potential(8.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     assert abs(mismatch(V, lower.energy, cfg).normalized) < 1e-7
     assert abs(mismatch(V, upper.energy, cfg).normalized) < 1e-7
     grid = chebyshev_grid(101)
@@ -178,7 +178,7 @@ def test_criterion_8_hierarchy_relations_broken_phase():
     V3 = chain[2].potential
     assert V3.pt_symmetric
     closed = [level.energy for level in chain[2].spectrum.levels[:5]]
-    cfg = ShootingConfig.for_potential(V3)
+    cfg = ShootingConfig(p=V3.endpoint_exponent)
     hi = max(E.real for E in closed)
     oracle = find_spectrum_numeric(V3, 5, (complex(5.0, -1.0), complex(hi + 10.0, 1.0)), cfg)
     for E, want in zip(oracle, closed):

@@ -78,6 +78,15 @@ def test_hierarchy_json_outside_pair_window(capsys):
     assert len(doc["members"][0]["samples"]) == 5
 
 
+@pytest.mark.parametrize("plan", ["real,real", "clower,cupper"])
+def test_hierarchy_levels_are_numbered_by_position(capsys, plan):
+    code, out, _ = run_cli(capsys, "hierarchy", "--coupling", "8", "--depth", "3",
+                           "--plan", plan, "--samples", "2")
+    assert code == 0
+    for member in json.loads(out)["members"]:
+        assert [row["n"] for row in member["spectrum"]] == list(range(len(member["spectrum"])))
+
+
 def test_hierarchy_json_relations_in_window(capsys):
     code, out, _ = run_cli(capsys, "hierarchy", "--coupling", "8", "--depth", "3",
                            "--plan", "clower,cupper", "--samples", "3")
@@ -174,17 +183,29 @@ def test_solver_failures_exit_2(capsys):
     assert "error" in err
 
 
-def test_hierarchy_past_the_float_range_exits_2(capsys):
-    # at Z = 1e6 sinh(kappa u) of member 2's seeds overflows a float; at 3e5 it does not
-    code, out, err = run_cli(capsys, "hierarchy", "--coupling", "1e6", "--depth", "3",
-                             "--plan", "clower,cupper", "--samples", "5")
-    assert (code, out) == (2, "")
-    doc = json.loads(err)
-    assert doc["error"] == "ConvergenceError"
-    assert "coupling 1000000.0" in doc["detail"] and "x = " in doc["detail"]
-    code, _, _ = run_cli(capsys, "hierarchy", "--coupling", "3e5", "--depth", "3",
-                         "--plan", "clower,cupper", "--samples", "5")
+@pytest.mark.parametrize("coupling", ["3e5", "1e6"])
+def test_hierarchy_past_the_float_range_matches_referee(capsys, coupling):
+    # at Z = 1e6 sinh(kappa u) of member 2's seeds is past the float range, at
+    # 3e5 it is not; the far basis divides each column by it, so V stays exact
+    pytest.importorskip("mpmath")
+    from crum_reference import crum_chain
+
+    from ptwell import classify_spectrum
+
+    code, out, _ = run_cli(capsys, "hierarchy", "--coupling", coupling, "--depth", "3",
+                           "--plan", "clower,cupper", "--samples", "5")
     assert code == 0
+    members = json.loads(out)["members"]
+    Z = float(coupling)
+    pair = classify_spectrum(Z, 2).levels
+    for k, member in enumerate(members):
+        for row in member["samples"]:
+            x = row["x"]
+            right = x >= 0
+            seeds = [(lv.kappa_right if right else lv.kappa_left).value for lv in pair]
+            want = complex(crum_chain(-1j * Z if right else 1j * Z, seeds, [],
+                                      1.0 - x if right else 1.0 + x)[k][0])
+            assert abs(complex(row["re_v"], row["im_v"]) - want) <= 1e-12 * abs(want), (k, x)
 
 
 def test_module_entry_point():
@@ -211,7 +232,7 @@ import sys
 from ptwell import EliminationPlan, ShootingConfig, Side, build_hierarchy, integrate_side
 V = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
 assert "numpy" not in sys.modules
-cfg = ShootingConfig.for_potential(V)
+cfg = ShootingConfig(p=V.endpoint_exponent)
 print(repr([integrate_side(V, 6.0 + 0.5j, side, cfg) for side in (Side.RIGHT, Side.LEFT)]))
 assert "numpy" in sys.modules
 """

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from ptwell import EliminationPlan, IllegalPlanError, build_hierarchy, classify_spectrum
+from ptwell import (ConvergenceError, EliminationPlan, IllegalPlanError, build_hierarchy,
+                    classify_spectrum)
 from ptwell.cli import main
 from ptwell.oracle_verifier import Side, _sampled_sides, linspace
 from ptwell.spectral_core import Branch
@@ -27,7 +28,7 @@ CASES = [(0.0, "real,real,real,real,real,real", "R"),
          (8.0, "cupper,clower,real,real,real,real", "RL"),
          (8.0, "real,real,clower,cupper,real,real", "RL"),
          (18.0, "clower,cupper,cupper,clower,real,real", "RL")]
-# nodes k of the oracle grid at the CLI step h = 2e-4 and delta = 1e-6,
+# nodes k of the oracle grid at the CLI step h = 2e-4 and DELTA = 1e-6,
 # placed as the oracle places them: u = 1e-6, 2.0e-4, 2.0e-3, 2.0e-2
 ORACLE_STEPS, ORACLE_NODES = 5000, (0, 1, 10, 100)
 
@@ -172,7 +173,7 @@ def test_array_sampling_matches_scalar_evaluator(Z, plan):
     crossover."""
     for member in build_hierarchy(Z, EliminationPlan.from_text(plan), DEPTH, levels=DEPTH + 1)[1:]:
         V = member.potential
-        sides = _sampled_sides(V, 2e-3, 1e-6)[0]
+        sides = _sampled_sides(V, 2e-3)[0]
         for side, ev in ((Side.RIGHT, V.right_eval), (Side.LEFT, V.left_eval)):
             nodes, mids, _, _ = sides[side]
             n = len(mids)
@@ -183,3 +184,29 @@ def test_array_sampling_matches_scalar_evaluator(Z, plan):
                 if k < n:
                     want = ev(x0 * (n - k - 0.5) / n)
                     assert abs(complex(mids[k]) - want) <= ARRAY_RTOL * abs(want)
+
+
+def test_large_coupling_members_match_referee():
+    """Past the float range of sinh(kappa u), Z = 1e6: V and W of every member
+    are finite and match the referee on the CLI grid and the oracle's nodes,
+    and an eigenfunction, sinh(kappa u) itself, raises the typed error."""
+    Z = 1e6
+    members = build_hierarchy(Z, EliminationPlan.from_text("clower,cupper"), 3, levels=5)
+    seeds = members[-1].eliminated
+    for side in "RL":
+        attr, sign, c = _side(side, Z)
+        for x in _points(side):
+            refs = crum_chain(c, [getattr(lv, attr).value for lv in seeds], [], 1.0 - sign * x)
+            for k, member in enumerate(members):
+                V = complex(refs[k][0])
+                assert abs(member.potential(x) - V) <= RTOL * abs(V), (member.depth, x)
+                if k < len(seeds):
+                    # W = -psi'/psi of the level it eliminates, column k, whose
+                    # psi is past the float range; d/dx = -sign d/du
+                    psi, dpsi = refs[k][1][k]
+                    W = sign * complex(dpsi / psi)
+                    assert abs(member.superpotential(x) - W) <= RTOL * abs(W), (member.depth, x)
+    for member in members[1:]:
+        with pytest.raises(ConvergenceError) as err:
+            member.eigenfunctions(0)
+        assert err.value.stage == "Crum table"

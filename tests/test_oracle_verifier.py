@@ -24,9 +24,10 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
-from ptwell.oracle_verifier import (BLOCK, GRID_RESOLUTION, ROOT_TOL, _box_minima_candidates,
-                                    _ordered_levels, _real_axis_starts, _rk4_step_product,
-                                    _sampled_sides, _secant, _side_pairs, linspace, mismatches)
+from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL,
+                                    _box_minima_candidates, _ordered_levels, _real_axis_starts,
+                                    _rk4_step_product, _sampled_sides, _secant, _side_pairs,
+                                    linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
 
 from oracle_reference import (rk4_order_estimate, step_product_reference, two_sided,
@@ -40,15 +41,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ShootingConfig(h=-1e-3)
     with pytest.raises(ValueError):
-        ShootingConfig(delta=1e-2)
-    with pytest.raises(ValueError):
         ShootingConfig(p=0)
 
 
 def test_config_for_potential_reads_exponent():
     h = build_hierarchy(2.0, EliminationPlan.from_text("real,real"), 3, levels=6)
-    cfg = ShootingConfig.for_potential(h[2].potential)
-    assert cfg.p == 3
+    assert h[2].potential.endpoint_exponent == 3
 
 
 def test_mismatch_sentinel_on_breakdown():
@@ -58,7 +56,7 @@ def test_mismatch_sentinel_on_breakdown():
 
 def test_mismatch_vanishes_only_at_eigenvalues():
     V = square_well_potential(2.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     E0 = solve_real_spectrum(2.0, 1)[0].energy
     assert abs(mismatch(V, E0, cfg).normalized) < 1e-10
     assert abs(mismatch(V, E0 + 1.0, cfg).normalized) > 0.1
@@ -66,7 +64,7 @@ def test_mismatch_vanishes_only_at_eigenvalues():
 
 def test_side_solutions_share_parity_at_zero_coupling():
     V = square_well_potential(0.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     pR, dR = integrate_side(V, 3.0 + 0j, Side.RIGHT, cfg)
     pL, dL = integrate_side(V, 3.0 + 0j, Side.LEFT, cfg)
     assert pR == pL
@@ -108,7 +106,7 @@ def _restored(psi, dpsi, logscale):
 def _start(cfg, side):
     """(psi, psi') at the wall, as the integrators start."""
     sgn = -1.0 if side is Side.RIGHT else 1.0
-    return complex(cfg.delta ** cfg.p), complex(sgn * cfg.p * cfg.delta ** (cfg.p - 1))
+    return complex(DELTA ** cfg.p), complex(sgn * cfg.p * DELTA ** (cfg.p - 1))
 
 
 # members 2-4 of a real-phase chain, and of a broken-phase one at Z = 8
@@ -129,8 +127,8 @@ def test_constant_side_power_matches_step_loop(Z, E):
     members = build_hierarchy(Z, EliminationPlan.from_text(_PLANS[Z]), 4, levels=8)
     for mem in members:
         V = mem.potential
-        cfg = ShootingConfig.for_potential(V)
-        sides, blocks, _ = _sampled_sides(V, cfg.h, cfg.delta)
+        cfg = ShootingConfig(p=V.endpoint_exponent)
+        sides, blocks, _ = _sampled_sides(V, cfg.h)
         assert (blocks is None) == (mem.depth == 1)
         for k, side in enumerate(Side):
             nodes, mids, hh, constant = sides[side]
@@ -155,7 +153,7 @@ def test_block_product_matches_step_loop_when_blocks_are_padded(h, n, Z):
     for mem in members[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
-        sides, blocks, mirrored = _sampled_sides(V, cfg.h, cfg.delta)
+        sides, blocks, mirrored = _sampled_sides(V, cfg.h)
         assert blocks.shape == (2 * BLOCK + 1, 4, 1 if mirrored else 2, -(-n // BLOCK))
         assert two_sided_blocks(V, cfg)[0].shape == (2 * BLOCK + 1, 4, 2, -(-n // BLOCK))
         reference, pairs = two_sided(V, Es, cfg), _side_pairs(V, Es, cfg)
@@ -182,7 +180,7 @@ def test_stacked_sides_equal_each_side_alone_bit_for_bit():
         # the oracle's right side is the stacked product's; its left one too unless mirrored
         pairs = [list(side) for side in zip(*_side_pairs(V, [complex(E) for E in Es], cfg))]
         assert pairs[0] == both[0]
-        if not _sampled_sides(V, cfg.h, cfg.delta)[2]:
+        if not _sampled_sides(V, cfg.h)[2]:
             assert pairs[1] == both[1]
 
 
@@ -215,7 +213,7 @@ def test_step_product_matches_reference_bit_for_bit(Z, plan, h):
         cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
         # both sides stacked, and the oracle's own blocks: the right side alone when mirrored
         stacked, starts = two_sided_blocks(V, cfg)
-        own = _sampled_sides(V, cfg.h, cfg.delta)[1]
+        own = _sampled_sides(V, cfg.h)[1]
         for blocks in (stacked, own):
             for Es in _PRODUCT_BATCHES:
                 want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
@@ -276,7 +274,7 @@ def test_random_batches_match_reference_bit_for_bit(energies):
     cfg = ShootingConfig(h=1e-3, p=V.endpoint_exponent)
     stacked, starts = two_sided_blocks(V, cfg)
     Es = [complex(re, im) for re, im in energies]
-    for blocks in (stacked, _sampled_sides(V, cfg.h, cfg.delta)[1]):
+    for blocks in (stacked, _sampled_sides(V, cfg.h)[1]):
         want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
         got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
         assert _product_bits(got) == _product_bits(want)
@@ -288,7 +286,7 @@ def test_one_constant_side_goes_through_the_product(monkeypatch):
     V = PiecewisePotential(lambda x: complex(4.0, -2.0), lambda x: complex(30.0 * x * x, 2.0),
                            1, False)
     cfg = ShootingConfig(h=1e-3)
-    sides, blocks, _ = _sampled_sides(V, cfg.h, cfg.delta)
+    sides, blocks, _ = _sampled_sides(V, cfg.h)
     assert sides[Side.RIGHT][3] == complex(4.0, -2.0) and sides[Side.LEFT][3] is None
     assert blocks is not None
 
@@ -304,14 +302,14 @@ def test_one_constant_side_goes_through_the_product(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(oracle_verifier, "_rk4_step_product", forbidden)
     well = square_well_potential(2.0)
-    assert _sampled_sides(well, cfg.h, cfg.delta)[1] is None
+    assert _sampled_sides(well, cfg.h)[1] is None
     assert cmath.isfinite(mismatch(well, 3.0, cfg).normalized)
 
 
 def _loop_mismatch(V, E, cfg):
     # each side normalized before the Wronskian, so nothing is squared
     sides = []
-    sampled = _sampled_sides(V, cfg.h, cfg.delta)[0]
+    sampled = _sampled_sides(V, cfg.h)[0]
     for side in Side:
         nodes, mids, hh, _ = sampled[side]
         psi, dpsi, _ = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
@@ -327,7 +325,7 @@ def test_mismatch_finite_where_side_values_reach_1e100():
     V1 = square_well_potential(2.0)
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
     for V, E in ((V1, -4e4), (V2, -3.5e4), (V2, -4e4), (V2, complex(-40186.3, 0.74))):
-        cfg = ShootingConfig.for_potential(V)
+        cfg = ShootingConfig(p=V.endpoint_exponent)
         got = mismatch(V, E, cfg).normalized
         assert cmath.isfinite(got) and got != complex(1.0)
         assert abs(got - _loop_mismatch(V, E, cfg)) <= 1e-12
@@ -396,7 +394,7 @@ def test_real_seed_members_mirror_bit_for_bit(monkeypatch):
                                levels=9)[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _sampled_sides(V, cfg.h, cfg.delta)[2]
+        assert _sampled_sides(V, cfg.h)[2]
         del products[:]
         got = mismatches(V, _REAL_ENERGIES, cfg)
         assert products == [(1, len(_REAL_ENERGIES))]
@@ -413,8 +411,8 @@ def test_bare_well_mirrors_exactly(Z, monkeypatch):
     # the well's constants -iZ and iZ are conjugates, so its right side's
     # power at E and conj E gives the two-sided values exactly
     V = square_well_potential(Z)
-    cfg = ShootingConfig.for_potential(V)
-    assert _sampled_sides(V, cfg.h, cfg.delta)[1:] == (None, True)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
+    assert _sampled_sides(V, cfg.h)[1:] == (None, True)
     powers = []
     counted = oracle_verifier._rk4_constant_power
 
@@ -439,7 +437,7 @@ def test_conjugate_energies_share_one_side(monkeypatch):
     # values at E and conj E are exact conjugates
     V = build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-    assert _sampled_sides(V, cfg.h, cfg.delta)[2]
+    assert _sampled_sides(V, cfg.h)[2]
     products = _count_sides(monkeypatch)
     for E in _COMPLEX_ENERGIES:
         del products[:]
@@ -458,7 +456,7 @@ def test_pair_eliminated_members_mirror_within_rounding():
                                levels=9)[2:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _sampled_sides(V, cfg.h, cfg.delta)[2]
+        assert _sampled_sides(V, cfg.h)[2]
         Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
         got = mismatches(V, Es, cfg)
         want = two_sided_mismatches(V, Es, cfg)
@@ -490,7 +488,7 @@ def _flagged_off_mirror():
                                   lambda x: real.right_eval(-x).conjugate() * factor,
                                   real.endpoint_exponent, True)
 
-    assert _sampled_sides(flagged(1.0), 2e-3, 1e-6)[2]
+    assert _sampled_sides(flagged(1.0), 2e-3)[2]
     return flagged(1.0 + 1e-9)
 
 
@@ -499,7 +497,7 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
     # the samples decide, never the pt_symmetric flag
     V = build()
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-    assert not _sampled_sides(V, cfg.h, cfg.delta)[2]
+    assert not _sampled_sides(V, cfg.h)[2]
     Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
     products = _count_sides(monkeypatch)
     got = mismatches(V, Es, cfg)
@@ -509,7 +507,7 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
 
 def test_partner_sides_are_not_constant():
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
-    sides = _sampled_sides(V2, 2e-4, 1e-6)[0]
+    sides = _sampled_sides(V2, 2e-4)[0]
     for side in Side:
         assert sides[side][3] is None
 
@@ -517,26 +515,28 @@ def test_partner_sides_are_not_constant():
 @pytest.mark.parametrize("Z", [1.0, 4.0])
 def test_oracle_reproduces_real_spectra(Z):
     V = square_well_potential(Z)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     closed = solve_real_spectrum(Z, 8)
     found = find_spectrum_numeric(V, 8, (complex(1.0, -1.0), complex(165.0, 1.0)), cfg)
     for E, level in zip(found, closed):
         assert abs(E - level.energy) < 1e-6
 
 
-def test_oracle_insensitive_to_startup_offset():
+def test_oracle_insensitive_to_startup_offset(monkeypatch):
     V = square_well_potential(2.0)
     box = (complex(1.0, -1.0), complex(5.0, 1.0))
     values = []
     for delta in (1e-7, 1e-6, 1e-5):
-        cfg = ShootingConfig(delta=delta, p=1)
-        values.append(find_spectrum_numeric(V, 1, box, cfg)[0])
+        monkeypatch.setattr(oracle_verifier, "DELTA", delta)
+        _sampled_sides.cache_clear()  # its samples start DELTA from the wall
+        values.append(find_spectrum_numeric(V, 1, box, ShootingConfig(p=1))[0])
+    _sampled_sides.cache_clear()
     assert max(abs(a - b) for a in values for b in values) < 1e-7
 
 
 def test_rk4_order():
     V = square_well_potential(2.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     E = solve_real_spectrum(2.0, 1)[0].energy * 1.0001
     assert 3.7 < rk4_order_estimate(V, E, cfg) < 4.3
 
@@ -544,7 +544,7 @@ def test_rk4_order():
 def test_complex_pair_found_from_seeds():
     spec = classify_spectrum(8.0, 3)
     V = square_well_potential(8.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     seeds = [spec.levels[0].energy * 1.05, spec.levels[1].energy * 1.05]
     found = find_spectrum_numeric(V, 3, (complex(2.0, -7.0), complex(30.0, 7.0)), cfg, seeds=seeds)
     for E, level in zip(found, spec.levels):
@@ -561,7 +561,7 @@ def test_complex_pair_found_by_box_scan():
     # off-axis box exercises the minima-seeded route, no closed-form hints
     spec = classify_spectrum(8.0, 1)
     V = square_well_potential(8.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     found = find_spectrum_numeric(V, 1, (complex(3.0, -9.0), complex(11.0, -2.0)), cfg)
     assert abs(found[0] - spec.levels[0].energy) < 1e-7
 
@@ -571,7 +571,7 @@ def test_fourth_member_isospectral_with_bare_well():
     V4 = h[3].potential
     assert V4.endpoint_exponent == 4
     closed = [level.energy for level in h[3].spectrum.levels[:4]]
-    cfg = ShootingConfig.for_potential(V4)
+    cfg = ShootingConfig(p=V4.endpoint_exponent)
     found = find_spectrum_numeric(V4, 4, (complex(30.0, -1.0), complex(165.0, 1.0)), cfg)
     for E, want in zip(found, closed):
         assert abs(E - want) < 1e-6
@@ -579,7 +579,7 @@ def test_fourth_member_isospectral_with_bare_well():
 
 def test_overfull_request_raises():
     V = square_well_potential(2.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     with pytest.raises(ConvergenceError):
         find_spectrum_numeric(V, 3, (complex(1.0, -0.5), complex(5.0, 0.5)), cfg)
 
@@ -597,7 +597,7 @@ def _secant_alone(f, *start):
 
 def test_secant_from_scan_brackets_stays_in_bracket():
     V = square_well_potential(2.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     closed = [lv.energy.real for lv in solve_real_spectrum(2.0, 12)]
     starts = _real_axis_starts(V, closed[0] - 2.0, closed[-1] + 5.0, cfg)
     assert len(starts) >= 12
@@ -641,7 +641,7 @@ def test_zero_coupling_search_mismatch_count(monkeypatch):
     # work counts are deterministic, so they catch regressions noisy timings miss
     energies = _count_energies(monkeypatch)
     V = square_well_potential(0.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     found = find_spectrum_numeric(V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), cfg)
     assert len(found) == 10
     for n, E in enumerate(found):
@@ -692,7 +692,7 @@ _SEARCHES = [(2.0, "real,real,real,real", depth, 3, True) for depth in (2, 3, 4,
 def test_search_roots_do_not_depend_on_batch_size(search, monkeypatch):
     if search == "bare":
         V = square_well_potential(0.0)
-        args = (V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), ShootingConfig.for_potential(V))
+        args = (V, 10, (complex(0.5, -1.0), complex(260.0, 1.0)), ShootingConfig(p=V.endpoint_exponent))
         seeds = None
     else:
         args, seeds = _verify_search(*search)
@@ -748,7 +748,7 @@ def test_box_minima_candidates_match_array_reference():
                 and mag[i, j] < 0.5]
 
     V = square_well_potential(8.0)
-    cfg = ShootingConfig.for_potential(V)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
     for lo, hi in ((complex(3.0, -9.0), complex(11.0, -2.0)), (complex(0.0, -7.0), complex(60.0, 7.0))):
         seeds = _box_minima_candidates(V, lo, hi, cfg)
         assert seeds

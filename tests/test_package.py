@@ -51,19 +51,26 @@ def test_names_the_benchmark_reads():
     spectrum = sc.classify_spectrum(2.0, 3)
     lv = spectrum.levels[0]
     assert isinstance(lv.kappa_right, sc.WaveNumber)
+    assert lv.branch.value == "Real" and lv.kappa_right.value.imag < 0
     kap = type(lv.kappa_right)(lv.kappa_right.value * 2.0)
     moved = dataclasses.replace(lv, energy=lv.energy * 4.0, kappa_right=kap)
     assert dataclasses.replace(spectrum, levels=(moved,)).levels[0].kappa_right.value == kap.value
+    broken = sc.classify_spectrum(8.0, 3)
+    assert [lv.branch.value for lv in broken.levels] == ["ComplexPairLower", "ComplexPairUpper",
+                                                         "Real"]
+    assert dataclasses.replace(broken, levels=broken.levels[1:]).broken_pairs == ()
 
     ramp = sh.PiecewisePotential(lambda x: complex(x), lambda x: complex(-x), 1, True)
     ov.integrate_side(ramp, 1.0, ov.Side.RIGHT, ov.ShootingConfig(h=5e-3))
 
     assert sh.EliminationPlan(()).choices == ()
     members = sh.build_hierarchy(2.0, sh.EliminationPlan.from_text("real"), 2, 3)
+    assert [mem.depth for mem in members] == [1, 2]
     assert dataclasses.replace(members[1], potential=members[0].potential).potential is \
         members[0].potential
     V, E = members[1].potential, members[1].spectrum.levels[0].energy
     cfg = ov.ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    assert (cfg.h, cfg.p) == (2e-3, 2)
     assert abs(ov.mismatch(V, E, cfg).normalized) < 1e-6
     found = ov.find_spectrum_numeric(V, 1, (E - 2.0 - 1j, E + 2.0 + 1j), cfg, seeds=[E * 1.001])
     assert abs(found[0] - E) < 1e-6

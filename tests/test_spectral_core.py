@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import pytest
@@ -295,9 +296,17 @@ def test_classify_spectrum_broken_phase():
     assert spec.levels[0].energy == pytest.approx(6.79173469157569 - 5.770054142209853j, rel=1e-10)
     assert spec.levels[2].energy.real == pytest.approx(23.547184734957455, rel=1e-10)
     assert all(level.branch is Branch.REAL for level in spec.levels[2:])
-    assert [level.index for level in spec.levels] == list(range(8))
     energies = [(level.energy.real, level.energy.imag) for level in spec.levels]
     assert energies == sorted(energies)
+
+
+def test_broken_pairs_are_read_off_the_levels():
+    # a spectrum stores no pair list of its own, so one rebuilt from other
+    # levels reports their pairs, not the ones it was copied from
+    spec = classify_spectrum(8.0, 8)
+    assert dataclasses.replace(spec, levels=spec.levels[2:]).broken_pairs == ()
+    assert dataclasses.replace(spec, levels=spec.levels[1:]).broken_pairs == ()
+    assert dataclasses.replace(spec, levels=spec.levels[:2] * 2).broken_pairs == ((0, 1), (2, 3))
 
 
 def test_classify_spectrum_unbroken_has_no_pairs():
@@ -355,14 +364,16 @@ def _band_order(monkeypatch):
 def _search_box(_):
     V = square_well_potential(2.0)
     box = (complex(1.0, -0.5), complex(5.0, 0.5))
-    found = tuple(find_spectrum_numeric(V, 1, box, ShootingConfig.for_potential(V)))
-    return (lambda: find_spectrum_numeric(V, 3, box, ShootingConfig.for_potential(V)),
+    found = tuple(find_spectrum_numeric(V, 1, box, ShootingConfig(p=V.endpoint_exponent)))
+    return (lambda: find_spectrum_numeric(V, 3, box, ShootingConfig(p=V.endpoint_exponent)),
             "search box", found, box)
 
 
 def _crum_table(_):
-    member = build_hierarchy(1e6, EliminationPlan.from_text("clower,cupper"), 3)[2]
-    return lambda: member.potential(0.0), "Crum table", 0.0, None
+    # V and W stay finite past the float range; an eigenfunction, sinh(kappa u)
+    # itself, does not, and its origin normalization raises at x = 0
+    member = build_hierarchy(1e8, EliminationPlan.from_text("clower,cupper"), 3)[2]
+    return lambda: member.eigenfunctions(0), "Crum table", 0.0, None
 
 
 @pytest.mark.parametrize("case", [
@@ -517,7 +528,7 @@ def test_many_real_levels_against_mpmath(Z, count):
             t0 = -level.kappa_right.value.imag
             t = mp.findroot(lambda t: (Z / (2 * t)) * mp.sinh(Z / t) + t * mp.sin(2 * t), t0)
             ref = float(t * t - (Z / (2 * t)) ** 2)
-            assert abs(level.energy.real - ref) <= 1e-12 * abs(ref), (level.index, level.energy, ref)
+            assert abs(level.energy.real - ref) <= 1e-12 * abs(ref), (level.energy, ref)
 
 
 @pytest.mark.parametrize("Z", ["near_critical", 100.0, 300.0])

@@ -208,8 +208,8 @@ def test_intertwine_drops_index_and_matches_closed_form():
     h = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=8)
     W = h[0].superpotential
     phi = intertwine(W, h[0].eigenfunctions(1))
-    assert phi.level.index == 0
-    assert phi.level.energy == pytest.approx(h[1].spectrum.levels[0].energy)
+    # the image keeps its level, which member 2 holds one place lower
+    assert phi.level is h[0].spectrum.levels[1] is h[1].spectrum.levels[0]
     psi = h[1].eigenfunctions(0)
     ref_phi, ref_psi = phi(0.32), psi(0.32)
     for x in chebyshev_grid(50):
@@ -373,6 +373,19 @@ def test_pair_elimination_bookkeeping():
     assert not m2.potential.pt_symmetric
     assert len(m2.eliminated) == 1
     assert m2.eliminated[0].energy.imag < 0
+
+
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real"), (8.0, "clower,real,cupper")])
+def test_partner_keeps_its_parents_level_objects(Z, plan):
+    # each step removes one level and hands on the others themselves, so a
+    # level's index is its position and falls by one past the eliminated one
+    h = build_hierarchy(Z, EliminationPlan.from_text(plan), 4, levels=8)
+    for parent, child in zip(h, h[1:]):
+        gone = child.eliminated[-1]
+        assert any(lv is gone for lv in parent.spectrum.levels)
+        kept = [lv for lv in parent.spectrum.levels if lv is not gone]
+        assert len(child.spectrum.levels) == len(kept)
+        assert all(a is b for a, b in zip(child.spectrum.levels, kept))
 
 
 def test_pair_elimination_requires_a_pair():

@@ -8,7 +8,6 @@ from ptwell import (
     build_hierarchy,
     chebyshev_grid,
     classify_spectrum,
-    eval_sw_eigenfunction,
     gegenbauer_eval,
     limit_form,
     pt_defect,
@@ -63,7 +62,7 @@ def test_normalize_sides_calls_each_side_once_at_origin(Z, n):
             return side(x)
         return ev
 
-    normalize_sides(f.level, 1, counted("right", f.right), counted("left", f.left))
+    normalize_sides(f.level, counted("right", f.right), counted("left", f.left))
     assert origin_calls == {"right": 1, "left": 1}
 
 
@@ -84,13 +83,6 @@ def test_zero_coupling_odd_levels_fallback():
     for x in (-0.6, -0.25, 0.3, 0.85):
         assert f(x) == pytest.approx(1j * math.sin(t * x) / t, rel=1e-10)
     assert f(0.0) == 0
-
-
-def test_eval_sw_eigenfunction_domain():
-    level = solve_real_spectrum(1.0, 1)[0]
-    assert eval_sw_eigenfunction(level, 1.0) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        eval_sw_eigenfunction(level, 1.2)
 
 
 def test_schrodinger_residual_small_on_eigenfunctions():
