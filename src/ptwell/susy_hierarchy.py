@@ -26,7 +26,7 @@ from functools import lru_cache
 from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, SpectralLevel,
                             Spectrum, classify_spectrum, find_critical_coupling)
 from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
-                            normalize_sides, pt_defect, pt_transform,
+                            normalize_sides, origin_scales, pt_defect, pt_transform,
                             ratio_stats, square_well_eigenfunction)
 
 
@@ -194,9 +194,9 @@ class _CrumSide:
     reads the far one.  The series reaches the levels' crossover, no further.
     """
 
-    def __init__(self, c: complex, sign: float, attr: str, seeds):
+    def __init__(self, c: complex, sign: float, attr: str, kappas: tuple):
         self.c, self.sign, self.attr = c, sign, attr  # the well's value on this side; +1 on the right
-        self.kappas = [getattr(lv, attr).value for lv in seeds]
+        self.kappas = kappas
         self.lams = lams = [k * k for k in self.kappas]
         self.steps = [(lam, [m - lam for m in lams[s + 1:]]) for s, lam in enumerate(lams)]
         k = len(lams)
@@ -204,14 +204,6 @@ class _CrumSide:
         self.buckets = min(k * (k + 1) // 2, 18)  # and below a level's, never fewer
         self.per_u = 2 * max((abs(kappa) for kappa in self.kappas), default=0.0)  # bucket = int(|u| per_u)
         self.series = self.h = None  # built on first use
-        self._key = (sign, c, tuple(self.kappas))
-        self._hash = hash(self._key)
-
-    def __eq__(self, other):
-        return isinstance(other, _CrumSide) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def _series(self):
         """Per bucket, the Horner coefficients of seed columns 1..k-1, and in
@@ -287,62 +279,65 @@ class _CrumColumn:
         self.scale = kappa * math.prod(self.dlams)  # the near basis's column over the far one's
         self.series = None  # built on first use
 
-    def _bucket(self, x: float) -> int:
-        """The level's X-bucket at x, -1 (the far basis) from its crossover on."""
-        bucket = int(abs(1.0 - self.side.sign * x) * self.per_u)
-        return bucket if bucket < self.side.buckets else -1
-
-    def _column(self, x: float, bucket: int, unit: bool = False):
-        """(f, f', U) at x after the seeds, in the far basis's normalization;
-        with unit, a far-basis column is divided by its sinh kappa u."""
+    def _column(self, x: float, unit: bool):
+        """(f, f', U) at x after the seeds, in the far basis's normalization (the near
+        basis below the level's crossover); with unit, a far-basis column is divided
+        by its sinh kappa u.  ConvergenceError where f or f' leaves the float range."""
         side = self.side
         u = 1.0 - side.sign * x
-        U, ws, w2s, last = _seed_table(side, x, bucket >= 0)
-        if bucket < 0:
+        bucket = int(abs(u) * self.per_u)
+        U, ws, w2s, last = _seed_table(side, x, bucket < side.buckets)
+        if bucket >= side.buckets:
             z = self.kappa * u
-            if unit:
-                f, d = 1.0, self.kappa / cmath.tanh(z)
-            else:
-                f, d = cmath.sinh(z), self.kappa * cmath.cosh(z)
+            try:
+                if unit:
+                    f, d = 1.0, self.kappa / cmath.tanh(z)
+                else:
+                    f, d = cmath.sinh(z), self.kappa * cmath.cosh(z)
+            except OverflowError:  # cmath's sinh and cosh; products go to inf instead
+                f = d = math.inf
             for w, w2, dlam in zip(ws, w2s, self.dlams):
                 f, d = d - w * f, (dlam + w2) * f - w * d
-            return f, d, U
-        if self.series is None:
-            side._series()  # and with it side.h, the seeds' h_d
-            self.series = _horner(_extend(side.h, self.kappa * self.kappa), len(ws), side.buckets)
-        t = u * u
-        value = slope = 0j
-        for a, b in self.series[bucket]:
-            value = value * t + a
-            slope = slope * t + b
-        power = t ** len(ws)
-        f, d = value * power * u, slope * power
-        for w, w2, dlam, prev in zip(ws, w2s, self.dlams, last):
-            f, d = d - w * f, (dlam + w2) * f - w * d + prev
-        return f * self.scale, d * self.scale, U
-
-    def eigenfunction(self, x: float):
-        """(psi, psi') in x; ConvergenceError where they leave the float range."""
-        try:
-            f, d, _ = self._column(x, self._bucket(x))
-        except OverflowError:  # cmath's sinh and cosh; products go to inf instead
-            f = d = math.inf
+        else:
+            if self.series is None:
+                side._series()  # and with it side.h, the seeds' h_d
+                self.series = _horner(_extend(side.h, self.kappa * self.kappa), len(ws), side.buckets)
+            t = u * u
+            value = slope = 0j
+            for a, b in self.series[bucket]:
+                value = value * t + a
+                slope = slope * t + b
+            power = t ** len(ws)
+            f, d = value * power * u, slope * power
+            for w, w2, dlam, prev in zip(ws, w2s, self.dlams, last):
+                f, d = d - w * f, (dlam + w2) * f - w * d + prev
+            f, d = f * self.scale, d * self.scale
         if not (cmath.isfinite(f) and cmath.isfinite(d)):
-            raise ConvergenceError(f"Crum table overflows at coupling {abs(self.side.c)!r}, "
+            raise ConvergenceError(f"Crum table overflows at coupling {abs(side.c)!r}, "
                                    f"x = {x!r}: sinh(kappa u) is past the float range",
                                    stage="Crum table", iterate=x)
-        return f, d * -self.side.sign
+        return f, d, U
+
+    def eigenfunction(self, x: float):
+        """(psi, psi') in x, over the origin constant norm (wavefunctions.origin_scales)."""
+        f, d, _ = self._column(x, False)
+        return f / self.norm, d * -self.side.sign / self.norm
 
     def superpotential(self, x: float):
         """(W, W') of eliminating this level: W = -psi'/psi, W' = W^2 - V + E_f."""
-        f, d, U = self._column(x, self._bucket(x), unit=True)
+        f, d, U = self._column(x, True)
         w = self.side.sign * d / f
         return w, w * w - (self.side.c + U) + self.energy
 
 
+# one object per equal side, so the seed-table cache hashes sides by identity;
+# hierarchy_relations_check holds 12 at once, and an evicted side builds its own
+_side = lru_cache(maxsize=32)(_CrumSide)
+
+
 def _sides(Z: float, seeds):
     """The right and left _CrumSide of the levels `seeds`."""
-    return [_CrumSide(c, sign, attr, seeds)
+    return [_side(c, sign, attr, tuple(getattr(lv, attr).value for lv in seeds))
             for c, sign, attr in ((complex(0.0, -Z), 1.0, "kappa_right"),
                                   (complex(0.0, Z), -1.0, "kappa_left"))]
 
@@ -426,8 +421,13 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
 def _eigenfunctions(spectrum: Spectrum, sides, depth: int):
     if depth == 1:
         return lambda n: square_well_eigenfunction(spectrum.levels[n])
-    return lambda n: normalize_sides(spectrum.levels[n], *(
-        _CrumColumn(side, spectrum.levels[n]).eigenfunction for side in sides))
+
+    def eigenfunction(n):
+        right, left = columns = [_CrumColumn(side, spectrum.levels[n]) for side in sides]
+        right.norm, left.norm = origin_scales(*((f, d * -col.side.sign) for col in columns
+                                                for f, d, _ in [col._column(0.0, False)]))
+        return PiecewiseEigenfunction(spectrum.levels[n], right.eigenfunction, left.eigenfunction)
+    return eigenfunction
 
 
 def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8):

@@ -10,7 +10,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .spectral_core import SpectralLevel
+from .spectral_core import ConvergenceError, SpectralLevel
 
 
 class PiecewisePair:
@@ -25,7 +25,7 @@ class PiecewisePair:
         return self.right(x) if x >= 0 else self.left(x)
 
     def __call__(self, x: float) -> complex:
-        return self.value_and_slope(x)[0]
+        return (self.right(x) if x >= 0 else self.left(x))[0]
 
     def derivative(self, x: float) -> complex:
         return self.value_and_slope(x)[1]
@@ -39,21 +39,23 @@ class PiecewiseEigenfunction(PiecewisePair):
     left: object
 
 
-def normalize_sides(level: SpectralLevel, right, left) -> PiecewiseEigenfunction:
-    """The eigenfunction of `level` from unnormalized sides.
+def origin_scales(right0, left0):
+    """Divisors (cR, cL) of sides whose (psi, psi') at x = 0 are right0 and left0.
 
-    right(x) and left(x) return (psi, psi') at the physical coordinate x.
-    Each side is divided by its own origin value so the match
-    psi(0+) = psi(0-) = 1 is exact by construction.  When the origin value
-    is negligible against the slope, each side is divided by its origin slope
-    over i instead, giving psi'(0) = i.
+    Each side is divided by its own origin value, so psi(0+) = psi(0-) = 1 (a
+    complex f/f may leave Im below 2^-52); when that value is negligible
+    against the slope, by its origin slope over i, so psi'(0) = i.
     """
-    val0R, der0R = right(0.0)
-    val0L, der0L = left(0.0)
+    val0R, der0R = right0
+    val0L, der0L = left0
     if abs(val0R) >= 1e-8 * (abs(val0R) + abs(der0R)):
-        cR, cL = val0R, val0L
-    else:
-        cR, cL = der0R / 1j, der0L / 1j
+        return val0R, val0L
+    return der0R / 1j, der0L / 1j
+
+
+def normalize_sides(level: SpectralLevel, right, left) -> PiecewiseEigenfunction:
+    """The eigenfunction of `level` from sides right(x), left(x) -> (psi, psi'), by `origin_scales`."""
+    cR, cL = origin_scales(right(0.0), left(0.0))
 
     def scaled(side, c):
         def ev(x):
@@ -69,20 +71,10 @@ def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
 
     At Z = 0 the odd levels have sinh(rho) = 0 and the origin-value form is
     indeterminate; the continuity limit sin(t x)/t applies there (slope-pinned,
-    psi'(0) = i).
+    psi'(0) = i).  ConvergenceError where the origin values, the largest, overflow.
     """
     rho = level.kappa_right.value
     sigma = level.kappa_left.value
-    if abs(cmath.sinh(rho)) < 1e-12:
-        t = -rho.imag
-
-        def limit_side(y):
-            return 1j * math.sin(t * y) / t, 1j * math.cos(t * y)
-
-        # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
-        # every closed form; the limit command prints these last bits
-        return PiecewiseEigenfunction(
-            level, lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
 
     def right(x):
         w = 1.0 - x
@@ -92,6 +84,23 @@ def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
         v = 1.0 + x
         return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
 
+    try:
+        origin = right(0.0) + left(0.0)
+    except OverflowError:  # cmath's sinh and cosh; products go to inf instead
+        origin = (math.inf,)
+    if not all(map(cmath.isfinite, origin)):
+        raise ConvergenceError(f"the well's eigenfunction at E = {level.energy!r} overflows at x = 0.0",
+                               stage="well eigenfunction", iterate=0.0)
+    if abs(origin[0]) < 1e-12:  # sinh(rho), the right side's origin value
+        t = -rho.imag
+
+        def limit_side(y):
+            return 1j * math.sin(t * y) / t, 1j * math.cos(t * y)
+
+        # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
+        # every closed form; the limit command prints these last bits
+        return PiecewiseEigenfunction(
+            level, lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
     return normalize_sides(level, right, left)
 
 

@@ -376,6 +376,12 @@ def _crum_table(_):
     return lambda: member.eigenfunctions(0), "Crum table", 0.0, None
 
 
+def _well_overflow(_):
+    # the well's own eigenfunction, sinh(sigma) at the origin past the float range
+    member = build_hierarchy(1e6, EliminationPlan.from_text("clower,cupper"), 3, 5)[0]
+    return lambda: member.eigenfunctions(0), "well eigenfunction", 0.0, None
+
+
 @pytest.mark.parametrize("case", [
     _pair_stall,
     lambda _: (lambda: classify_spectrum(0.484, 22), "wavenumber condition (Z=0.484)",
@@ -386,8 +392,9 @@ def _crum_table(_):
     _band_order,
     _search_box,
     _crum_table,
+    _well_overflow,
 ], ids=["pair-stall", "wavenumber-guard", "band-exhaustion", "pair-still-real",
-        "band-order", "search-box", "crum-overflow"])
+        "band-order", "search-box", "crum-overflow", "well-overflow"])
 def test_convergence_errors_carry_their_fields(monkeypatch, case):
     # every raise names its stage and last point, and its bracket where the
     # search has one; iterate is a type where the value is not known ahead

@@ -1,10 +1,12 @@
 import cmath
 import itertools
 import math
+import sys
 
 import pytest
 
 from ptwell import (
+    ConvergenceError,
     EliminationPlan,
     IllegalPlanError,
     LevelAnnihilated,
@@ -110,10 +112,12 @@ def test_series_basis_matches_far_basis_at_crossover():
             for level in member.spectrum.levels[:2]:
                 column = _CrumColumn(side, level)
                 x = side.sign * (1.0 - side.buckets / column.per_u * (1 - 1e-9))
-                assert column._bucket(x) == side.buckets - 1
-                f_near, d_near, _ = column._column(x, side.buckets - 1)
-                f_far, d_far, _ = column._column(x, -1)
+                assert int((1.0 - side.sign * x) * column.per_u) == side.buckets - 1
+                f_near, d_near, _ = column._column(x, False)
                 kmax = column.per_u / 2
+                column.per_u *= 2  # which puts x past the column's crossover, in the far basis
+                assert int((1.0 - side.sign * x) * column.per_u) >= side.buckets
+                f_far, d_far, _ = column._column(x, False)
                 assert abs(f_near - f_far) <= CROSSOVER_RTOL * abs(f_far)
                 assert abs(d_near - d_far) <= CROSSOVER_RTOL * (abs(d_far) + kmax * abs(f_far))
 
@@ -202,6 +206,45 @@ def test_deep_member_hyperbolic_call_counts(monkeypatch):
     _seed_table.cache_clear()
     V(0.3)
     assert calls[0] <= 8
+
+
+@pytest.mark.parametrize("x", [0.3, -0.3, 0.995])
+def test_warm_sample_call_counts(x):
+    # Python calls of one warm sample, as sys.setprofile counts them: psi is
+    # PiecewisePair.__call__, the column's eigenfunction and its column
+    # evaluator, V is PiecewisePotential.__call__ and the side's potential.
+    # The seed table is a hit in a C cache that hashes the side by identity.
+    # With a wrapper per layer and a Python __hash__ they were 7 and 3
+    member = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real"), 4, levels=6)[3]
+    counts = {}
+    for name, f in (("psi", member.eigenfunctions(0)), ("V", member.potential)):
+        f(x)
+        calls = [0]
+
+        def count(frame, event, arg):
+            calls[0] += event == "call"
+
+        sys.setprofile(count)
+        try:
+            f(x)
+        finally:
+            sys.setprofile(None)
+        counts[name] = calls[0]
+    assert counts == {"psi": 3, "V": 2}
+
+
+@pytest.mark.parametrize("Z", [5e5, 1e6, 1e8])
+def test_eigenfunctions_past_the_float_range_refuse(Z):
+    # every member's every level raises the typed error at its origin
+    # normalization.  At 1e6 and 1e8 the well's sinh(sigma) raised a bare
+    # OverflowError; at 5e5 sinh(sigma) was finite, sigma cosh(sigma) was not,
+    # and psi' read nan near the origin, with no error
+    for member in build_hierarchy(Z, EliminationPlan.from_text("clower,cupper"), 3, 5):
+        for n in range(len(member.spectrum.levels)):
+            with pytest.raises(ConvergenceError) as err:
+                member.eigenfunctions(n)
+            stage = "well eigenfunction" if member.depth == 1 else "Crum table"
+            assert (err.value.stage, err.value.iterate) == (stage, 0.0)
 
 
 def test_intertwine_drops_index_and_matches_closed_form():
@@ -339,6 +382,27 @@ def test_samples_do_not_depend_on_cache_order():
         _seed_table.cache_clear()
         runs += [sample(order), sample(order)]
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("Z, plan", [(0.0, "real,real,real,real"), (2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real")])
+def test_origin_normalization_is_exact(Z, plan):
+    # each column divides in place by its origin constant: psi(0) = 1 on both
+    # sides, the real part to the last bit; the imaginary part is what the
+    # complex division f/f leaves, 0 or below 2^-52 (nonzero for 4 of these
+    # 66 levels).  A slope-pinned level, each odd one at Z = 0, has psi'(0) = i
+    pinned = []
+    for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)[1:]:
+        for n in range(len(member.spectrum.levels)):
+            f = member.eigenfunctions(n)
+            (pR, dR), (pL, dL) = f.right(0.0), f.left(0.0)
+            if abs(pR) < 0.5:
+                assert (dR, dL) == (1j, 1j)
+                pinned.append((member.depth, n))
+            else:
+                assert pR.real == pL.real == 1.0
+                assert abs(pR.imag) < 2 ** -52 and abs(pL.imag) < 2 ** -52
+    assert pinned == ([(m, n) for m in range(2, 6) for n in range(1, 9 - m, 2)] if Z == 0 else [])
 
 
 def test_second_step_superpotential_mirror():
