@@ -29,11 +29,16 @@ the blocks of every side that is integrated, stacked as one
 then costs Horner's rule in elementwise array operations and a pairwise
 tree over n/8 blocks, for every integrated side in one product, each
 tree level one broadcast 2x2 product; exponents and the exact size test
-are paid only where a level can rescale.  Energies
-are integrated several at a time, as a third array axis down the same
-tree, with energies times blocks per side up to BATCH_BLOCKS; the scans
-hand over whole grids, and the secant runs of one search advance in
-lockstep, each round's pending energies in one call.
+are paid only where a level can rescale.  Horner's rule starts at the
+degree K where the side's higher terms stop reaching the result: at
+most 2^-60 of the lower ones at the power of two above |E|, less than
+1/256 of the rule's own rounding (`_horner_degree`).  K depends on the
+side and the binary exponent of |E| only, and is 5 of 16 for |E| < 128
+at h = 1e-3.  Energies are integrated several at a time, as a third
+array axis down the same tree, with energies times blocks per side up
+to BATCH_BLOCKS; the scans hand over whole grids, and the secant runs of
+one search advance in lockstep, each round's pending energies in one
+call.
 
 Most partner potentials are PT-symmetric, V(-x) = conj V(x).  Every
 step-matrix entry above is even or odd in h, so the left side's steps at
@@ -51,9 +56,11 @@ partner potential, runs without it.
 """
 import cmath
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 
 from .spectral_core import ConvergenceError
 from .wavefunctions import linspace
@@ -78,6 +85,10 @@ DELTA = 1e-6           # start offset from each wall, where psi = DELTA^p
 # by at most 4e-14, members within 1e-4 of Z_crit(0) by 1.6e-12 to 3.5e-8
 # (docs/decisions.md)
 MIRROR_TOL = 1e-12
+# share of a block entry's terms up to E^K, at the power of two above |E|,
+# that its terms above E^K may sum to for Horner's rule to stop at E^K: below
+# 1/256 of the rule's own rounding bound (docs/decisions.md)
+CUT_TOL = 2.0 ** -60
 
 
 class Side(Enum):
@@ -187,18 +198,71 @@ def _block_coefficients(vnodes, vmids, hh):
         identity = np.zeros((3, 4, pad), dtype=np.complex128)
         identity[0, 0] = identity[0, 3] = 1.0
         k = np.concatenate((k, identity), axis=2)
-    k = k.reshape(3, 4, -1, BLOCK)
+    k = k.reshape(3, 2, 2, -1, BLOCK)
     p = k[..., 0]
     for j in range(1, BLOCK):
-        # entry r + c (r in 0, 2; c in 0, 1) is q[r] p[c] + q[r + 1] p[c + 2]
+        # entry [r, c] is q[r, 0] p[0, c] + q[r, 1] p[1, c], on (..., 2, 2, nb) views
         q = k[..., j]
-        qa, qb = q[:, [0, 0, 2, 2]], q[:, [1, 1, 3, 3]]
-        pa, pb = p[:, [0, 1, 0, 1]], p[:, [2, 3, 2, 3]]
         out = np.zeros((len(p) + 2,) + p.shape[1:], dtype=np.complex128)
         for i in range(3):
-            out[i:i + len(p)] += qa[i] * pa + qb[i] * pb
+            out[i:i + len(p)] += q[i, :, :1] * p[:, :1] + q[i, :, 1:] * p[:, 1:]
         p = out
-    return p
+    return p.reshape(len(p), 4, -1)
+
+
+def _exponent(E):
+    """p with 2^(p - 1) <= |E| < 2^p (0 at E = 0), None where |E| is not finite."""
+    r = abs(E)
+    return math.frexp(r)[1] if math.isfinite(r) else None
+
+
+def _horner_degree(c, p):
+    """The degree to which Horner's rule evaluates one side's blocks at |E| < R = 2^p.
+
+    c is the side's (2 BLOCK + 1, 4, nb) `_block_coefficients`.  The degree
+    is the least K at which, in every entry, sum_{k>K} |C_k| R^k is at most
+    CUT_TOL sum_{k<=K} |C_k| R^k.  The share grows with R, so it bounds the
+    cut at every |E| < R.  It is 2 BLOCK for p None and wherever a sum
+    overflows.
+    """
+    import numpy as np  # here, not at module level: see the module docstring
+
+    top = len(c) - 1
+    if p is None:
+        return top
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        terms = np.abs(c).reshape(len(c), -1) * np.ldexp(1.0, p * np.arange(len(c)))[:, None]
+        tails = [terms[top]]  # tails[i]: the top i + 1 terms, summed from the top down
+        for t in terms[top - 1::-1]:
+            tails.append(tails[-1] + t)
+        if not np.isfinite(tails[top]).all():
+            return top
+        head = terms[0]
+        for K in range(top):
+            if (tails[top - K - 1] <= CUT_TOL * head).all():
+                return K
+            head = head + terms[K + 1]
+    return top
+
+
+# per `_sampled_sides` blocks array, by id, one {exponent: degree} table per
+# side, kept while the array lives: an array that dies takes its entry
+# along, so a new array at the same id never reads it
+_DEGREES = {}
+
+
+def _horner(c, E, out):
+    """out = c[K] E^K + ... + c[1] E + c[0] by Horner's rule, c[k] broadcast against E."""
+    import numpy as np  # here, not at module level: see the module docstring
+
+    if len(c) == 1:
+        out[...] = c[0]
+        return
+    np.multiply(c[-1], E, out=out)
+    for ck in c[-2:0:-1]:
+        out += ck
+        out *= E
+    out += c[0]
 
 
 def _rk4_step_product(blocks, Es, starts):
@@ -206,8 +270,14 @@ def _rk4_step_product(blocks, Es, starts):
 
     blocks stacks S sides' `_block_coefficients` on axis 2, shape
     (2 BLOCK + 1, 4, S, nb), and starts holds their S start values
-    (psi, dpsi).  Horner's rule, C[16] E + C[15], times E, plus C[14], ...,
-    evaluates the blocks of all B energies as one (4, S, B, nb) array, in
+    (psi, dpsi).  Horner's rule, C[K] E + C[K - 1], times E, plus
+    C[K - 2], ..., evaluates a side's blocks at E to the degree K that
+    `_horner_degree` gives the side at |E|'s binary exponent: the terms
+    above E^K add less than 1/256 of the rule's own rounding.  The degree
+    depends on the side's blocks and the exponent only; it is cached with
+    the blocks of `_sampled_sides`, and any other blocks array computes
+    its own.  Each side's energies are grouped by degree, and each group
+    is evaluated into its own rows of one (4, S B, nb) array in
     elementwise operations only: a matmul or einsum may sum in an order
     that depends on B, and a value would then depend on its batch.  The
     array is viewed as (2, 2, S B, nb): entry [r, c] of every block, one
@@ -230,14 +300,25 @@ def _rk4_step_product(blocks, Es, starts):
     """
     import numpy as np  # here, not at module level: see the module docstring
 
+    S, B, nb = blocks.shape[2], len(Es), blocks.shape[3]
+    tables = _DEGREES.get(id(blocks)) or [{} for _ in range(S)]
+    exponents = [_exponent(E) for E in Es]
     E = np.array(Es, dtype=np.complex128)[:, None]
-    cs = blocks[:, :, :, None, :]
-    m = cs[-1] * E
-    for c in cs[-2:0:-1]:
-        m += c
-        m *= E
-    m += cs[0]
-    m = m.reshape(2, 2, -1, m.shape[3])
+    m = np.empty((4, S * B, nb), dtype=np.complex128)
+    orders = []
+    for s, table in enumerate(tables):
+        for p in set(exponents).difference(table):
+            table[p] = _horner_degree(blocks[:, :, s], p)
+        degrees = [table[p] for p in exponents]
+        # the side's rows hold its energies by degree, one run of rows per degree
+        order = sorted(range(B), key=degrees.__getitem__)
+        row = s * B
+        for K, run in groupby(order, degrees.__getitem__):
+            run = list(run)
+            _horner(blocks[:K + 1, :, s, None], E[run], m[:, row:row + len(run)])
+            row += len(run)
+        orders.append(order)
+    m = m.reshape(2, 2, S * B, nb)
     e = None
     while m.shape[3] > 1:
         pairs = m.shape[3] // 2
@@ -259,9 +340,13 @@ def _rk4_step_product(blocks, Es, starts):
     log2 = math.log(2.0)
     ks = e[:, 0].tolist() if e is not None else [0] * m.shape[2]
     rows = list(zip(*m.reshape(4, -1).tolist(), ks))
-    return [[(a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
-             for a, b, c, d, k in rows[s * len(Es):(s + 1) * len(Es)]]
-            for s, (psi, dpsi) in enumerate(starts)]
+    out = []
+    for s, ((psi, dpsi), order) in enumerate(zip(starts, orders)):
+        side = [None] * B
+        for j, (a, b, c, d, k) in zip(order, rows[s * B:(s + 1) * B]):
+            side[j] = (a * psi + b * dpsi, c * psi + d * dpsi, k * log2)
+        out.append(side)
+    return out
 
 
 def _samples(sample, xs):
@@ -280,8 +365,9 @@ def _sampled_sides(V, h: float):
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
     integrator an order of convergence.  Both sides take the same n steps.
-    A potential with array evaluators (its `arrays`) takes each side's
-    positions in one evaluation.
+    Each side's nodes and midpoints are evaluated in one call, interleaved,
+    one evaluation of all positions for a potential with array evaluators
+    (its `arrays`).
     Returns (sides, blocks, mirrored).  sides maps each Side to (nodes,
     mids, hh, constant), constant being the side's common sample value or
     None.  mirrored says whether every left sample lies within MIRROR_TOL
@@ -291,7 +377,8 @@ def _sampled_sides(V, h: float):
     None; else the samples are complex128 arrays and blocks stacks the
     `_block_coefficients` of the sides `_side_pairs` integrates, the right
     side alone when mirrored, else right and left, as the
-    (2 BLOCK + 1, 4, sides, nb) array `_rk4_step_product` takes.
+    (2 BLOCK + 1, 4, sides, nb) array `_rk4_step_product` takes, with an
+    empty degree table per side in `_DEGREES` for as long as it lives.
     """
     n = max(1, round((1.0 - DELTA) / h))
     arrays = getattr(V, "arrays", None)
@@ -299,9 +386,9 @@ def _sampled_sides(V, h: float):
     for side, ev in zip(Side, arrays or (V.right_eval, V.left_eval)):
         x0 = 1.0 - DELTA if side is Side.RIGHT else -(1.0 - DELTA)
         sample = ev if arrays else (lambda xs, ev=ev: [ev(x) for x in xs])
-        nodes, vn = _samples(sample, [x0 * (n - k) / n for k in range(n + 1)])
-        mids, vm = _samples(sample, [x0 * (n - k - 0.5) / n for k in range(n)])
-        sides[side] = (nodes, mids, -x0 / n, vn if vn is not None and vn == vm else None)
+        # node k at j = 2k, midpoint k at j = 2k + 1: n - j/2 is exact
+        vals, constant = _samples(sample, [x0 * (n - j / 2) / n for j in range(2 * n + 1)])
+        sides[side] = (vals[0::2], vals[1::2], -x0 / n, constant)
     right, left = sides[Side.RIGHT][3], sides[Side.LEFT][3]
     if right is not None and left is not None:
         return sides, None, abs(left - right.conjugate()) <= MIRROR_TOL * abs(right)
@@ -316,6 +403,8 @@ def _sampled_sides(V, h: float):
     # workload's peak memory by 5 % against 1.4 % (docs/decisions.md)
     blocks = np.stack([_block_coefficients(*sides[side][:3])
                        for side in list(Side)[:1 if mirrored else 2]], axis=2)
+    _DEGREES[id(blocks)] = [{} for _ in range(blocks.shape[2])]
+    weakref.finalize(blocks, _DEGREES.pop, id(blocks), None)
     return sides, blocks, mirrored
 
 

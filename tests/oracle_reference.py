@@ -4,31 +4,70 @@ Not a test module.  Tests import it by name, like ``crum_reference``.
 """
 import dataclasses
 import math
+from itertools import accumulate
 
 from ptwell.oracle_verifier import (MismatchValue, ShootingConfig, Side, _block_coefficients,
                                     _rk4_constant_power, _rk4_step_product, _sampled_sides,
                                     _start, mismatch)
 
 
-def step_product_reference(blocks, Es, starts):
-    """`_rk4_step_product` with each tree level written out entry by entry.
+def power_above(E):
+    """R = 2^p with 2^(p - 1) <= |E| < 2^p (1 at E = 0); inf where |E| or R is not finite."""
+    import numpy as np
 
-    The same Horner's rule, then each level's four 2x2 product entries
-    written in place next to the odd tail, with an exponent array from the
-    start and the exact size test at every level: about 21 numpy calls per
-    level.  The product must equal it bit for bit: the same multiplies and
-    adds per element, and rescaling at the same levels by the same powers
-    of two.
+    r = abs(complex(E))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(1.0, math.frexp(r)[1])) if math.isfinite(r) else math.inf
+
+
+def cut_degree(c, R):
+    """The degree to which the product evaluates one side's blocks c at |E| < R, restated.
+
+    The least K at which, in every entry, the terms |C_k| R^k above E^K sum
+    to at most 2^-60 of those up to E^K; the full degree where a sum is not
+    finite.
     """
     import numpy as np
 
-    E = np.array(Es, dtype=np.complex128)[:, None]
-    cs = blocks[:, :, :, None, :]
-    m = cs[-1] * E
-    for c in cs[-2:0:-1]:
-        m += c
-        m *= E
-    m += cs[0]
+    top = len(c) - 1
+    with np.errstate(all="ignore"):
+        terms = list(np.abs(c) * R ** np.arange(len(c))[:, None, None])
+        heads = list(accumulate(terms))  # sums from E^0 up, tails from the top down
+        tails = list(accumulate(reversed(terms)))[::-1]
+    if not np.isfinite(tails[0]).all():
+        return top
+    return next((K for K in range(top) if (tails[K + 1] <= 2.0 ** -60 * heads[K]).all()), top)
+
+
+def step_product_reference(blocks, Es, starts):
+    """`_rk4_step_product` with each tree level written out entry by entry.
+
+    Horner's rule to each side's `cut_degree` at each energy, then each
+    level's four 2x2 product entries written in place next to the odd
+    tail, with an exponent array from the start and the exact size test at
+    every level: about 21 numpy calls per level.  The product must equal
+    it bit for bit: the same multiplies and adds per element, and
+    rescaling at the same levels by the same powers of two.
+    """
+    import numpy as np
+
+    E = np.array(Es, dtype=np.complex128)
+    m = np.empty((4, blocks.shape[2], len(Es), blocks.shape[3]), dtype=np.complex128)
+    powers = [power_above(z) for z in Es]
+    for s in range(blocks.shape[2]):
+        table = {R: cut_degree(blocks[:, :, s], R) for R in set(powers)}
+        degrees = [table[R] for R in powers]
+        for K in set(degrees):
+            at = [j for j, k in enumerate(degrees) if k == K]
+            cs = blocks[:K + 1, :, s, None, :]
+            if K == 0:
+                m[:, s, at] = cs[0]
+                continue
+            v = cs[-1] * E[at, None]
+            for c in cs[-2:0:-1]:
+                v += c
+                v *= E[at, None]
+            m[:, s, at] = v + cs[0]
     m = m.reshape(4, -1, m.shape[3])
     e = np.zeros(m.shape[1:], dtype=np.int64)
     while m.shape[2] > 1:

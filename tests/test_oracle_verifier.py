@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -25,13 +26,14 @@ from ptwell import (
 )
 from ptwell import oracle_verifier
 from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL,
-                                    _box_minima_candidates, _ordered_levels, _real_axis_starts,
-                                    _rk4_step_product, _sampled_sides, _secant, _side_pairs,
-                                    linspace, mismatches)
+                                    _box_minima_candidates, _exponent, _horner, _horner_degree,
+                                    _ordered_levels, _real_axis_starts, _rk4_step_product,
+                                    _sampled_sides, _secant, _side_pairs, linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
 
-from oracle_reference import (rk4_order_estimate, step_product_reference, two_sided,
-                              two_sided_blocks, two_sided_mismatches)
+from oracle_reference import (cut_degree, power_above, rk4_order_estimate,
+                              step_product_reference, two_sided, two_sided_blocks,
+                              two_sided_mismatches)
 
 
 def test_config_validation():
@@ -278,6 +280,138 @@ def test_random_batches_match_reference_bit_for_bit(energies):
         want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
         got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
         assert _product_bits(got) == _product_bits(want)
+
+
+# moduli from 1e-3 to 1e5, each with energies on both real half-axes and at
+# three phases, and the moduli of the rescaling energies, each with its own
+_CUT_ENERGIES = {r: [complex(r), complex(-r)] + [cmath.rect(r, phase) for phase in (0.3, 1.6, -2.5)]
+                 for r in [10.0 ** (k / 2.0) for k in range(-6, 11)]}
+_CUT_ENERGIES.update({abs(E): [E] for E in _RESCALING})
+
+
+@pytest.mark.parametrize("h", [2e-3, 1e-3, 2e-4])
+@pytest.mark.parametrize("Z, plan", [(2.0, "real,real,real,real"),
+                                     (8.0, "clower,cupper,real,real"),
+                                     (17.0, "clower,cupper,real,real")])
+def test_degree_cut_stays_below_rounding(Z, plan, h):
+    # on the integrated sides of members 2-5, in each entry of each block:
+    # the terms cut sum to at most 2^-60 of the rest at |E| itself, not only
+    # at the power of two above it, and the cut value is within
+    # 2^-51 sum |C_k| |E|^k of full-degree Horner.  The two round apart after
+    # the cut, by up to 1.34 2^-52 of that sum on both sides; each is within
+    # 2.91 2^-53 of it from the exact polynomial wherever K < 16
+    for mem in _chain(Z, plan)[1:]:
+        V = mem.potential
+        blocks = _sampled_sides(V, h)[1]
+        for s in range(blocks.shape[2]):
+            c = blocks[:, :, s, None]
+            for r, Es in _CUT_ENERGIES.items():
+                p = _exponent(r)
+                assert {_exponent(E) for E in Es} == {p}
+                K = _horner_degree(blocks[:, :, s], p)
+                assert K == cut_degree(blocks[:, :, s], power_above(r))
+                z = np.array(Es)[:, None]
+                cut, full = (np.empty((4, len(Es), c.shape[3]), dtype=np.complex128)
+                             for _ in range(2))
+                _horner(c[:K + 1], z, cut)
+                _horner(c, z, full)
+                terms = np.abs(c) * r ** np.arange(2 * BLOCK + 1)[:, None, None, None]
+                assert (terms[K + 1:].sum(axis=0) <= 2.0 ** -60 * terms[:K + 1].sum(axis=0)).all()
+                assert (np.abs(cut - full) <= 2.0 ** -51 * terms.sum(axis=0)).all()
+
+
+def test_degree_table_counts_horner_steps(monkeypatch):
+    # a deterministic work count: Horner's steps per block entry, from
+    # |E| < 2 to |E| < 2^17; 2 BLOCK = 16 before the cut
+    V = _chain(2.0, "real,real,real")[3].potential
+    tables = {}
+    for h in (2e-3, 1e-3, 2e-4):
+        blocks = _sampled_sides(V, h)[1]
+        assert blocks.shape[2] == 1  # mirrored: the right side alone
+        Es = [1.5, 15.9, 127.0, 1023.0, 1e4, 1e5]
+        mismatches(V, Es, ShootingConfig(h=h, p=V.endpoint_exponent))
+        tables[h] = oracle_verifier._DEGREES[id(blocks)][0]
+        assert tables[h] == {_exponent(E): cut_degree(blocks[:, :, 0], power_above(E)) for E in Es}
+    assert [tables[1e-3][p] for p in (1, 4, 7, 10, 14, 17)] == [4, 5, 5, 7, 10, 13]
+    assert [tables[2e-4][p] for p in (1, 4, 7, 10, 14, 17)] == [3, 4, 4, 5, 6, 8]
+    assert tables[2e-3][17] == 2 * BLOCK
+    # the oracle benchmark's seed-1 round: its scans run at degree 5 or less
+    degrees, scanning = [], []
+    scan, product = oracle_verifier._real_axis_starts, oracle_verifier._rk4_step_product
+
+    def scanned(*args):
+        scanning.append(True)
+        try:
+            return scan(*args)
+        finally:
+            scanning.pop()
+
+    def counting(blocks, Es, starts):
+        out = product(blocks, Es, starts)
+        if scanning:
+            degrees.extend(table[_exponent(E)] for table in oracle_verifier._DEGREES[id(blocks)]
+                           for E in Es)
+        return out
+
+    monkeypatch.setattr(oracle_verifier, "_real_axis_starts", scanned)
+    monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
+    for request in [(6.507848, "cupper,clower", 3), (1.012318, "real", 2),
+                    (16.716984, "clower,cupper,real", 4)]:
+        args, seeds = _verify_search(*request, 3, True)
+        find_spectrum_numeric(*args, seeds=seeds)
+    assert len(degrees) >= 3 * GRID_RESOLUTION and max(degrees) <= 5
+
+
+def test_stacked_sides_keep_their_own_degrees(monkeypatch):
+    # a constant side next to a varying one: at |E| near 3e-3 one side's cut
+    # degree is 2 and the other's 3, in both orders.  Stacked, each side runs
+    # Horner's rule at its own degrees, and its values are its values alone
+    runs = []
+    horner = oracle_verifier._horner
+
+    def counting(c, E, out):
+        runs.append((len(c) - 1, out.shape[1]))
+        return horner(c, E, out)
+
+    monkeypatch.setattr(oracle_verifier, "_horner", counting)
+    constant, varying = (lambda x: complex(4.0, -2.0)), (lambda x: complex(30.0 * x * x, 2.0))
+    Es = [0.003, 0.003 + 0.001j, 3.0 + 0.5j, -1e5, 150.0]
+    for right, left in ((constant, varying), (varying, constant)):
+        V = PiecewisePotential(right, left, 1, False)
+        blocks, starts = two_sided_blocks(V, ShootingConfig(h=1e-3))
+        degrees = [[_horner_degree(blocks[:, :, s], _exponent(E)) for E in Es] for s in range(2)]
+        assert {degrees[0][0], degrees[1][0]} == {2, 3}
+        del runs[:]
+        both = _rk4_step_product(blocks, Es, starts)
+        assert runs == [(K, side.count(K)) for side in degrees for K in sorted(set(side))]
+        assert _product_bits(both) == _product_bits(step_product_reference(blocks, Es, starts))
+        for k in range(2):
+            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], Es, starts[k:k + 1])[0]
+
+
+def test_degree_tables_live_and_die_with_their_blocks():
+    # potentials A, B, A, whose degree tables differ at |E| < 16: every product,
+    # on the oracle's cached blocks, cold or warm, and on fresh arrays and views
+    # that may take a dead array's id, equals the reference bit for bit; an
+    # evicted array is freed, and its table with it
+    A = _chain(2.0, "real,real,real")[3].potential
+    B = _chain(2.0, "real,real,real,real")[4].potential
+    Es = [15.9, 3.0 + 0.5j, 150.0 - 3.0j, -1e5, 1e4]
+    degrees = [cut_degree(_sampled_sides(V, 1e-3)[1][:, :, 0], 16.0) for V in (A, B)]
+    assert degrees[0] != degrees[1]
+    evicted = None
+    for V in (A, B, A):
+        cfg = ShootingConfig(h=1e-3, p=V.endpoint_exponent)
+        blocks = _sampled_sides(V, cfg.h)[1]
+        assert evicted is None or evicted() is None
+        assert list(oracle_verifier._DEGREES) == [id(blocks)]
+        stacked, starts = two_sided_blocks(V, cfg)
+        for product, sides in ((blocks, starts[:1]), (blocks, starts[:1]), (stacked, starts),
+                               (stacked[:, :, :1], starts[:1]), (stacked[:, :, 1:], starts[1:])):
+            want = step_product_reference(product, Es, sides)
+            assert _product_bits(_rk4_step_product(product, Es, sides)) == _product_bits(want)
+        evicted = weakref.ref(blocks)
+        del blocks, stacked, product
 
 
 def test_one_constant_side_goes_through_the_product(monkeypatch):
