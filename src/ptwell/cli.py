@@ -97,18 +97,18 @@ def cmd_critical(args) -> int:
     return 0
 
 
-def _parse_plan(args, needed: int):
+def _parse_plan(text: str, needed: int):
+    """The plan in text, or by default `needed` real eliminations."""
     from .susy_hierarchy import EliminationPlan
-    if needed == 0 and not args.plan:
+    if needed == 0 and not text:
         return EliminationPlan(())
-    text = args.plan if args.plan else ",".join(["real"] * needed)
-    return EliminationPlan.from_text(text)
+    return EliminationPlan.from_text(text or ",".join(["real"] * needed))
 
 
 def cmd_hierarchy(args) -> int:
     from .susy_hierarchy import build_hierarchy, hierarchy_relations_check
     from .wavefunctions import linspace
-    plan = _parse_plan(args, args.depth - 1)
+    plan = _parse_plan(args.plan, args.depth - 1)
     levels = max(8, args.depth + 1)
     members = build_hierarchy(args.coupling, plan, args.depth, levels)
     xs = linspace(-0.999, 0.999, args.samples)
@@ -159,7 +159,7 @@ def _seed(E: complex, closed) -> complex:
 def cmd_verify(args) -> int:
     from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatches
     from .susy_hierarchy import build_hierarchy
-    plan = _parse_plan(args, args.depth - 1)
+    plan = _parse_plan(args.plan, args.depth - 1)
     members = build_hierarchy(args.coupling, plan, args.depth, args.levels + args.depth - 1)
     member = members[-1]
     closed = [lv.energy for lv in member.spectrum.levels[:args.levels]]
@@ -190,10 +190,9 @@ def cmd_verify(args) -> int:
 
 
 def _limit_stats(Z: float, m: int, n: int) -> dict:
-    from .susy_hierarchy import EliminationPlan, build_hierarchy
+    from .susy_hierarchy import build_hierarchy
     from .wavefunctions import chebyshev_grid, limit_form, linspace, ratio_stats
-    plan = EliminationPlan.from_text(",".join(["real"] * (m - 1))) if m > 1 else EliminationPlan(())
-    members = build_hierarchy(Z, plan, m, n + m + 1)
+    members = build_hierarchy(Z, _parse_plan("", m - 1), m, n + m + 1)
     member = members[-1]
     psi = member.eigenfunctions(n)
     grid = linspace(-0.95, 0.95, 20)
@@ -237,7 +236,7 @@ def _checked(kind, good, rule: str):
     return parse
 
 
-_COUPLING = _checked(float, lambda v: v >= 0.0, ">= 0")
+_COUPLING = _checked(float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _COUNT = _checked(int, lambda v: v >= 1, ">= 1")
 _INDEX = _checked(int, lambda v: v >= 0, ">= 0")
 
@@ -270,7 +269,8 @@ def _build_parser() -> _Parser:
     ve.add_argument("--member", dest="depth", metavar="MEMBER", type=_COUNT, default=1)
     ve.add_argument("--levels", type=_COUNT, default=6)
     ve.add_argument("--plan", type=str, default="")
-    ve.add_argument("--tol", type=_checked(float, lambda v: v > 0.0, "> 0"), default=1e-6)
+    ve.add_argument("--tol", type=_checked(float, lambda v: 0.0 < v < math.inf, "finite and > 0"),
+                    default=1e-6)
     ve.set_defaults(run=cmd_verify)
 
     li = sub.add_parser("limit", help="zero-coupling closed-form checks")

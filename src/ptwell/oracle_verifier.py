@@ -23,9 +23,9 @@ neighbouring steps is a 2x2 matrix polynomial of degree 16 in E:
 
 block j of columns C[k][:, j], identity steps padding n to a multiple of
 8.  A potential's two sides always take the same n steps, so they are
-sampled and cached together (`_sampled_sides`), with the coefficients of
-the blocks of every side that is integrated, stacked as one
-(17, 4, sides, n/8) array (k, rows a, b, c, d, side, block).  An energy
+sampled and cached together (`_sampled_sides`), in one record with the
+coefficients of the blocks of every side that is integrated, stacked as
+one (17, 4, sides, n/8) array (k, rows a, b, c, d, side, block).  An energy
 then costs Horner's rule in elementwise array operations and a pairwise
 tree over n/8 blocks, for every integrated side in one product, each
 tree level one broadcast 2x2 product; exponents and the exact size test
@@ -34,11 +34,12 @@ degree K where the side's higher terms stop reaching the result: at
 most 2^-60 of the lower ones at the power of two above |E|, less than
 1/256 of the rule's own rounding (`_horner_degree`).  K depends on the
 side and the binary exponent of |E| only, and is 5 of 16 for |E| < 128
-at h = 1e-3.  Energies are integrated several at a time, as a third
-array axis down the same tree, with energies times blocks per side up
-to BATCH_BLOCKS; the scans hand over whole grids, and the secant runs of
-one search advance in lockstep, each round's pending energies in one
-call.
+at h = 1e-3; the record keeps one {exponent: K} table per integrated
+side, which the step product fills as it meets exponents.  Energies are
+integrated several at a time, as a third array axis down the same tree,
+with energies times blocks per side up to BATCH_BLOCKS; the scans hand
+over whole grids, and the secant runs of one search advance in
+lockstep, each round's pending energies in one call.
 
 Most partner potentials are PT-symmetric, V(-x) = conj V(x).  Every
 step-matrix entry above is even or odd in h, so the left side's steps at
@@ -56,7 +57,7 @@ partner potential, runs without it.
 """
 import cmath
 import math
-import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -245,12 +246,6 @@ def _horner_degree(c, p):
     return top
 
 
-# per `_sampled_sides` blocks array, by id, one {exponent: degree} table per
-# side, kept while the array lives: an array that dies takes its entry
-# along, so a new array at the same id never reads it
-_DEGREES = {}
-
-
 def _horner(c, E, out):
     """out = c[K] E^K + ... + c[1] E + c[0] by Horner's rule, c[k] broadcast against E."""
     import numpy as np  # here, not at module level: see the module docstring
@@ -265,19 +260,19 @@ def _horner(c, E, out):
     out += c[0]
 
 
-def _rk4_step_product(blocks, Es, starts):
+def _rk4_step_product(blocks, degrees, Es, starts):
     """For each side and each E in Es, all RK4 steps of psi'' = (V - E) psi at once.
 
     blocks stacks S sides' `_block_coefficients` on axis 2, shape
-    (2 BLOCK + 1, 4, S, nb), and starts holds their S start values
-    (psi, dpsi).  Horner's rule, C[K] E + C[K - 1], times E, plus
-    C[K - 2], ..., evaluates a side's blocks at E to the degree K that
-    `_horner_degree` gives the side at |E|'s binary exponent: the terms
-    above E^K add less than 1/256 of the rule's own rounding.  The degree
-    depends on the side's blocks and the exponent only; it is cached with
-    the blocks of `_sampled_sides`, and any other blocks array computes
-    its own.  Each side's energies are grouped by degree, and each group
-    is evaluated into its own rows of one (4, S B, nb) array in
+    (2 BLOCK + 1, 4, S, nb), degrees holds one {exponent: degree} table
+    per side and starts their S start values (psi, dpsi).  Horner's rule,
+    C[K] E + C[K - 1], times E, plus C[K - 2], ..., evaluates a side's
+    blocks at E to the degree K that `_horner_degree` gives the side at
+    |E|'s binary exponent: the terms above E^K add less than 1/256 of the
+    rule's own rounding.  The degree depends on the side's blocks and the
+    exponent only; it is read from the side's table, and computed into it
+    on first use.  Each side's energies are grouped by degree, and each
+    group is evaluated into its own rows of one (4, S B, nb) array in
     elementwise operations only: a matmul or einsum may sum in an order
     that depends on B, and a value would then depend on its batch.  The
     array is viewed as (2, 2, S B, nb): entry [r, c] of every block, one
@@ -301,19 +296,18 @@ def _rk4_step_product(blocks, Es, starts):
     import numpy as np  # here, not at module level: see the module docstring
 
     S, B, nb = blocks.shape[2], len(Es), blocks.shape[3]
-    tables = _DEGREES.get(id(blocks)) or [{} for _ in range(S)]
     exponents = [_exponent(E) for E in Es]
     E = np.array(Es, dtype=np.complex128)[:, None]
     m = np.empty((4, S * B, nb), dtype=np.complex128)
     orders = []
-    for s, table in enumerate(tables):
+    for s, table in enumerate(degrees):
         for p in set(exponents).difference(table):
             table[p] = _horner_degree(blocks[:, :, s], p)
-        degrees = [table[p] for p in exponents]
+        Ks = [table[p] for p in exponents]
         # the side's rows hold its energies by degree, one run of rows per degree
-        order = sorted(range(B), key=degrees.__getitem__)
+        order = sorted(range(B), key=Ks.__getitem__)
         row = s * B
-        for K, run in groupby(order, degrees.__getitem__):
+        for K, run in groupby(order, Ks.__getitem__):
             run = list(run)
             _horner(blocks[:K + 1, :, s, None], E[run], m[:, row:row + len(run)])
             row += len(run)
@@ -356,6 +350,10 @@ def _samples(sample, xs):
     return vals, (complex(v) if all(u == v for u in vals) else None)
 
 
+# what `_sampled_sides` returns for one potential and step
+_Sampled = namedtuple("_Sampled", "sides blocks integrated degrees")
+
+
 # the potential being checked is all its callers reuse; more keeps old ones alive
 @lru_cache(maxsize=1)
 def _sampled_sides(V, h: float):
@@ -368,17 +366,17 @@ def _sampled_sides(V, h: float):
     Each side's nodes and midpoints are evaluated in one call, interleaved,
     one evaluation of all positions for a potential with array evaluators
     (its `arrays`).
-    Returns (sides, blocks, mirrored).  sides maps each Side to (nodes,
-    mids, hh, constant), constant being the side's common sample value or
-    None.  mirrored says whether every left sample lies within MIRROR_TOL
-    of the conjugate of its right partner, relative to that partner,
-    V(-x) = conj V(x); the bare well's two constants are compared directly.
-    When both sides are constant, the samples are lists and blocks is
-    None; else the samples are complex128 arrays and blocks stacks the
-    `_block_coefficients` of the sides `_side_pairs` integrates, the right
-    side alone when mirrored, else right and left, as the
-    (2 BLOCK + 1, 4, sides, nb) array `_rk4_step_product` takes, with an
-    empty degree table per side in `_DEGREES` for as long as it lives.
+    Returns a `_Sampled` record.  sides maps each Side to (nodes, mids,
+    hh, constant), constant being the side's common sample value or None.
+    integrated is (Side.RIGHT,) when V is mirrored, every left sample
+    within MIRROR_TOL of the conjugate of its right partner, relative to
+    that partner, V(-x) = conj V(x) (the bare well's two constants are
+    compared directly); else it is both sides.  When both sides are
+    constant, the samples are lists and blocks is None; else the samples
+    are complex128 arrays and blocks stacks the integrated sides'
+    `_block_coefficients` as the (2 BLOCK + 1, 4, sides, nb) array
+    `_rk4_step_product` takes.  degrees holds one empty {exponent: degree}
+    table per integrated side, for `_rk4_step_product` to fill.
     """
     n = max(1, round((1.0 - DELTA) / h))
     arrays = getattr(V, "arrays", None)
@@ -390,22 +388,23 @@ def _sampled_sides(V, h: float):
         vals, constant = _samples(sample, [x0 * (n - j / 2) / n for j in range(2 * n + 1)])
         sides[side] = (vals[0::2], vals[1::2], -x0 / n, constant)
     right, left = sides[Side.RIGHT][3], sides[Side.LEFT][3]
-    if right is not None and left is not None:
-        return sides, None, abs(left - right.conjugate()) <= MIRROR_TOL * abs(right)
-    import numpy as np  # here, not at module level: see the module docstring
+    both_constant = right is not None and left is not None
+    if both_constant:
+        mirrored = abs(left - right.conjugate()) <= MIRROR_TOL * abs(right)
+    else:
+        import numpy as np  # here, not at module level: see the module docstring
 
-    sides = {side: (np.asarray(nodes, dtype=np.complex128), np.asarray(mids, dtype=np.complex128),
-                    hh, constant)
-             for side, (nodes, mids, hh, constant) in sides.items()}
-    mirrored = all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
-                   for r, l in zip(sides[Side.RIGHT][:2], sides[Side.LEFT][:2]))
+        sides = {side: (np.asarray(nodes, dtype=np.complex128),
+                        np.asarray(mids, dtype=np.complex128), hh, constant)
+                 for side, (nodes, mids, hh, constant) in sides.items()}
+        mirrored = all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
+                       for r, l in zip(sides[Side.RIGHT][:2], sides[Side.LEFT][:2]))
+    integrated = tuple(Side)[:1 if mirrored else 2]
     # one side at a time: building both as one array raised the oracle
     # workload's peak memory by 5 % against 1.4 % (docs/decisions.md)
-    blocks = np.stack([_block_coefficients(*sides[side][:3])
-                       for side in list(Side)[:1 if mirrored else 2]], axis=2)
-    _DEGREES[id(blocks)] = [{} for _ in range(blocks.shape[2])]
-    weakref.finalize(blocks, _DEGREES.pop, id(blocks), None)
-    return sides, blocks, mirrored
+    blocks = None if both_constant else np.stack([_block_coefficients(*sides[side][:3])
+                                                  for side in integrated], axis=2)
+    return _Sampled(sides, blocks, integrated, tuple({} for _ in integrated))
 
 
 def _start(cfg: ShootingConfig, side: Side):
@@ -425,8 +424,8 @@ def _side_pairs(V, Es, cfg: ShootingConfig):
     other potential integrates both sides at Es.  Either way all energies
     go through one step product, or one constant power per side and energy.
     """
-    sides, blocks, mirrored = _sampled_sides(V, cfg.h)
-    integrated = list(Side)[:1 if mirrored else 2]
+    sides, blocks, integrated, degrees = _sampled_sides(V, cfg.h)
+    mirrored = len(integrated) == 1
     conj = [E.conjugate() for E in Es]
     energies = list(dict.fromkeys(Es + conj if mirrored else Es))
     starts = [_start(cfg, side) for side in integrated]
@@ -434,7 +433,7 @@ def _side_pairs(V, Es, cfg: ShootingConfig):
         values = [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in energies]
                   for (_, mids, hh, constant), start in zip(map(sides.get, integrated), starts)]
     else:
-        values = _rk4_step_product(blocks, energies, starts)
+        values = _rk4_step_product(blocks, degrees, energies, starts)
     at = dict(zip(energies, zip(*values)))
     if not mirrored:
         return [at[E] for E in Es]
@@ -478,7 +477,7 @@ def mismatches(V, Es, cfg: ShootingConfig = ShootingConfig()) -> list:
     part exactly 0.0.
     """
     Es = [complex(E) for E in Es]
-    blocks = _sampled_sides(V, cfg.h)[1]
+    blocks = _sampled_sides(V, cfg.h).blocks
     per = max(1, BATCH_BLOCKS // (1 if blocks is None else blocks.shape[3]))
     out = []
     for k in range(0, len(Es), per):

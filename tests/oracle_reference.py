@@ -109,25 +109,28 @@ def rk4_order_estimate(V, E: complex, cfg: ShootingConfig = ShootingConfig(),
 
 def two_sided_blocks(V, cfg: ShootingConfig):
     """Both sides' block coefficients, right then left, stacked as `_rk4_step_product`
-    takes them, with their start values; blocks is None when both sides are constant."""
+    takes them, with one empty degree table per side and their start values;
+    blocks is None when both sides are constant.  A slice of sides k:k + 1
+    takes tables[k:k + 1] and starts[k:k + 1]."""
     import numpy as np
 
-    sides = _sampled_sides(V, cfg.h)[0]
-    starts = [_start(cfg, side) for side in Side]
+    sides = _sampled_sides(V, cfg.h).sides
+    tables, starts = [{} for _ in Side], [_start(cfg, side) for side in Side]
     if all(constant is not None for *_, constant in sides.values()):
-        return None, starts
-    return np.stack([_block_coefficients(*sides[side][:3]) for side in Side], axis=2), starts
+        return None, tables, starts
+    blocks = np.stack([_block_coefficients(*sides[side][:3]) for side in Side], axis=2)
+    return blocks, tables, starts
 
 
 def two_sided(V, Es, cfg: ShootingConfig):
     """Per side, right then left, (psi, dpsi, logscale) at x = 0 for each energy
     in Es, each side integrated on its own samples, mirrored or not."""
-    blocks, starts = two_sided_blocks(V, cfg)
+    blocks, tables, starts = two_sided_blocks(V, cfg)
     if blocks is None:
-        sides = _sampled_sides(V, cfg.h)[0]
+        sides = _sampled_sides(V, cfg.h).sides
         return [[_rk4_constant_power(constant - E, len(mids), hh, *start) for E in Es]
                 for (_, mids, hh, constant), start in zip(sides.values(), starts)]
-    return _rk4_step_product(blocks, Es, starts)
+    return _rk4_step_product(blocks, tables, Es, starts)
 
 
 def two_sided_mismatches(V, Es, cfg: ShootingConfig):

@@ -158,6 +158,9 @@ def test_limit_json(capsys):
     ["limit", "--m", "0", "--n", "0"],
     ["bogus"],
     ["verify", "--coupling", "2", "--member", "0"],
+    ["verify", "--coupling", "2", "--member", "2", "--levels", "1", "--tol", "inf"],
+    ["verify", "--coupling", "2", "--member", "2", "--levels", "1", "--tol", "1e309"],
+    ["verify", "--coupling", "inf"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -168,8 +171,9 @@ def test_usage_errors_exit_1(argv, capsys):
         # the subcommand's own parser reports the error, with its own usage
         assert f"usage: ptwell {argv[0]}" in err_text
         assert f"ptwell {argv[0]}: error:" in err_text
-    if "--member" in argv:
-        assert "argument --member:" in err_text
+    flag = argv[-2] if len(argv) > 1 else None  # the flag with the refused value
+    if flag in ("--member", "--tol", "--coupling"):
+        assert f"argument {flag}:" in err_text
 
 
 def test_solver_failures_exit_2(capsys):

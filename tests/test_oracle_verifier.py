@@ -130,7 +130,7 @@ def test_constant_side_power_matches_step_loop(Z, E):
     for mem in members:
         V = mem.potential
         cfg = ShootingConfig(p=V.endpoint_exponent)
-        sides, blocks, _ = _sampled_sides(V, cfg.h)
+        sides, blocks, *_ = _sampled_sides(V, cfg.h)
         assert (blocks is None) == (mem.depth == 1)
         for k, side in enumerate(Side):
             nodes, mids, hh, constant = sides[side]
@@ -155,8 +155,8 @@ def test_block_product_matches_step_loop_when_blocks_are_padded(h, n, Z):
     for mem in members[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
-        sides, blocks, mirrored = _sampled_sides(V, cfg.h)
-        assert blocks.shape == (2 * BLOCK + 1, 4, 1 if mirrored else 2, -(-n // BLOCK))
+        sides, blocks, integrated, _ = _sampled_sides(V, cfg.h)
+        assert blocks.shape == (2 * BLOCK + 1, 4, len(integrated), -(-n // BLOCK))
         assert two_sided_blocks(V, cfg)[0].shape == (2 * BLOCK + 1, 4, 2, -(-n // BLOCK))
         reference, pairs = two_sided(V, Es, cfg), _side_pairs(V, Es, cfg)
         for k, side in enumerate(Side):
@@ -175,15 +175,21 @@ def test_stacked_sides_equal_each_side_alone_bit_for_bit():
     for mem in members[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        blocks, starts = two_sided_blocks(V, cfg)
-        both = _rk4_step_product(blocks, Es, starts)
+        blocks, tables, starts = two_sided_blocks(V, cfg)
+        both = _rk4_step_product(blocks, tables, Es, starts)
         for k in range(2):
-            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], Es, starts[k:k + 1])[0]
+            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], tables[k:k + 1], Es,
+                                                starts[k:k + 1])[0]
         # the oracle's right side is the stacked product's; its left one too unless mirrored
         pairs = [list(side) for side in zip(*_side_pairs(V, [complex(E) for E in Es], cfg))]
         assert pairs[0] == both[0]
-        if not _sampled_sides(V, cfg.h)[2]:
+        if not _mirrored(V, cfg.h):
             assert pairs[1] == both[1]
+
+
+def _mirrored(V, h):
+    # the oracle integrates the right side alone
+    return _sampled_sides(V, h).integrated == (Side.RIGHT,)
 
 
 def _product_bits(sides):
@@ -214,12 +220,12 @@ def test_step_product_matches_reference_bit_for_bit(Z, plan, h):
         V = mem.potential
         cfg = ShootingConfig(h=h, p=V.endpoint_exponent)
         # both sides stacked, and the oracle's own blocks: the right side alone when mirrored
-        stacked, starts = two_sided_blocks(V, cfg)
-        own = _sampled_sides(V, cfg.h)[1]
-        for blocks in (stacked, own):
+        stacked, tables, starts = two_sided_blocks(V, cfg)
+        own = _sampled_sides(V, cfg.h)
+        for blocks, degrees in ((stacked, tables), (own.blocks, own.degrees)):
             for Es in _PRODUCT_BATCHES:
                 want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
-                got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
+                got = _rk4_step_product(blocks, degrees, Es, starts[:blocks.shape[2]])
                 assert _product_bits(got) == _product_bits(want)
                 rescaled += any(k for side in want for *_, k in side)
     assert rescaled
@@ -246,10 +252,11 @@ def test_rescaling_starts_where_the_reference_rescales(matrix, nb):
     Es = [cmath.rect(math.sqrt(1e100 / size * (1.0 + k * 2.0 ** -52)), math.pi / 8.0)
           for k in range(-40, 41)]
     blocks, starts = _scaled_blocks(matrix, nb), [(1.0 + 0j, 0.5 - 0.25j)]
-    rescaled = []
+    degrees, rescaled = [{}], []
     for batch in [[E] for E in Es] + [Es]:
         want = step_product_reference(blocks, batch, starts)
-        assert _product_bits(_rk4_step_product(blocks, batch, starts)) == _product_bits(want)
+        got = _rk4_step_product(blocks, degrees, batch, starts)
+        assert _product_bits(got) == _product_bits(want)
         rescaled.append(want[0][0][2] != 0.0)
     if nb == 2:  # one level: both outcomes occur
         assert any(rescaled) and not all(rescaled)
@@ -262,7 +269,7 @@ def test_exponents_add_up_over_two_rescaled_levels():
     blocks[0, 0, 0] = blocks[0, 3, 0] = [1e60, 1e60, 1.0, 1.0, 1e150]
     starts = [(1.0 + 0j, 0.5 - 0.25j)]
     want = step_product_reference(blocks, [0.0], starts)
-    assert _product_bits(_rk4_step_product(blocks, [0.0], starts)) == _product_bits(want)
+    assert _product_bits(_rk4_step_product(blocks, [{}], [0.0], starts)) == _product_bits(want)
     assert abs(want[0][0][2] - 270.0 * math.log(10.0)) < 1.0
 
 
@@ -274,11 +281,12 @@ def test_random_batches_match_reference_bit_for_bit(energies):
     # member 3 at Z = 8, both sides and the oracle's own mirrored side
     V = _chain(8.0, "clower,cupper,real,real")[2].potential
     cfg = ShootingConfig(h=1e-3, p=V.endpoint_exponent)
-    stacked, starts = two_sided_blocks(V, cfg)
+    stacked, tables, starts = two_sided_blocks(V, cfg)
+    own = _sampled_sides(V, cfg.h)
     Es = [complex(re, im) for re, im in energies]
-    for blocks in (stacked, _sampled_sides(V, cfg.h)[1]):
+    for blocks, degrees in ((stacked, tables), (own.blocks, own.degrees)):
         want = step_product_reference(blocks, Es, starts[:blocks.shape[2]])
-        got = _rk4_step_product(blocks, Es, starts[:blocks.shape[2]])
+        got = _rk4_step_product(blocks, degrees, Es, starts[:blocks.shape[2]])
         assert _product_bits(got) == _product_bits(want)
 
 
@@ -302,7 +310,7 @@ def test_degree_cut_stays_below_rounding(Z, plan, h):
     # 2.91 2^-53 of it from the exact polynomial wherever K < 16
     for mem in _chain(Z, plan)[1:]:
         V = mem.potential
-        blocks = _sampled_sides(V, h)[1]
+        blocks = _sampled_sides(V, h).blocks
         for s in range(blocks.shape[2]):
             c = blocks[:, :, s, None]
             for r, Es in _CUT_ENERGIES.items():
@@ -326,11 +334,12 @@ def test_degree_table_counts_horner_steps(monkeypatch):
     V = _chain(2.0, "real,real,real")[3].potential
     tables = {}
     for h in (2e-3, 1e-3, 2e-4):
-        blocks = _sampled_sides(V, h)[1]
+        sampled = _sampled_sides(V, h)
+        blocks = sampled.blocks
         assert blocks.shape[2] == 1  # mirrored: the right side alone
         Es = [1.5, 15.9, 127.0, 1023.0, 1e4, 1e5]
         mismatches(V, Es, ShootingConfig(h=h, p=V.endpoint_exponent))
-        tables[h] = oracle_verifier._DEGREES[id(blocks)][0]
+        tables[h], = sampled.degrees
         assert tables[h] == {_exponent(E): cut_degree(blocks[:, :, 0], power_above(E)) for E in Es}
     assert [tables[1e-3][p] for p in (1, 4, 7, 10, 14, 17)] == [4, 5, 5, 7, 10, 13]
     assert [tables[2e-4][p] for p in (1, 4, 7, 10, 14, 17)] == [3, 4, 4, 5, 6, 8]
@@ -346,11 +355,10 @@ def test_degree_table_counts_horner_steps(monkeypatch):
         finally:
             scanning.pop()
 
-    def counting(blocks, Es, starts):
-        out = product(blocks, Es, starts)
+    def counting(blocks, tables, Es, starts):
+        out = product(blocks, tables, Es, starts)
         if scanning:
-            degrees.extend(table[_exponent(E)] for table in oracle_verifier._DEGREES[id(blocks)]
-                           for E in Es)
+            degrees.extend(table[_exponent(E)] for table in tables for E in Es)
         return out
 
     monkeypatch.setattr(oracle_verifier, "_real_axis_starts", scanned)
@@ -377,41 +385,50 @@ def test_stacked_sides_keep_their_own_degrees(monkeypatch):
     constant, varying = (lambda x: complex(4.0, -2.0)), (lambda x: complex(30.0 * x * x, 2.0))
     Es = [0.003, 0.003 + 0.001j, 3.0 + 0.5j, -1e5, 150.0]
     for right, left in ((constant, varying), (varying, constant)):
-        V = PiecewisePotential(right, left, 1, False)
-        blocks, starts = two_sided_blocks(V, ShootingConfig(h=1e-3))
+        V, cfg = PiecewisePotential(right, left, 1, False), ShootingConfig(h=1e-3)
+        blocks, tables, starts = two_sided_blocks(V, cfg)
         degrees = [[_horner_degree(blocks[:, :, s], _exponent(E)) for E in Es] for s in range(2)]
         assert {degrees[0][0], degrees[1][0]} == {2, 3}
         del runs[:]
-        both = _rk4_step_product(blocks, Es, starts)
+        both = _rk4_step_product(blocks, tables, Es, starts)
         assert runs == [(K, side.count(K)) for side in degrees for K in sorted(set(side))]
+        # each table handed in now holds the degree at each exponent of Es, and no other
+        assert tables == [dict(zip(map(_exponent, Es), side)) for side in degrees]
         assert _product_bits(both) == _product_bits(step_product_reference(blocks, Es, starts))
         for k in range(2):
-            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], Es, starts[k:k + 1])[0]
+            assert both[k] == _rk4_step_product(blocks[:, :, k:k + 1], tables[k:k + 1], Es,
+                                                starts[k:k + 1])[0]
+        # the oracle's own record keeps one table per side, filled the same way
+        mismatches(V, Es, cfg)
+        assert _sampled_sides(V, cfg.h).degrees == tuple(tables)
 
 
 def test_degree_tables_live_and_die_with_their_blocks():
     # potentials A, B, A, whose degree tables differ at |E| < 16: every product,
     # on the oracle's cached blocks, cold or warm, and on fresh arrays and views
-    # that may take a dead array's id, equals the reference bit for bit; an
-    # evicted array is freed, and its table with it
+    # made right after an eviction, equals the reference bit for bit; an
+    # evicted record's blocks are freed
     A = _chain(2.0, "real,real,real")[3].potential
     B = _chain(2.0, "real,real,real,real")[4].potential
     Es = [15.9, 3.0 + 0.5j, 150.0 - 3.0j, -1e5, 1e4]
-    degrees = [cut_degree(_sampled_sides(V, 1e-3)[1][:, :, 0], 16.0) for V in (A, B)]
+    degrees = [cut_degree(_sampled_sides(V, 1e-3).blocks[:, :, 0], 16.0) for V in (A, B)]
     assert degrees[0] != degrees[1]
     evicted = None
     for V in (A, B, A):
         cfg = ShootingConfig(h=1e-3, p=V.endpoint_exponent)
-        blocks = _sampled_sides(V, cfg.h)[1]
+        sampled = _sampled_sides(V, cfg.h)
+        blocks, own = sampled.blocks, sampled.degrees
         assert evicted is None or evicted() is None
-        assert list(oracle_verifier._DEGREES) == [id(blocks)]
-        stacked, starts = two_sided_blocks(V, cfg)
-        for product, sides in ((blocks, starts[:1]), (blocks, starts[:1]), (stacked, starts),
-                               (stacked[:, :, :1], starts[:1]), (stacked[:, :, 1:], starts[1:])):
+        stacked, tables, starts = two_sided_blocks(V, cfg)
+        for product, held, sides in ((blocks, own, starts[:1]), (blocks, own, starts[:1]),
+                                     (stacked, tables, starts),
+                                     (stacked[:, :, :1], tables[:1], starts[:1]),
+                                     (stacked[:, :, 1:], tables[1:], starts[1:])):
             want = step_product_reference(product, Es, sides)
-            assert _product_bits(_rk4_step_product(product, Es, sides)) == _product_bits(want)
+            got = _rk4_step_product(product, held, Es, sides)
+            assert _product_bits(got) == _product_bits(want)
         evicted = weakref.ref(blocks)
-        del blocks, stacked, product
+        del sampled, blocks, own, stacked, tables, product, held
 
 
 def test_one_constant_side_goes_through_the_product(monkeypatch):
@@ -420,7 +437,7 @@ def test_one_constant_side_goes_through_the_product(monkeypatch):
     V = PiecewisePotential(lambda x: complex(4.0, -2.0), lambda x: complex(30.0 * x * x, 2.0),
                            1, False)
     cfg = ShootingConfig(h=1e-3)
-    sides, blocks, _ = _sampled_sides(V, cfg.h)
+    sides, blocks, *_ = _sampled_sides(V, cfg.h)
     assert sides[Side.RIGHT][3] == complex(4.0, -2.0) and sides[Side.LEFT][3] is None
     assert blocks is not None
 
@@ -436,14 +453,14 @@ def test_one_constant_side_goes_through_the_product(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(oracle_verifier, "_rk4_step_product", forbidden)
     well = square_well_potential(2.0)
-    assert _sampled_sides(well, cfg.h)[1] is None
+    assert _sampled_sides(well, cfg.h).blocks is None
     assert cmath.isfinite(mismatch(well, 3.0, cfg).normalized)
 
 
 def _loop_mismatch(V, E, cfg):
     # each side normalized before the Wronskian, so nothing is squared
     sides = []
-    sampled = _sampled_sides(V, cfg.h)[0]
+    sampled = _sampled_sides(V, cfg.h).sides
     for side in Side:
         nodes, mids, hh, _ = sampled[side]
         psi, dpsi, _ = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
@@ -507,9 +524,9 @@ def _count_sides(monkeypatch):
     products = []
     counted = oracle_verifier._rk4_step_product
 
-    def counting(blocks, Es, starts):
+    def counting(blocks, degrees, Es, starts):
         products.append((blocks.shape[2], len(Es)))
-        return counted(blocks, Es, starts)
+        return counted(blocks, degrees, Es, starts)
 
     monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
     return products
@@ -528,7 +545,7 @@ def test_real_seed_members_mirror_bit_for_bit(monkeypatch):
                                levels=9)[1:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _sampled_sides(V, cfg.h)[2]
+        assert _mirrored(V, cfg.h)
         del products[:]
         got = mismatches(V, _REAL_ENERGIES, cfg)
         assert products == [(1, len(_REAL_ENERGIES))]
@@ -546,7 +563,7 @@ def test_bare_well_mirrors_exactly(Z, monkeypatch):
     # power at E and conj E gives the two-sided values exactly
     V = square_well_potential(Z)
     cfg = ShootingConfig(p=V.endpoint_exponent)
-    assert _sampled_sides(V, cfg.h)[1:] == (None, True)
+    assert _sampled_sides(V, cfg.h).blocks is None and _mirrored(V, cfg.h)
     powers = []
     counted = oracle_verifier._rk4_constant_power
 
@@ -571,7 +588,7 @@ def test_conjugate_energies_share_one_side(monkeypatch):
     # values at E and conj E are exact conjugates
     V = build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-    assert _sampled_sides(V, cfg.h)[2]
+    assert _mirrored(V, cfg.h)
     products = _count_sides(monkeypatch)
     for E in _COMPLEX_ENERGIES:
         del products[:]
@@ -590,7 +607,7 @@ def test_pair_eliminated_members_mirror_within_rounding():
                                levels=9)[2:]:
         V = mem.potential
         cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-        assert _sampled_sides(V, cfg.h)[2]
+        assert _mirrored(V, cfg.h)
         Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
         got = mismatches(V, Es, cfg)
         want = two_sided_mismatches(V, Es, cfg)
@@ -622,7 +639,7 @@ def _flagged_off_mirror():
                                   lambda x: real.right_eval(-x).conjugate() * factor,
                                   real.endpoint_exponent, True)
 
-    assert _sampled_sides(flagged(1.0), 2e-3)[2]
+    assert _mirrored(flagged(1.0), 2e-3)
     return flagged(1.0 + 1e-9)
 
 
@@ -631,7 +648,7 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
     # the samples decide, never the pt_symmetric flag
     V = build()
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
-    assert not _sampled_sides(V, cfg.h)[2]
+    assert not _mirrored(V, cfg.h)
     Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
     products = _count_sides(monkeypatch)
     got = mismatches(V, Es, cfg)
@@ -641,7 +658,7 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
 
 def test_partner_sides_are_not_constant():
     V2 = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1].potential
-    sides = _sampled_sides(V2, 2e-4)[0]
+    sides = _sampled_sides(V2, 2e-4).sides
     for side in Side:
         assert sides[side][3] is None
 
