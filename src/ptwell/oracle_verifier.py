@@ -51,9 +51,9 @@ included, integrates only its right side, at every E and conj E, and
 takes the left as (conj psi, -conj psi') at conj E; any other potential
 integrates both sides.
 
-numpy is imported on the first potential that is not constant on both
-sides, so the bare well, and every process that never integrates a
-partner potential, runs without it.
+numpy is imported on the first potential that has array evaluators or is
+not constant on both sides, so the bare well, and every process that
+never integrates a partner potential, runs without it.
 """
 import cmath
 import math
@@ -343,13 +343,6 @@ def _rk4_step_product(blocks, degrees, Es, starts):
     return out
 
 
-def _samples(sample, xs):
-    """sample(xs), and the samples' common value if they share one."""
-    vals = sample(xs)
-    v = vals[0]
-    return vals, (complex(v) if all(u == v for u in vals) else None)
-
-
 # what `_sampled_sides` returns for one potential and step
 _Sampled = namedtuple("_Sampled", "sides blocks integrated degrees")
 
@@ -363,9 +356,13 @@ def _sampled_sides(V, h: float):
     exactly 0.0 and is evaluated with the correct side's evaluator; an
     accumulated-position loop drifts across the origin jump and costs the
     integrator an order of convergence.  Both sides take the same n steps.
-    Each side's nodes and midpoints are evaluated in one call, interleaved,
-    one evaluation of all positions for a potential with array evaluators
-    (its `arrays`).
+    Each side's nodes and midpoints are evaluated together, interleaved.
+    A potential with array evaluators (its `arrays`) takes each side's
+    positions as one float64 array in one call: n - j/2 is exact and the
+    multiply and divide round as Python's do, so every position is the
+    float the point-by-point formula gives, the last node +0.0 on the right
+    and -0.0 on the left.  Any other potential, the bare well included, is
+    sampled point by point and loads no numpy unless a side varies.
     Returns a `_Sampled` record.  sides maps each Side to (nodes, mids,
     hh, constant), constant being the side's common sample value or None.
     integrated is (Side.RIGHT,) when V is mirrored, every left sample
@@ -380,12 +377,20 @@ def _sampled_sides(V, h: float):
     """
     n = max(1, round((1.0 - DELTA) / h))
     arrays = getattr(V, "arrays", None)
+    if arrays:
+        import numpy as np  # here, not at module level: see the module docstring
+
+        js = np.arange(2 * n + 1)
     sides = {}
     for side, ev in zip(Side, arrays or (V.right_eval, V.left_eval)):
         x0 = 1.0 - DELTA if side is Side.RIGHT else -(1.0 - DELTA)
-        sample = ev if arrays else (lambda xs, ev=ev: [ev(x) for x in xs])
         # node k at j = 2k, midpoint k at j = 2k + 1: n - j/2 is exact
-        vals, constant = _samples(sample, [x0 * (n - j / 2) / n for j in range(2 * n + 1)])
+        if arrays:
+            vals = ev(x0 * (n - js / 2) / n)
+        else:
+            vals = [ev(x0 * (n - j / 2) / n) for j in range(2 * n + 1)]
+        v = vals[0]
+        constant = complex(v) if all(u == v for u in vals) else None
         sides[side] = (vals[0::2], vals[1::2], -x0 / n, constant)
     right, left = sides[Side.RIGHT][3], sides[Side.LEFT][3]
     both_constant = right is not None and left is not None
@@ -394,6 +399,7 @@ def _sampled_sides(V, h: float):
     else:
         import numpy as np  # here, not at module level: see the module docstring
 
+        # a no-op on array samples; a side sampled point by point becomes an array
         sides = {side: (np.asarray(nodes, dtype=np.complex128),
                         np.asarray(mids, dtype=np.complex128), hh, constant)
                  for side, (nodes, mids, hh, constant) in sides.items()}

@@ -245,10 +245,10 @@ class _CrumSide:
         return self.c + _seed_table(self, x, int(abs(u) * self.per_u) < self.v_buckets)[0]
 
     def potential_array(self, x):
-        """V as a numpy array over a sequence of x, each bucket's points at once."""
+        """V over a float64 numpy array of x, each bucket's points at once."""
         import numpy as np  # callers that pass arrays have it loaded already
 
-        u = 1.0 - self.sign * np.asarray(x)
+        u = 1.0 - self.sign * x
         buckets = (abs(u) * self.per_u).astype(int)
         buckets[buckets >= self.v_buckets] = -1
         V = np.empty(u.shape, dtype=np.complex128)

@@ -4,11 +4,12 @@ Not a test module.  Tests import it by name, like ``crum_reference``.
 """
 import dataclasses
 import math
+from functools import lru_cache
 from itertools import accumulate
 
-from ptwell.oracle_verifier import (MismatchValue, ShootingConfig, Side, _block_coefficients,
-                                    _rk4_constant_power, _rk4_step_product, _sampled_sides,
-                                    _start, mismatch)
+from ptwell.oracle_verifier import (DELTA, MIRROR_TOL, MismatchValue, ShootingConfig, Side,
+                                    _block_coefficients, _rk4_constant_power, _rk4_step_product,
+                                    _Sampled, _sampled_sides, _start, mismatch)
 
 
 def power_above(E):
@@ -139,3 +140,47 @@ def two_sided_mismatches(V, Es, cfg: ShootingConfig):
     return [MismatchValue(E, pL * dR - dL * pR,
                           math.hypot(abs(pL), abs(dL)) * math.hypot(abs(pR), abs(dR)))
             for E, (pR, dR, _), (pL, dL, _) in zip(Es, right, left)]
+
+
+def list_positions(x0, n):
+    """A side's 2n + 1 sample positions by the point-by-point formula: node k
+    at j = 2k, midpoint k at j = 2k + 1."""
+    return [x0 * (n - j / 2) / n for j in range(2 * n + 1)]
+
+
+@lru_cache(maxsize=1)
+def list_sampled_sides(V, h: float):
+    """`_sampled_sides` with every side's positions built as a Python list.
+
+    Array evaluators get the list converted by numpy, as they converted it
+    themselves when the oracle passed lists; everything after sampling is
+    the oracle's own rule, restated.  Its samples, blocks and so every
+    mismatch and root must equal the oracle's bit for bit.  Cached like the
+    oracle's, so it can stand in for `_sampled_sides` in a whole search.
+    """
+    import numpy as np
+
+    n = max(1, round((1.0 - DELTA) / h))
+    arrays = getattr(V, "arrays", None)
+    sides = {}
+    for side, ev in zip(Side, arrays or (V.right_eval, V.left_eval)):
+        x0 = 1.0 - DELTA if side is Side.RIGHT else -(1.0 - DELTA)
+        xs = list_positions(x0, n)
+        vals = ev(np.asarray(xs)) if arrays else [ev(x) for x in xs]
+        v = vals[0]
+        constant = complex(v) if all(u == v for u in vals) else None
+        sides[side] = (vals[0::2], vals[1::2], -x0 / n, constant)
+    right, left = sides[Side.RIGHT][3], sides[Side.LEFT][3]
+    both_constant = right is not None and left is not None
+    if both_constant:
+        mirrored = abs(left - right.conjugate()) <= MIRROR_TOL * abs(right)
+    else:
+        sides = {side: (np.asarray(nodes, dtype=np.complex128),
+                        np.asarray(mids, dtype=np.complex128), hh, constant)
+                 for side, (nodes, mids, hh, constant) in sides.items()}
+        mirrored = all(bool(np.all(np.abs(l - np.conj(r)) <= MIRROR_TOL * np.abs(r)))
+                       for r, l in zip(sides[Side.RIGHT][:2], sides[Side.LEFT][:2]))
+    integrated = tuple(Side)[:1 if mirrored else 2]
+    blocks = None if both_constant else np.stack([_block_coefficients(*sides[side][:3])
+                                                  for side in integrated], axis=2)
+    return _Sampled(sides, blocks, integrated, tuple({} for _ in integrated))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import sys
 import weakref
 from functools import lru_cache
 
@@ -31,9 +32,9 @@ from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL,
                                     _sampled_sides, _secant, _side_pairs, linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
 
-from oracle_reference import (cut_degree, power_above, rk4_order_estimate,
-                              step_product_reference, two_sided, two_sided_blocks,
-                              two_sided_mismatches)
+from oracle_reference import (cut_degree, list_positions, list_sampled_sides, power_above,
+                              rk4_order_estimate, step_product_reference, two_sided,
+                              two_sided_blocks, two_sided_mismatches)
 
 
 def test_config_validation():
@@ -661,6 +662,69 @@ def test_partner_sides_are_not_constant():
     sides = _sampled_sides(V2, 2e-4).sides
     for side in Side:
         assert sides[side][3] is None
+
+
+def _recording(ev, calls, kind):
+    # ev, appending (kind, x) to calls on every call
+    def record(x):
+        calls.append((kind, x))
+        return ev(x)
+    return record
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-4, 3e-3, 7.3e-4])
+def test_array_positions_are_the_list_positions_one_call_per_side(h, monkeypatch):
+    # a partner potential's sides take one array call each, over the floats
+    # the point-by-point formula gives, the origin node +0.0 on the right and
+    # -0.0 on the left; the bare well samples point by point without numpy
+    n = max(1, round((1.0 - DELTA) / h))
+    wanted = [list_positions(1.0 - DELTA, n), list_positions(-(1.0 - DELTA), n)]
+    real = _chain(2.0, "real")[1].potential
+    calls = []
+    V = PiecewisePotential(_recording(real.right_eval, calls, "scalar"),
+                           _recording(real.left_eval, calls, "scalar"),
+                           real.endpoint_exponent, real.pt_symmetric,
+                           tuple(_recording(ev, calls, "array") for ev in real.arrays))
+    _sampled_sides(V, h)
+    assert [kind for kind, _ in calls] == ["array", "array"]
+    for (_, xs), want in zip(calls, wanted):
+        assert xs.dtype == np.float64 and xs.tobytes() == np.array(want).tobytes()
+    assert [math.copysign(1.0, xs[-1]) for _, xs in calls] == [1.0, -1.0]
+    assert all(xs[-1] == 0.0 for _, xs in calls)
+
+    well = square_well_potential(8.0)
+    del calls[:]
+    V = PiecewisePotential(_recording(well.right_eval, calls, "scalar"),
+                           _recording(well.left_eval, calls, "scalar"), 1, True)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # any import of numpy now fails
+    assert _sampled_sides(V, h).blocks is None
+    assert cmath.isfinite(mismatch(V, 3.0, ShootingConfig(h=h)).normalized)
+    assert {kind for kind, _ in calls} == {"scalar"}
+    assert [x.hex() for _, x in calls] == [x.hex() for want in wanted for x in want]
+
+
+@pytest.mark.parametrize("h", [1e-3, 2e-4])
+@pytest.mark.parametrize("Z, plan", [(2.0, "real"), (8.0, "clower,cupper"),
+                                     (17.0, "clower,cupper,real")])
+def test_array_sampling_matches_list_reference_bit_for_bit(Z, plan, h, monkeypatch):
+    # the oracle workload's plans: every partner member's samples and blocks,
+    # and the last member's roots, equal those of list-built positions
+    chain = _chain(Z, plan)
+    for mem in chain[1:]:
+        own, ref = _sampled_sides(mem.potential, h), list_sampled_sides(mem.potential, h)
+        assert own.integrated == ref.integrated
+        for side in Side:
+            (nodes, mids, hh, constant), want = own.sides[side], ref.sides[side]
+            assert (nodes.tobytes(), mids.tobytes(), hh, constant) == \
+                (want[0].tobytes(), want[1].tobytes(), want[2], want[3])
+        assert own.blocks.tobytes() == ref.blocks.tobytes()
+    (V, count, box, cfg), seeds = _verify_search(Z, plan, len(chain), 3, True)
+    cfg = ShootingConfig(h=h, p=cfg.p)
+    own = find_spectrum_numeric(V, count, box, cfg, seeds)
+    monkeypatch.setattr(oracle_verifier, "_sampled_sides", list_sampled_sides)
+    ref = find_spectrum_numeric(V, count, box, cfg, seeds)
+    assert [(E.real.hex(), E.imag.hex()) for E in own] == \
+        [(E.real.hex(), E.imag.hex()) for E in ref]
 
 
 @pytest.mark.parametrize("Z", [1.0, 4.0])

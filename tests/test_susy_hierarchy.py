@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from ptwell import (
     LevelAnnihilated,
     PlanChoice,
     build_hierarchy,
+    find_critical_coupling,
     hierarchy_relations_check,
     intertwine,
     partner_potential,
@@ -486,6 +488,17 @@ def test_relations_check_window_guard():
         hierarchy_relations_check(2.0)
     with pytest.raises(ValueError):
         hierarchy_relations_check(14.0)
+
+
+def test_relations_deviations_are_zero_by_construction():
+    # both orders' member 3 read one interned pair of sides (the seeds are
+    # sorted), and the upper-first member 2 is built from exactly conjugate
+    # seeds, so both deviations are exactly 0.0 across the window
+    lo, hi = find_critical_coupling(0).z_crit, find_critical_coupling(1).z_crit
+    rng = random.Random(31)
+    for Z in [lo + 1e-3, 4.48, 12.8] + [rng.uniform(lo, hi) for _ in range(12)]:
+        rel = hierarchy_relations_check(Z, levels=1)
+        assert (rel["member2_mirror_dev"], rel["member3_same_dev"]) == (0.0, 0.0), Z
 
 
 def test_relations_check_structure():
