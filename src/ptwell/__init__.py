@@ -15,13 +15,12 @@ _EXPORTS = {
         "solve_real_spectrum"),
     "wavefunctions": (
         "PiecewiseEigenfunction", "chebyshev_grid", "gegenbauer_eval",
-        "limit_form", "pt_defect", "pt_transform", "schrodinger_residual",
-        "square_well_eigenfunction"),
+        "limit_form", "pt_defect", "pt_transform", "schrodinger_residual"),
     "susy_hierarchy": (
         "EliminationPlan", "HierarchyMember", "LevelAnnihilated",
         "PiecewisePotential", "PlanChoice", "Superpotential", "build_hierarchy",
         "hierarchy_relations_check", "intertwine", "partner_potential",
-        "square_well_potential"),
+        "square_well_eigenfunction", "square_well_potential"),
     "oracle_verifier": (
         "MismatchValue", "ShootingConfig", "Side", "find_spectrum_numeric",
         "integrate_side", "mismatch"),

@@ -13,7 +13,8 @@ with seeds k_1..k_k, the eliminated levels' wavenumbers,
 
 One table per side and point (`_CrumSide`, `_seed_table`) eliminates a
 member's seeds; its potential, each of its eigenfunctions and its next
-step's superpotential read that table.  Member 1 is the well.
+step's superpotential read that table.  Member 1, the well, is the member
+with no seeds: its columns are the sinh(kappa u) themselves.
 Since sigma(E) = conj rho(E*), a member is PT-symmetric exactly when its
 eliminated energies are closed under conjugation.
 """
@@ -27,7 +28,7 @@ from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, Spectral
                             Spectrum, classify_spectrum, find_critical_coupling)
 from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
                             normalize_sides, origin_scales, pt_defect, pt_transform,
-                            ratio_stats, square_well_eigenfunction)
+                            ratio_stats)
 
 
 class LevelAnnihilated(Exception):
@@ -98,6 +99,7 @@ _INV_FACTORIAL = [1.0 / math.factorial(m) for m in range(171)]  # 170! is the la
 # the points where a level's basis is not V's, twice over, since
 # hierarchy_relations_check reads two members point by point
 _SEED_TABLES = 512
+_NO_SEEDS = (0j, (), (), ())  # `_darboux` of no seed columns, at every x
 
 
 def _darboux(fs, ds, steps, chain):
@@ -286,7 +288,7 @@ class _CrumColumn:
         side = self.side
         u = 1.0 - side.sign * x
         bucket = int(abs(u) * self.per_u)
-        U, ws, w2s, last = _seed_table(side, x, bucket < side.buckets)
+        U, ws, w2s, last = _seed_table(side, x, bucket < side.buckets) if side.steps else _NO_SEEDS
         if bucket >= side.buckets:
             z = self.kappa * u
             try:
@@ -418,16 +420,19 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
     return normalize_sides(psi.level, right, left)
 
 
-def _eigenfunctions(spectrum: Spectrum, sides, depth: int):
-    if depth == 1:
-        return lambda n: square_well_eigenfunction(spectrum.levels[n])
+def _eigenfunction(level: SpectralLevel, sides) -> PiecewiseEigenfunction:
+    """The eigenfunction of `level` on the member with these sides: a column per side."""
+    right, left = columns = [_CrumColumn(side, level) for side in sides]
+    right.norm, left.norm = origin_scales(*((f, d * -col.side.sign) for col in columns
+                                            for f, d, _ in [col._column(0.0, False)]))
+    return PiecewiseEigenfunction(level, right.eigenfunction, left.eigenfunction)
 
-    def eigenfunction(n):
-        right, left = columns = [_CrumColumn(side, spectrum.levels[n]) for side in sides]
-        right.norm, left.norm = origin_scales(*((f, d * -col.side.sign) for col in columns
-                                                for f, d, _ in [col._column(0.0, False)]))
-        return PiecewiseEigenfunction(spectrum.levels[n], right.eigenfunction, left.eigenfunction)
-    return eigenfunction
+
+def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
+    """Eigenfunction of the well itself, the member with no seeds: sinh[rho(1-x)] right,
+    sinh[sigma(1+x)] left.  The sides' c = -iZ = rho^2 + E names Z only in an overflow."""
+    Z = -(level.kappa_right.value ** 2 + level.energy).imag
+    return _eigenfunction(level, _sides(Z, []))
 
 
 def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8):
@@ -456,8 +461,10 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         if choice is not None:
             level = _elim_level(spectrum, choice)
             W = Superpotential(*(_CrumColumn(side, level).superpotential for side in sides), level.energy)
-        members.append(HierarchyMember(m, potential, W, spectrum, _eigenfunctions(spectrum, sides, m),
-                                       eliminated))
+        # the defaults bind this member's levels and sides, not the loop's last
+        members.append(HierarchyMember(
+            m, potential, W, spectrum,
+            lambda n, levels=spectrum.levels, sides=sides: _eigenfunction(levels[n], sides), eliminated))
         if m == depth:
             break
         eliminated += (level,)

@@ -1,16 +1,16 @@
-"""Closed-form eigenfunctions, PT diagnostics, and zero-coupling limit shapes.
+"""Piecewise eigenfunctions, their origin normalization, PT diagnostics, and
+zero-coupling limit shapes.
 
-Each side of an eigenfunction returns (psi, psi') at x; the closed forms
-compute in the wall coordinates w = 1 - x (right) and v = 1 + x (left).
-Eigenfunctions are normalized at the origin, psi(0) = 1.  When the origin
-value vanishes identically (odd levels of the real well) the slope is pinned
-instead, psi'(0) = i.
+Each side of an eigenfunction returns (psi, psi') at x; susy_hierarchy
+computes every member's sides, the well's included, in the wall coordinates
+u = 1 - x (right) and 1 + x (left).  Eigenfunctions are normalized at the
+origin, psi(0) = 1.  When the origin value is negligible against the slope
+(odd levels of the real well) the slope is pinned instead, psi'(0) = i.
 """
-import cmath
 import math
 from dataclasses import dataclass
 
-from .spectral_core import ConvergenceError, SpectralLevel
+from .spectral_core import SpectralLevel
 
 
 class PiecewisePair:
@@ -64,44 +64,6 @@ def normalize_sides(level: SpectralLevel, right, left) -> PiecewiseEigenfunction
         return ev
 
     return PiecewiseEigenfunction(level, scaled(right, cR), scaled(left, cL))
-
-
-def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
-    """Eigenfunction of the well itself: sinh[rho(1-x)] right, sinh[sigma(1+x)] left.
-
-    At Z = 0 the odd levels have sinh(rho) = 0 and the origin-value form is
-    indeterminate; the continuity limit sin(t x)/t applies there (slope-pinned,
-    psi'(0) = i).  ConvergenceError where the origin values, the largest, overflow.
-    """
-    rho = level.kappa_right.value
-    sigma = level.kappa_left.value
-
-    def right(x):
-        w = 1.0 - x
-        return cmath.sinh(rho * w), -(rho * cmath.cosh(rho * w))
-
-    def left(x):
-        v = 1.0 + x
-        return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
-
-    try:
-        origin = right(0.0) + left(0.0)
-    except OverflowError:  # cmath's sinh and cosh; products go to inf instead
-        origin = (math.inf,)
-    if not all(map(cmath.isfinite, origin)):
-        raise ConvergenceError(f"the well's eigenfunction at E = {level.energy!r} overflows at x = 0.0",
-                               stage="well eigenfunction", iterate=0.0)
-    if abs(origin[0]) < 1e-12:  # sinh(rho), the right side's origin value
-        t = -rho.imag
-
-        def limit_side(y):
-            return 1j * math.sin(t * y) / t, 1j * math.cos(t * y)
-
-        # x goes through the wall coordinates w = 1 - x and v = 1 + x, as in
-        # every closed form; the limit command prints these last bits
-        return PiecewiseEigenfunction(
-            level, lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0))
-    return normalize_sides(level, right, left)
 
 
 def pt_transform(f):

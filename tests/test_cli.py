@@ -140,14 +140,16 @@ def test_verify_fails_at_unreachable_tolerance(capsys):
     assert json.loads(out)["all_pass"] is False
 
 
-def test_limit_json(capsys):
-    code, out, _ = run_cli(capsys, "limit", "--m", "2", "--n", "1")
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1)])
+def test_limit_json(capsys, m, n):
+    code, out, _ = run_cli(capsys, "limit", "--m", str(m), "--n", str(n))
     assert code == 0
     doc = json.loads(out)
-    assert doc["member_depth"] == 2
+    assert doc["member_depth"] == m
     assert doc["at_zero"]["ratio_variance"] < 1e-12
     assert doc["near_zero"]["ratio_variance"] < 1e-8
-    assert doc["at_zero"]["family_rel_dev"] < 1e-10
+    if m > 1:  # the well has no sec^2 family to compare with
+        assert doc["at_zero"]["family_rel_dev"] < 1e-10
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,6 +265,7 @@ def test_cli_runs_without_numpy_until_a_partner_side():
                "--samples", "5"], _HIERARCHY),
              (["hierarchy", "--coupling", "2", "--depth", "3", "--samples", "5",
                "--format", "csv"], _HIERARCHY),
+             (["limit", "--m", "1", "--n", "1"], _HIERARCHY),
              (["limit", "--m", "2", "--n", "1"], _HIERARCHY),
              (["verify", "--coupling", "2", "--member", "1", "--levels", "3"], _EVERY)]
     for argv, modules in cases:

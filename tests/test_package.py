@@ -71,8 +71,9 @@ def test_names_the_benchmark_reads():
     V, E = members[1].potential, members[1].spectrum.levels[0].energy
     # the sample calls of the hierarchy workload and its referee
     assert V.pt_symmetric is True and isinstance(V(0.3), complex) and isinstance(E, complex)
-    assert isinstance(members[1].eigenfunctions(0)(0.3), complex)
-    assert isinstance(members[1].eigenfunctions(0)(-0.3), complex)
+    for mem in members:
+        assert isinstance(mem.eigenfunctions(0)(0.3), complex)
+        assert isinstance(mem.eigenfunctions(0)(-0.3), complex)
     cfg = ov.ShootingConfig(h=2e-3, p=V.endpoint_exponent)
     assert (cfg.h, cfg.p) == (2e-3, 2)
     assert abs(ov.mismatch(V, E, cfg).normalized) < 1e-6

@@ -377,9 +377,10 @@ def _crum_table(_):
 
 
 def _well_overflow(_):
-    # the well's own eigenfunction, sinh(sigma) at the origin past the float range
+    # the well's own eigenfunction, sinh(sigma) at the origin past the float
+    # range: the zero-seed member's column raises as every member's does
     member = build_hierarchy(1e6, EliminationPlan.from_text("clower,cupper"), 3, 5)[0]
-    return lambda: member.eigenfunctions(0), "well eigenfunction", 0.0, None
+    return lambda: member.eigenfunctions(0), "Crum table", 0.0, None
 
 
 @pytest.mark.parametrize("case", [

@@ -237,16 +237,15 @@ def test_warm_sample_call_counts(x):
 
 @pytest.mark.parametrize("Z", [5e5, 1e6, 1e8])
 def test_eigenfunctions_past_the_float_range_refuse(Z):
-    # every member's every level raises the typed error at its origin
-    # normalization.  At 1e6 and 1e8 the well's sinh(sigma) raised a bare
-    # OverflowError; at 5e5 sinh(sigma) was finite, sigma cosh(sigma) was not,
-    # and psi' read nan near the origin, with no error
+    # every member's every level, the well's too, raises the typed error at its
+    # origin normalization.  At 1e6 and 1e8 the well's sinh(sigma) once raised
+    # a bare OverflowError; at 5e5 sinh(sigma) was finite, sigma cosh(sigma)
+    # was not, and psi' read nan near the origin, with no error
     for member in build_hierarchy(Z, EliminationPlan.from_text("clower,cupper"), 3, 5):
         for n in range(len(member.spectrum.levels)):
             with pytest.raises(ConvergenceError) as err:
                 member.eigenfunctions(n)
-            stage = "well eigenfunction" if member.depth == 1 else "Crum table"
-            assert (err.value.stage, err.value.iterate) == (stage, 0.0)
+            assert (err.value.stage, err.value.iterate) == ("Crum table", 0.0)
 
 
 def test_intertwine_drops_index_and_matches_closed_form():
@@ -312,6 +311,24 @@ def test_superpotential_slope_builds_one_table(x, monkeypatch):
     assert len(built) == 1
     h[3].potential(x)
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("Z, plan", [(2.0, "real"), (8.0, "clower")])
+def test_the_well_builds_no_seed_table(Z, plan, monkeypatch):
+    # the well has no seeds, so its table is one constant at every x: its
+    # eigenfunctions and W read no cache.  Member 2 still builds its own
+    grid = [j * 0.0099 for j in range(-100, 101)]
+    well, partner = build_hierarchy(Z, EliminationPlan.from_text(plan), 2, levels=4)
+    built = _count_tables(monkeypatch)
+    for n in range(4):
+        psi = well.eigenfunctions(n)
+        for x in grid:
+            psi.value_and_slope(x)
+    for x in grid:
+        well.superpotential.value_and_slope(x)
+    assert built == [] and _seed_table.cache_info().currsize == 0
+    partner.eigenfunctions(0)(0.3)
+    assert len(built) == _seed_table.cache_info().currsize > 0
 
 
 @pytest.mark.parametrize("Z, plan", [(0.0, "real,real,real,real"), (2.0, "real,real,real,real"),
@@ -391,10 +408,10 @@ def test_samples_do_not_depend_on_cache_order():
 def test_origin_normalization_is_exact(Z, plan):
     # each column divides in place by its origin constant: psi(0) = 1 on both
     # sides, the real part to the last bit; the imaginary part is what the
-    # complex division f/f leaves, 0 or below 2^-52 (nonzero for 4 of these
-    # 66 levels).  A slope-pinned level, each odd one at Z = 0, has psi'(0) = i
+    # complex division f/f leaves, 0 or below 2^-52 (nonzero for 5 of these
+    # 90 levels).  A slope-pinned level, each odd one at Z = 0, has psi'(0) = i
     pinned = []
-    for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)[1:]:
+    for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8):
         for n in range(len(member.spectrum.levels)):
             f = member.eigenfunctions(n)
             (pR, dR), (pL, dL) = f.right(0.0), f.left(0.0)
@@ -404,7 +421,7 @@ def test_origin_normalization_is_exact(Z, plan):
             else:
                 assert pR.real == pL.real == 1.0
                 assert abs(pR.imag) < 2 ** -52 and abs(pL.imag) < 2 ** -52
-    assert pinned == ([(m, n) for m in range(2, 6) for n in range(1, 9 - m, 2)] if Z == 0 else [])
+    assert pinned == ([(m, n) for m in range(1, 6) for n in range(1, 9 - m, 2)] if Z == 0 else [])
 
 
 def test_second_step_superpotential_mirror():

@@ -4,10 +4,12 @@ import pytest
 from scipy.special import eval_gegenbauer
 
 from ptwell import (
+    ConvergenceError,
     EliminationPlan,
     build_hierarchy,
     chebyshev_grid,
     classify_spectrum,
+    find_critical_coupling,
     gegenbauer_eval,
     limit_form,
     pt_defect,
@@ -18,6 +20,11 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell.wavefunctions import normalize_sides
+from well_reference import well_eigenfunction
+
+EPS = 2.0 ** -52
+# the grid on which the well's Crum columns were compared with its closed form
+WELL_GRID = [k / 102 for k in range(-102, 103)]
 
 
 def test_eigenfunction_vanishes_at_walls():
@@ -75,14 +82,61 @@ def test_zero_coupling_ground_state_shape():
         assert f(x) == pytest.approx(ratio * math.cos(math.pi * x / 2), rel=1e-10)
 
 
-def test_zero_coupling_odd_levels_fallback():
-    # antisymmetric members have a node at the origin; the sin form takes over
+def test_zero_coupling_odd_level_is_slope_pinned():
+    # antisymmetric levels have a node at the origin, which sinh(rho) = i sin(pi)
+    # meets to rounding: the slope is pinned, and the shape is sin(t x)/t
     level = solve_real_spectrum(0.0, 2)[1]
     f = square_well_eigenfunction(level)
     t = math.pi
     for x in (-0.6, -0.25, 0.3, 0.85):
         assert f(x) == pytest.approx(1j * math.sin(t * x) / t, rel=1e-10)
-    assert f(0.0) == 0
+    assert f.derivative(0.0) == pytest.approx(1j, rel=1e-14)
+    scale = 1 / t  # the largest |psi|
+    assert abs(f(0.0)) <= t * EPS * scale
+
+
+def _bits(pair):
+    return [(z.real.hex(), z.imag.hex()) for z in pair]
+
+
+@pytest.mark.parametrize("Z", [1e-4, 2.0, "crit", 8.0, 300.0, 1e5])
+def test_well_is_its_closed_form_bit_for_bit(Z):
+    # the zero-seed Crum member's columns are the closed form's sinh sides,
+    # value and slope, on both sides of the origin
+    Z = find_critical_coupling(0).z_crit if Z == "crit" else Z
+    well = build_hierarchy(Z, EliminationPlan(()), 1, 12)[0]
+    for n, level in enumerate(well.spectrum.levels):
+        f = well.eigenfunctions(n)
+        right, left = well_eigenfunction(level)
+        for x in WELL_GRID:
+            assert _bits(f.value_and_slope(x)) == _bits((right if x >= 0 else left)(x)), (level, x)
+
+
+def test_well_at_zero_coupling_is_its_closed_form_to_t_eps():
+    # at Z = 0 the closed form's odd levels take the exact sin(t x)/t limit,
+    # and the columns read sin((n + 1) pi/2) to rounding: within t eps, with
+    # t = (n + 1) pi/2, of the level's largest |psi| and largest |psi'|
+    well = build_hierarchy(0.0, EliminationPlan(()), 1, 12)[0]
+    for n, level in enumerate(well.spectrum.levels):
+        t = (n + 1) * math.pi / 2
+        f = well.eigenfunctions(n)
+        right, left = well_eigenfunction(level)
+        got = [f.value_and_slope(x) for x in WELL_GRID]
+        want = [(right if x >= 0 else left)(x) for x in WELL_GRID]
+        for k in range(2):
+            scale = max(abs(w[k]) for w in want)
+            assert max(abs(g[k] - w[k]) for g, w in zip(got, want)) <= t * EPS * scale, (n, k)
+
+
+@pytest.mark.parametrize("Z", [5e5, 1e6])
+def test_well_past_the_float_range_raises_where_its_closed_form_does(Z):
+    # sinh(sigma) or sigma cosh(sigma) at the origin is past the float range
+    for level in classify_spectrum(Z, 12).levels:
+        with pytest.raises(OverflowError):
+            well_eigenfunction(level)
+        with pytest.raises(ConvergenceError) as err:
+            square_well_eigenfunction(level)
+        assert (err.value.stage, err.value.iterate) == ("Crum table", 0.0)
 
 
 def test_schrodinger_residual_small_on_eigenfunctions():

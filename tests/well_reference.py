@@ -1,0 +1,52 @@
+"""The well's eigenfunctions in closed form, a referee for the zero-seed Crum member.
+
+Not a test module.  Tests import it by name, like ``crum_reference``.
+
+The well's level with wavenumbers rho (right) and sigma (left) is
+sinh[rho(1 - x)] on the right and sinh[sigma(1 + x)] on the left, each side
+over its origin constant (`wavefunctions.origin_scales`).  At Z = 0 the odd
+levels have sinh(rho) = 0, and the origin-value form is indeterminate; the
+continuity limit sin(t x)/t takes over there (slope-pinned, psi'(0) = i).
+"""
+import cmath
+import math
+
+from ptwell.wavefunctions import origin_scales
+
+
+def well_eigenfunction(level):
+    """(right, left), each x -> (psi, psi') of the well's `level`.
+
+    OverflowError where an origin value, the largest, is past the float range.
+    """
+    rho = level.kappa_right.value
+    sigma = level.kappa_left.value
+
+    def right(x):
+        w = 1.0 - x
+        return cmath.sinh(rho * w), -(rho * cmath.cosh(rho * w))
+
+    def left(x):
+        v = 1.0 + x
+        return cmath.sinh(sigma * v), sigma * cmath.cosh(sigma * v)
+
+    origin = right(0.0) + left(0.0)  # cmath's sinh and cosh raise OverflowError themselves
+    if not all(map(cmath.isfinite, origin)):
+        raise OverflowError(f"the well's eigenfunction at E = {level.energy!r} overflows at x = 0")
+    if abs(origin[0]) < 1e-12:  # sinh(rho), the right side's origin value
+        t = -rho.imag
+
+        def limit_side(y):
+            return 1j * math.sin(t * y) / t, 1j * math.cos(t * y)
+
+        # x goes through the wall coordinates, as in the sinh form
+        return lambda x: limit_side(1.0 - (1.0 - x)), lambda x: limit_side((1.0 + x) - 1.0)
+    cR, cL = origin_scales(origin[:2], origin[2:])
+
+    def scaled(side, c):
+        def ev(x):
+            p, d = side(x)
+            return p / c, d / c
+        return ev
+
+    return scaled(right, cR), scaled(left, cL)
