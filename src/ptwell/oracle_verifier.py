@@ -16,30 +16,33 @@ step matrix is exactly
     [[1 + h^2 (q1 + 2 qm)/6 + h^4 qm q1/24,   h + h^3 qm/6],
      [h (q1 + 4 qm + q2)/6 + h^3 qm (q1 + q2)/12,   1 + h^2 (2 qm + q2)/6 + h^4 q2 qm/24]],
 
-so every entry is a quadratic in E, and a product of BLOCK = 8
-neighbouring steps is a 2x2 matrix polynomial of degree 16 in E:
+so every entry is a quadratic in E, and a product of BLOCK = 16
+neighbouring steps is a 2x2 matrix polynomial of degree 32 in E:
 
-    M[8j+7](E) ... M[8j](E) = C[0] + E C[1] + ... + E^16 C[16],
+    M[16j+15](E) ... M[16j](E) = C[0] + E C[1] + ... + E^32 C[32],
 
 block j of columns C[k][:, j], identity steps padding n to a multiple of
-8.  A potential's two sides always take the same n steps, so they are
-sampled and cached together (`_sampled_sides`), in one record with the
-coefficients of the blocks of every side that is integrated, stacked as
-one (17, 4, sides, n/8) array (k, rows a, b, c, d, side, block).  An energy
-then costs Horner's rule in elementwise array operations and a pairwise
-tree over n/8 blocks, for every integrated side in one product, each
-tree level one broadcast 2x2 product; exponents and the exact size test
-are paid only where a level can rescale.  Horner's rule starts at the
-degree K where the side's higher terms stop reaching the result: at
-most 2^-60 of the lower ones at the power of two above |E|, less than
-1/256 of the rule's own rounding (`_horner_degree`).  K depends on the
-side and the binary exponent of |E| only, and is 5 of 16 for |E| < 128
-at h = 1e-3; the record keeps one {exponent: K} table per integrated
-side, which the step product fills as it meets exponents.  Energies are
-integrated several at a time, as a third array axis down the same tree,
-with energies times blocks per side up to BATCH_BLOCKS; the scans hand
-over whole grids, and the secant runs of one search advance in
-lockstep, each round's pending energies in one call.
+16; the blocks are built by pairwise doubling, steps to pairs to 4 steps
+and on to 16.  A potential's two sides always take the same n steps, so
+they are sampled and cached together (`_sampled_sides`), in one record
+with the coefficients of the blocks of every side that is integrated,
+stacked as one (33, 4, sides, n/16) array (k, rows a, b, c, d, side,
+block).  An energy then costs Horner's rule in elementwise array
+operations and a pairwise tree over n/16 blocks, for every integrated
+side in one product, each tree level one broadcast 2x2 product;
+exponents and the exact size test are paid only where a level can
+rescale.  Horner's rule starts at the degree K where the side's higher
+terms stop reaching the result: at most 2^-60 of the lower ones at the
+power of two above |E|, less than 1/256 of the rule's own rounding
+(`_horner_degree`).  K depends on the side and the binary exponent of
+|E| only, and is 6 of 32 for |E| < 128 at h = 1e-3, so a block of 16
+steps costs little more to evaluate than a block of 8 (5 of 16); the
+record keeps one {exponent: K} table per integrated side, which the step
+product fills as it meets exponents.  Energies are integrated several at
+a time, as a third array axis down the same tree, with energies times
+blocks per side up to BATCH_BLOCKS; the scans hand over whole grids, and
+the secant runs of one search advance in lockstep, each round's pending
+energies in one call.
 
 Most partner potentials are PT-symmetric, V(-x) = conj V(x).  Every
 step-matrix entry above is even or odd in h, so the left side's steps at
@@ -70,15 +73,17 @@ from .wavefunctions import linspace
 njit = None
 
 GRID_RESOLUTION = 240  # real-axis scan points
-# energies times blocks per side in one step product: 32 energies at
-# h = 1e-3, where 8 ran a quarter slower and 64 took more peak memory, and
-# 6 at 2e-4, where 32 made arrays too large for the allocator to keep, so
-# every product page-faulted in fresh memory; twice the energies in a
-# one-side product was no faster (docs/decisions.md)
+# energies times blocks per side in one step product, 63 energies at
+# h = 1e-3 and 12 at 2e-4.  Tuned on blocks of 8 (32 and 6 energies): at
+# 1e-3 8 energies ran a quarter slower and 64 took more peak memory, at
+# 2e-4 32 made arrays too large for the allocator to keep, so every product
+# page-faulted in fresh memory; twice the energies in a one-side product was
+# no faster (docs/decisions.md)
 BATCH_BLOCKS = 4000
-# steps per pre-multiplied block: 16 was no faster and cost more to build,
-# 32 slower (docs/decisions.md)
-BLOCK = 8
+# steps per pre-multiplied block, a power of two: since Horner's rule stops
+# at the cut degree, 16 runs the oracle workload faster than 8, and 32 is
+# slower again (docs/decisions.md)
+BLOCK = 16
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
 DELTA = 1e-6           # start offset from each wall, where psi = DELTA^p
 # relative deviation of a left sample from its right partner's conjugate up
@@ -90,6 +95,11 @@ MIRROR_TOL = 1e-12
 # that its terms above E^K may sum to for Horner's rule to stop at E^K: below
 # 1/256 of the rule's own rounding bound (docs/decisions.md)
 CUT_TOL = 2.0 ** -60
+# positions per call of a side's array evaluator: over 10,001 positions (h =
+# 2e-4) one call's temporaries outgrow what glibc malloc keeps, and every call
+# page-faults them in afresh; chunks of 2,048 (32 KB per complex array) did not
+# (docs/decisions.md)
+SAMPLE_CHUNK = 2048
 
 
 class Side(Enum):
@@ -188,8 +198,11 @@ def _block_coefficients(vnodes, vmids, hh):
 
     Block j is M[BLOCK j + BLOCK - 1] ... M[BLOCK j], its rows a, b, c, d
     a polynomial in E with the coefficient of E^k at index k; identity
-    steps pad n to a multiple of BLOCK.  Each step multiplies the block's
-    partial product from the left, one power of E of the step at a time.
+    steps pad n to a multiple of BLOCK, a power of two.  The blocks are
+    built by pairwise doubling, steps to pairs to 4 steps and on up to
+    BLOCK: each level multiplies every odd product from the left onto its
+    even neighbour, one power of E of the odd one at a time, and doubles
+    the degree.
     """
     import numpy as np  # here, not at module level: see the module docstring
 
@@ -199,14 +212,13 @@ def _block_coefficients(vnodes, vmids, hh):
         identity = np.zeros((3, 4, pad), dtype=np.complex128)
         identity[0, 0] = identity[0, 3] = 1.0
         k = np.concatenate((k, identity), axis=2)
-    k = k.reshape(3, 2, 2, -1, BLOCK)
-    p = k[..., 0]
-    for j in range(1, BLOCK):
-        # entry [r, c] is q[r, 0] p[0, c] + q[r, 1] p[1, c], on (..., 2, 2, nb) views
-        q = k[..., j]
-        out = np.zeros((len(p) + 2,) + p.shape[1:], dtype=np.complex128)
-        for i in range(3):
-            out[i:i + len(p)] += q[i, :, :1] * p[:, :1] + q[i, :, 1:] * p[:, 1:]
+    p = k.reshape(3, 2, 2, -1)
+    while p.shape[3] * BLOCK > k.shape[2]:
+        # entry [r, c] is q[r, 0] p0[0, c] + q[r, 1] p0[1, c], on (..., 2, 2, pairs) views
+        p0, p1 = p[..., 0::2], p[..., 1::2]
+        out = np.zeros((2 * len(p) - 1,) + p0.shape[1:], dtype=np.complex128)
+        for i, q in enumerate(p1):
+            out[i:i + len(p)] += q[:, :1] * p0[:, :1] + q[:, 1:] * p0[:, 1:]
         p = out
     return p.reshape(len(p), 4, -1)
 
@@ -358,11 +370,13 @@ def _sampled_sides(V, h: float):
     integrator an order of convergence.  Both sides take the same n steps.
     Each side's nodes and midpoints are evaluated together, interleaved.
     A potential with array evaluators (its `arrays`) takes each side's
-    positions as one float64 array in one call: n - j/2 is exact and the
-    multiply and divide round as Python's do, so every position is the
-    float the point-by-point formula gives, the last node +0.0 on the right
-    and -0.0 on the left.  Any other potential, the bare well included, is
-    sampled point by point and loads no numpy unless a side varies.
+    positions as one float64 array, in calls of SAMPLE_CHUNK positions
+    each: n - j/2 is exact and the multiply and divide round as Python's
+    do, so every position is the float the point-by-point formula gives,
+    the last node +0.0 on the right and -0.0 on the left; the evaluators
+    work point by point, so the chunks change no sample.  Any other
+    potential, the bare well included, is sampled point by point and loads
+    no numpy unless a side varies.
     Returns a `_Sampled` record.  sides maps each Side to (nodes, mids,
     hh, constant), constant being the side's common sample value or None.
     integrated is (Side.RIGHT,) when V is mirrored, every left sample
@@ -386,7 +400,9 @@ def _sampled_sides(V, h: float):
         x0 = 1.0 - DELTA if side is Side.RIGHT else -(1.0 - DELTA)
         # node k at j = 2k, midpoint k at j = 2k + 1: n - j/2 is exact
         if arrays:
-            vals = ev(x0 * (n - js / 2) / n)
+            xs = x0 * (n - js / 2) / n
+            vals = np.concatenate([ev(xs[k:k + SAMPLE_CHUNK])
+                                   for k in range(0, len(xs), SAMPLE_CHUNK)])
         else:
             vals = [ev(x0 * (n - j / 2) / n) for j in range(2 * n + 1)]
         v = vals[0]
@@ -566,14 +582,14 @@ def _solve_lockstep(V, runs, cfg: ShootingConfig):
     return results
 
 
-def _real_axis_starts(V, lo: float, hi: float, cfg: ShootingConfig):
+def _real_axis_starts(Es, vals):
     """Neighbouring scan points (E0, E1, f0, f1) whose values bracket a real root.
 
-    PT-symmetric potential: the normalized mismatch is real on the real
-    axis, so sign changes (or an exact zero) bracket eigenvalues.
+    Es is the real-axis scan and vals the real parts of the normalized
+    mismatch there.  PT-symmetric potential: the normalized mismatch is
+    real on the real axis, so sign changes (or an exact zero) bracket
+    eigenvalues.
     """
-    Es = linspace(lo, hi, GRID_RESOLUTION)
-    vals = [m.normalized.real for m in mismatches(V, Es, cfg)]
     return [(Es[k], Es[k + 1], vals[k], vals[k + 1]) for k in range(len(Es) - 1)
             if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0]
 
@@ -633,7 +649,8 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     stay exactly real, and on the complex mismatch from E and
     E + 1e-7 (1 + |E|) for a seed or box minimum.  All runs advance in
     lockstep (`_solve_lockstep`), and the start values of all seeds come
-    from one `mismatches` call.  Starts that fail to converge are skipped;
+    from one `mismatches` call, the scan's GRID_RESOLUTION points with
+    them.  Starts that fail to converge are skipped;
     falling short of `count` converged levels raises ConvergenceError.
     """
     lo, hi = complex(search_box[0]), complex(search_box[1])
@@ -644,11 +661,12 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     if not scan and not seeds:
         seeds = _box_minima_candidates(V, lo, hi, cfg)
     starts = [(E, E + 1e-7 * (1.0 + abs(E))) for E in map(complex, seeds)]
-    vals = [m.normalized for m in mismatches(V, [E for pair in starts for E in pair], cfg)]
+    grid = linspace(lo.real, hi.real, GRID_RESOLUTION) if scan else []
+    vals = [m.normalized for m in mismatches(V, [E for pair in starts for E in pair] + grid, cfg)]
     runs = [(_secant(E0, E1, vals[2 * k], vals[2 * k + 1]), False)
             for k, (E0, E1) in enumerate(starts)]
-    if scan:
-        runs += [(_secant(*start), True) for start in _real_axis_starts(V, lo.real, hi.real, cfg)]
+    scanned = [f.real for f in vals[2 * len(starts):]]
+    runs += [(_secant(*start), True) for start in _real_axis_starts(grid, scanned)]
     roots = _solve_lockstep(V, runs, cfg)
     found = []
     for E, res in roots:

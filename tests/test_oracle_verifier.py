@@ -26,7 +26,7 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
-from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL,
+from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL, SAMPLE_CHUNK,
                                     _box_minima_candidates, _exponent, _horner, _horner_degree,
                                     _ordered_levels, _real_axis_starts, _rk4_step_product,
                                     _sampled_sides, _secant, _side_pairs, linspace, mismatches)
@@ -331,7 +331,7 @@ def test_degree_cut_stays_below_rounding(Z, plan, h):
 
 def test_degree_table_counts_horner_steps(monkeypatch):
     # a deterministic work count: Horner's steps per block entry, from
-    # |E| < 2 to |E| < 2^17; 2 BLOCK = 16 before the cut
+    # |E| < 2 to |E| < 2^17; 2 BLOCK = 32 before the cut
     V = _chain(2.0, "real,real,real")[3].potential
     tables = {}
     for h in (2e-3, 1e-3, 2e-4):
@@ -342,38 +342,41 @@ def test_degree_table_counts_horner_steps(monkeypatch):
         mismatches(V, Es, ShootingConfig(h=h, p=V.endpoint_exponent))
         tables[h], = sampled.degrees
         assert tables[h] == {_exponent(E): cut_degree(blocks[:, :, 0], power_above(E)) for E in Es}
-    assert [tables[1e-3][p] for p in (1, 4, 7, 10, 14, 17)] == [4, 5, 5, 7, 10, 13]
-    assert [tables[2e-4][p] for p in (1, 4, 7, 10, 14, 17)] == [3, 4, 4, 5, 6, 8]
-    assert tables[2e-3][17] == 2 * BLOCK
-    # the oracle benchmark's seed-1 round: its scans run at degree 5 or less
+    assert [tables[1e-3][p] for p in (1, 4, 7, 10, 14, 17)] == [4, 5, 6, 8, 12, 19]
+    assert [tables[2e-4][p] for p in (1, 4, 7, 10, 14, 17)] == [3, 4, 5, 6, 8, 10]
+    assert [tables[2e-3][p] for p in (1, 4, 7, 10, 14, 17)] == [5, 6, 7, 10, 16, 25]
+    # at h = 2e-3 the rule runs to the full degree from |E| >= 2^19 on
+    assert _horner_degree(_sampled_sides(V, 2e-3).blocks[:, :, 0], 20) == 2 * BLOCK
+    # the oracle benchmark's seed-1 round: the calls that hold its scans
+    # (with any seeds' start values) run at degree 6 or less
     degrees, scanning = [], []
-    scan, product = oracle_verifier._real_axis_starts, oracle_verifier._rk4_step_product
+    scan, product = oracle_verifier.mismatches, oracle_verifier._rk4_step_product
 
-    def scanned(*args):
-        scanning.append(True)
+    def scanned(V, Es, *args):
+        scanning.append(len(Es) >= GRID_RESOLUTION)
         try:
-            return scan(*args)
+            return scan(V, Es, *args)
         finally:
             scanning.pop()
 
     def counting(blocks, tables, Es, starts):
         out = product(blocks, tables, Es, starts)
-        if scanning:
+        if scanning[-1]:
             degrees.extend(table[_exponent(E)] for table in tables for E in Es)
         return out
 
-    monkeypatch.setattr(oracle_verifier, "_real_axis_starts", scanned)
+    monkeypatch.setattr(oracle_verifier, "mismatches", scanned)
     monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
     for request in [(6.507848, "cupper,clower", 3), (1.012318, "real", 2),
                     (16.716984, "clower,cupper,real", 4)]:
         args, seeds = _verify_search(*request, 3, True)
         find_spectrum_numeric(*args, seeds=seeds)
-    assert len(degrees) >= 3 * GRID_RESOLUTION and max(degrees) <= 5
+    assert len(degrees) >= 3 * GRID_RESOLUTION and max(degrees) <= 6
 
 
 def test_stacked_sides_keep_their_own_degrees(monkeypatch):
-    # a constant side next to a varying one: at |E| near 3e-3 one side's cut
-    # degree is 2 and the other's 3, in both orders.  Stacked, each side runs
+    # a constant side next to a varying one: at |E| near 2e-7 one side's cut
+    # degree is 1 and the other's 2, in both orders.  Stacked, each side runs
     # Horner's rule at its own degrees, and its values are its values alone
     runs = []
     horner = oracle_verifier._horner
@@ -384,12 +387,12 @@ def test_stacked_sides_keep_their_own_degrees(monkeypatch):
 
     monkeypatch.setattr(oracle_verifier, "_horner", counting)
     constant, varying = (lambda x: complex(4.0, -2.0)), (lambda x: complex(30.0 * x * x, 2.0))
-    Es = [0.003, 0.003 + 0.001j, 3.0 + 0.5j, -1e5, 150.0]
+    Es = [2e-7, 2e-7 + 1e-7j, 3.0 + 0.5j, -1e5, 150.0]
     for right, left in ((constant, varying), (varying, constant)):
         V, cfg = PiecewisePotential(right, left, 1, False), ShootingConfig(h=1e-3)
         blocks, tables, starts = two_sided_blocks(V, cfg)
         degrees = [[_horner_degree(blocks[:, :, s], _exponent(E)) for E in Es] for s in range(2)]
-        assert {degrees[0][0], degrees[1][0]} == {2, 3}
+        assert {degrees[0][0], degrees[1][0]} == {1, 2}
         del runs[:]
         both = _rk4_step_product(blocks, tables, Es, starts)
         assert runs == [(K, side.count(K)) for side in degrees for K in sorted(set(side))]
@@ -405,14 +408,14 @@ def test_stacked_sides_keep_their_own_degrees(monkeypatch):
 
 
 def test_degree_tables_live_and_die_with_their_blocks():
-    # potentials A, B, A, whose degree tables differ at |E| < 16: every product,
+    # potentials A, B, A, whose degree tables differ at |E| < 4: every product,
     # on the oracle's cached blocks, cold or warm, and on fresh arrays and views
     # made right after an eviction, equals the reference bit for bit; an
     # evicted record's blocks are freed
-    A = _chain(2.0, "real,real,real")[3].potential
+    A = _chain(2.0, "real")[1].potential
     B = _chain(2.0, "real,real,real,real")[4].potential
     Es = [15.9, 3.0 + 0.5j, 150.0 - 3.0j, -1e5, 1e4]
-    degrees = [cut_degree(_sampled_sides(V, 1e-3).blocks[:, :, 0], 16.0) for V in (A, B)]
+    degrees = [cut_degree(_sampled_sides(V, 1e-3).blocks[:, :, 0], 4.0) for V in (A, B)]
     assert degrees[0] != degrees[1]
     evicted = None
     for V in (A, B, A):
@@ -673,12 +676,15 @@ def _recording(ev, calls, kind):
 
 
 @pytest.mark.parametrize("h", [1e-3, 2e-4, 3e-3, 7.3e-4])
-def test_array_positions_are_the_list_positions_one_call_per_side(h, monkeypatch):
-    # a partner potential's sides take one array call each, over the floats
-    # the point-by-point formula gives, the origin node +0.0 on the right and
-    # -0.0 on the left; the bare well samples point by point without numpy
+def test_array_positions_are_the_list_positions_in_chunks(h, monkeypatch):
+    # a partner potential's sides take array calls of SAMPLE_CHUNK positions,
+    # the last one the rest, over the floats the point-by-point formula
+    # gives, the origin node +0.0 on the right and -0.0 on the left; the
+    # bare well samples point by point without numpy
     n = max(1, round((1.0 - DELTA) / h))
     wanted = [list_positions(1.0 - DELTA, n), list_positions(-(1.0 - DELTA), n)]
+    chunks = -(-(2 * n + 1) // SAMPLE_CHUNK)
+    assert (chunks > 1) == (h in (2e-4, 7.3e-4))
     real = _chain(2.0, "real")[1].potential
     calls = []
     V = PiecewisePotential(_recording(real.right_eval, calls, "scalar"),
@@ -686,11 +692,14 @@ def test_array_positions_are_the_list_positions_one_call_per_side(h, monkeypatch
                            real.endpoint_exponent, real.pt_symmetric,
                            tuple(_recording(ev, calls, "array") for ev in real.arrays))
     _sampled_sides(V, h)
-    assert [kind for kind, _ in calls] == ["array", "array"]
-    for (_, xs), want in zip(calls, wanted):
+    assert [kind for kind, _ in calls] == ["array"] * (2 * chunks)
+    assert all(len(xs) == SAMPLE_CHUNK for _, xs in calls[:chunks - 1] + calls[chunks:-1])
+    sides = [np.concatenate([xs for _, xs in calls[:chunks]]),
+             np.concatenate([xs for _, xs in calls[chunks:]])]
+    for xs, want in zip(sides, wanted):
         assert xs.dtype == np.float64 and xs.tobytes() == np.array(want).tobytes()
-    assert [math.copysign(1.0, xs[-1]) for _, xs in calls] == [1.0, -1.0]
-    assert all(xs[-1] == 0.0 for _, xs in calls)
+    assert [math.copysign(1.0, xs[-1]) for xs in sides] == [1.0, -1.0]
+    assert all(xs[-1] == 0.0 for xs in sides)
 
     well = square_well_potential(8.0)
     del calls[:]
@@ -705,10 +714,12 @@ def test_array_positions_are_the_list_positions_one_call_per_side(h, monkeypatch
 
 @pytest.mark.parametrize("h", [1e-3, 2e-4])
 @pytest.mark.parametrize("Z, plan", [(2.0, "real"), (8.0, "clower,cupper"),
-                                     (17.0, "clower,cupper,real")])
+                                     (17.0, "clower,cupper,real"), (2.0, "real,real,real,real")])
 def test_array_sampling_matches_list_reference_bit_for_bit(Z, plan, h, monkeypatch):
-    # the oracle workload's plans: every partner member's samples and blocks,
-    # and the last member's roots, equal those of list-built positions
+    # the oracle workload's plans and members 2-5 of a real chain: every
+    # partner member's samples and blocks, and the last member's roots, equal
+    # those of list-built positions, evaluated in one call per side; at
+    # h = 2e-4 the oracle's own samples come in chunks of SAMPLE_CHUNK
     chain = _chain(Z, plan)
     for mem in chain[1:]:
         own, ref = _sampled_sides(mem.potential, h), list_sampled_sides(mem.potential, h)
@@ -814,7 +825,8 @@ def test_secant_from_scan_brackets_stays_in_bracket():
     V = square_well_potential(2.0)
     cfg = ShootingConfig(p=V.endpoint_exponent)
     closed = [lv.energy.real for lv in solve_real_spectrum(2.0, 12)]
-    starts = _real_axis_starts(V, closed[0] - 2.0, closed[-1] + 5.0, cfg)
+    Es = linspace(closed[0] - 2.0, closed[-1] + 5.0, GRID_RESOLUTION)
+    starts = _real_axis_starts(Es, [m.normalized.real for m in mismatches(V, Es, cfg)])
     assert len(starts) >= 12
 
     def f(E):
@@ -867,8 +879,8 @@ def test_zero_coupling_search_mismatch_count(monkeypatch):
 
 def test_partner_search_energy_count(monkeypatch):
     # member 2 at Z = 2 in the box `ptwell verify --levels 4` searches: the
-    # 240-point scan and 16 secant steps; in step products, 8 scan batches of
-    # up to 32 energies (BATCH_BLOCKS over 125 blocks per side) and 4
+    # 240-point scan and 16 secant steps; in step products, 4 scan batches of
+    # up to 63 energies (BATCH_BLOCKS over 63 blocks per side) and 4
     # lockstep rounds of the 4 secant runs, every energy real and so on the
     # right side alone
     energies = _count_energies(monkeypatch)
@@ -879,7 +891,7 @@ def test_partner_search_energy_count(monkeypatch):
     cfg = ShootingConfig(h=1e-3, p=member.potential.endpoint_exponent)
     assert len(find_spectrum_numeric(member.potential, 4, box, cfg)) == 4
     assert len(energies) == 256
-    assert len(products) == 12
+    assert len(products) == 8
     assert {sides for sides, _ in products} == {1}
     assert sum(count for _, count in products) == 256
 
@@ -916,6 +928,32 @@ def test_search_roots_do_not_depend_on_batch_size(search, monkeypatch):
     one = find_spectrum_numeric(*args, seeds=seeds)
     assert [(E.real.hex(), E.imag.hex()) for E in one] == \
         [(E.real.hex(), E.imag.hex()) for E in default]
+
+
+def test_seed_starts_ride_in_the_scan_call(monkeypatch):
+    # member 4 at Z = 17 is seeded and scanned: its seeds' start values go
+    # through the scan's `mismatches` call, one step product fewer than a
+    # call of their own, and the roots are the same bits either way
+    args, seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, True)
+    starts = 2 * len(seeds)
+    products = _count_sides(monkeypatch)
+    joined = find_spectrum_numeric(*args, seeds=seeds)
+    count = len(products)
+    calls, split = oracle_verifier.mismatches, []
+
+    def apart(V, Es, cfg):
+        if split:
+            return calls(V, Es, cfg)
+        split.append(len(Es))
+        return calls(V, Es[:starts], cfg) + calls(V, Es[starts:], cfg)
+
+    monkeypatch.setattr(oracle_verifier, "mismatches", apart)
+    del products[:]
+    alone = find_spectrum_numeric(*args, seeds=seeds)
+    assert split == [starts + GRID_RESOLUTION]
+    assert len(products) == count + 1
+    assert [(E.real.hex(), E.imag.hex()) for E in joined] == \
+        [(E.real.hex(), E.imag.hex()) for E in alone]
 
 
 def test_pair_roots_from_conjugate_seeds_are_exact_conjugates():
