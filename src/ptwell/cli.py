@@ -145,17 +145,6 @@ def cmd_hierarchy(args) -> int:
     return 0
 
 
-def _seed(E: complex, closed) -> complex:
-    """A secant start near closed level E, a twentieth of the way to its nearest neighbour.
-
-    The secant's basins are narrower than a fifth of a gap, so a fixed 1.05 E
-    leaves them once the gaps shrink relative to E: at Z = 8, member 2,
-    plan clower, the start 1.05 x 88.24 converged to the level at 62.03.
-    """
-    gaps = [abs(E - F) for F in closed if F != E]
-    return E + 0.05 * min(gaps) if gaps else E * 1.05
-
-
 def cmd_verify(args) -> int:
     from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatches
     from .susy_hierarchy import build_hierarchy
@@ -169,12 +158,13 @@ def cmd_verify(args) -> int:
     hi_re = max(E.real for E in closed) + 5.0
     lo_im = min(0.0, min(E.imag for E in closed)) - 1.0
     hi_im = max(0.0, max(E.imag for E in closed)) + 1.0
-    # only a PT-symmetric member's real levels are found by the real-axis scan
+    # only a PT-symmetric member's real levels are found by the real-axis scan;
+    # every other level seeds a secant at itself
     pt = member.potential.pt_symmetric
-    seeds = [_seed(E, closed) for E in closed if abs(E.imag) > 1e-12 or not pt]
+    seeds = [E for E in closed if abs(E.imag) > 1e-12 or not pt]
     oracle = find_spectrum_numeric(member.potential, len(closed),
                                    (complex(lo_re, lo_im), complex(hi_re, hi_im)),
-                                   sh, seeds=seeds or None)
+                                   sh, seeds=seeds)
     rows = []
     ok = True
     for n, (Ec, Eo, r) in enumerate(zip(closed, oracle, res)):

@@ -245,17 +245,12 @@ def _horner_degree(c, p):
         return top
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         terms = np.abs(c).reshape(len(c), -1) * np.ldexp(1.0, p * np.arange(len(c)))[:, None]
-        tails = [terms[top]]  # tails[i]: the top i + 1 terms, summed from the top down
-        for t in terms[top - 1::-1]:
-            tails.append(tails[-1] + t)
-        if not np.isfinite(tails[top]).all():
+        heads = np.cumsum(terms, axis=0)  # heads[K]: terms 0 ... K, summed from the bottom up
+        tails = np.cumsum(terms[::-1], axis=0)[::-1]  # tails[K]: terms K ... top, from the top down
+        if not np.isfinite(tails[0]).all():
             return top
-        head = terms[0]
-        for K in range(top):
-            if (tails[top - K - 1] <= CUT_TOL * head).all():
-                return K
-            head = head + terms[K + 1]
-    return top
+        cut = (tails[1:] <= CUT_TOL * heads[:-1]).all(axis=1)
+    return int(cut.argmax()) if cut.any() else top
 
 
 def _horner(c, E, out):
@@ -643,7 +638,7 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     potential, also for the members just above Z_crit(0) whose samples
     differ from their mirror image by more than MIRROR_TOL and so take
     both sides.  Those need the scan to find their real levels.  Extra
-    complex seeds (e.g. closed predictions perturbed by a few percent) are
+    complex seeds (`ptwell verify` passes the closed levels themselves) are
     solved first.  Every root comes from one damped secant (`_secant`):
     on the real mismatch from a scan bracket's two points, so real roots
     stay exactly real, and on the complex mismatch from E and

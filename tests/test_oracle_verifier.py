@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import sys
@@ -26,6 +27,7 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import oracle_verifier
+from ptwell.cli import main as cli_main
 from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL, SAMPLE_CHUNK,
                                     _box_minima_candidates, _exponent, _horner, _horner_degree,
                                     _ordered_levels, _real_axis_starts, _rk4_step_product,
@@ -896,8 +898,31 @@ def test_partner_search_energy_count(monkeypatch):
     assert sum(count for _, count in products) == 256
 
 
+def test_verify_energy_count(monkeypatch, capsys):
+    # the Z = 8 clower member is not PT-symmetric, so `ptwell verify` seeds
+    # a secant at each of its 3 closed levels: their residuals (3 energies),
+    # the seeds' start values (6), then 2 lockstep rounds (3, then 1).
+    # Seeds a twentieth of a level gap off took 25 energies in 8 calls
+    batches = []
+    counted = oracle_verifier.mismatches
+
+    def counting(V, Es, *args, **kw):
+        batches.append(len(Es))
+        return counted(V, Es, *args, **kw)
+
+    monkeypatch.setattr(oracle_verifier, "mismatches", counting)
+    assert cli_main(["verify", "--coupling", "8", "--member", "2", "--plan", "clower",
+                     "--levels", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"] is True
+    assert (sum(batches), len(batches)) == (13, 4)
+
+
 def _verify_search(Z, plan, depth, levels, seeded):
-    """find_spectrum_numeric's arguments and seeds in `ptwell verify` of one member, at h = 1e-3."""
+    """find_spectrum_numeric's arguments for one member in `ptwell verify`'s box, at h = 1e-3.
+
+    Seeded, it seeds the member's complex levels at 1.05 E, as the oracle
+    benchmark does, and not at the levels themselves, as `ptwell verify` does.
+    """
     member = build_hierarchy(Z, EliminationPlan.from_text(plan), depth, levels + depth - 1)[-1]
     closed = [lv.energy for lv in member.spectrum.levels[:levels]]
     box = (complex(min(E.real for E in closed) - 2.0, min(0.0, min(E.imag for E in closed)) - 1.0),
