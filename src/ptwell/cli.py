@@ -158,13 +158,9 @@ def cmd_verify(args) -> int:
     hi_re = max(E.real for E in closed) + 5.0
     lo_im = min(0.0, min(E.imag for E in closed)) - 1.0
     hi_im = max(0.0, max(E.imag for E in closed)) + 1.0
-    # only a PT-symmetric member's real levels are found by the real-axis scan;
-    # every other level seeds a secant at itself
-    pt = member.potential.pt_symmetric
-    seeds = [E for E in closed if abs(E.imag) > 1e-12 or not pt]
     oracle = find_spectrum_numeric(member.potential, len(closed),
                                    (complex(lo_re, lo_im), complex(hi_re, hi_im)),
-                                   sh, seeds=seeds)
+                                   sh, seeds=closed)
     rows = []
     ok = True
     for n, (Ec, Eo, r) in enumerate(zip(closed, oracle, res)):

@@ -40,7 +40,7 @@ steps costs little more to evaluate than a block of 8 (5 of 16); the
 record keeps one {exponent: K} table per integrated side, which the step
 product fills as it meets exponents.  Energies are integrated several at
 a time, as a third array axis down the same tree, with energies times
-blocks per side up to BATCH_BLOCKS; the scans hand over whole grids, and
+blocks per side up to BATCH_BLOCKS; the scan hands over its whole grid, and
 the secant runs of one search advance in lockstep, each round's pending
 energies in one call.
 
@@ -589,23 +589,6 @@ def _real_axis_starts(Es, vals):
             if vals[k] == 0.0 or vals[k] * vals[k + 1] < 0.0]
 
 
-def _box_minima_candidates(V, lo: complex, hi: complex, cfg: ShootingConfig):
-    # coarse |mismatch| landscape; local minima become secant starts
-    nr, ni = 48, 25
-    res = linspace(lo.real, hi.real, nr)
-    ims = linspace(lo.imag, hi.imag, ni)
-    grid = [complex(a, b) for b in ims for a in res]
-    vals = [abs(m.normalized) for m in mismatches(V, grid, cfg)]
-    mag = [vals[i * nr:(i + 1) * nr] for i in range(ni)]
-    seeds = []
-    for i in range(ni):
-        for j in range(nr):
-            patch = min(min(row[max(0, j - 1):j + 2]) for row in mag[max(0, i - 1):i + 2])
-            if mag[i][j] == patch and mag[i][j] < 0.5:
-                seeds.append(complex(res[j], ims[i]))
-    return seeds
-
-
 def _dedup_tol(E: complex) -> float:
     return 1e-8 * (1.0 + abs(E))
 
@@ -630,38 +613,39 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     Real parts that agree within the dedup tolerance count as equal, so
     the lower member of a conjugate pair always comes first.
 
-    search_box is a pair of complex corners.  PT-symmetric potentials whose
-    box straddles the real axis are scanned for real roots; otherwise, when
-    no seeds are given, the box is sampled for mismatch minima.  The scan
-    is the one place the pt_symmetric flag is read: it asks whether the
-    mismatch is real on the real axis, which holds for every PT-symmetric
+    search_box is a pair of complex corners.  Roots come from two sources
+    of starts.  A PT-symmetric potential whose box straddles the real axis
+    is scanned for real roots at GRID_RESOLUTION points; the scan is the
+    one place the pt_symmetric flag is read: it asks whether the mismatch
+    is real on the real axis, which holds for every PT-symmetric
     potential, also for the members just above Z_crit(0) whose samples
     differ from their mirror image by more than MIRROR_TOL and so take
-    both sides.  Those need the scan to find their real levels.  Extra
-    complex seeds (`ptwell verify` passes the closed levels themselves) are
-    solved first.  Every root comes from one damped secant (`_secant`):
+    both sides.  Seeds (`ptwell verify` passes every closed level) start
+    the other runs.  Every root comes from one damped secant (`_secant`):
     on the real mismatch from a scan bracket's two points, so real roots
     stay exactly real, and on the complex mismatch from E and
-    E + 1e-7 (1 + |E|) for a seed or box minimum.  All runs advance in
-    lockstep (`_solve_lockstep`), and the start values of all seeds come
-    from one `mismatches` call, the scan's GRID_RESOLUTION points with
-    them.  Starts that fail to converge are skipped;
-    falling short of `count` converged levels raises ConvergenceError.
+    E + 1e-7 (1 + |E|) for a seed.  The scan's runs come first, so where a
+    seed and a scan bracket reach the same level, dedup keeps the scan's
+    exactly-real root, and a seed only supplies a level the scan missed
+    (a complex level, two levels within one scan step, or any level of a
+    potential that is not scanned).  All runs advance in lockstep
+    (`_solve_lockstep`), and the start values of all seeds come from one
+    `mismatches` call, the scan's points with them.  Starts that fail to
+    converge are skipped; falling short of `count` converged levels,
+    which is certain for an unscanned box without seeds, raises
+    ConvergenceError.
     """
     lo, hi = complex(search_box[0]), complex(search_box[1])
     lo, hi = complex(min(lo.real, hi.real), min(lo.imag, hi.imag)), \
         complex(max(lo.real, hi.real), max(lo.imag, hi.imag))
     scan = getattr(V, "pt_symmetric", False) and lo.imag <= 0.0 <= hi.imag
-    seeds = list(seeds) if seeds is not None else []
-    if not scan and not seeds:
-        seeds = _box_minima_candidates(V, lo, hi, cfg)
-    starts = [(E, E + 1e-7 * (1.0 + abs(E))) for E in map(complex, seeds)]
+    starts = [(E, E + 1e-7 * (1.0 + abs(E))) for E in map(complex, seeds or ())]
     grid = linspace(lo.real, hi.real, GRID_RESOLUTION) if scan else []
     vals = [m.normalized for m in mismatches(V, [E for pair in starts for E in pair] + grid, cfg)]
-    runs = [(_secant(E0, E1, vals[2 * k], vals[2 * k + 1]), False)
-            for k, (E0, E1) in enumerate(starts)]
     scanned = [f.real for f in vals[2 * len(starts):]]
-    runs += [(_secant(*start), True) for start in _real_axis_starts(grid, scanned)]
+    runs = [(_secant(*start), True) for start in _real_axis_starts(grid, scanned)]
+    runs += [(_secant(E0, E1, vals[2 * k], vals[2 * k + 1]), False)
+             for k, (E0, E1) in enumerate(starts)]
     roots = _solve_lockstep(V, runs, cfg)
     found = []
     for E, res in roots:

@@ -137,15 +137,30 @@ def test_verify_passes_at_default_tolerance(capsys):
                                           (4, "clower,cupper,clower")])
 @pytest.mark.parametrize("coupling", ["100", "200", "300", "500", "1000"])
 def test_verify_passes_at_large_coupling(capsys, coupling, member, plan):
-    # members with complex levels, or no PT symmetry, are seeded at their
-    # closed levels.  Seeds a twentieth of a level gap off them started 26
-    # of these 40 secant sets in a neighbour's basin: exit 2 with a level
-    # short, or exit 3 with an "oracle" level 394-996 away
+    # members with complex levels, or no PT symmetry, find those levels only
+    # from the seeds at their closed levels.  Seeds a twentieth of a level
+    # gap off them started 26 of these 40 secant sets in a neighbour's
+    # basin: exit 2 with a level short, or exit 3 with an "oracle" level
+    # 394-996 away
     for levels in ("4", "6"):
         code, out, _ = run_cli(capsys, "verify", "--coupling", coupling, "--member", str(member),
                                "--plan", plan, "--levels", levels)
         assert code == 0, levels
         assert json.loads(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv", [("--coupling", "2", "--member", "1"),
+                                  ("--coupling", "2", "--member", "3"),
+                                  ("--coupling", "0", "--member", "1"),
+                                  ("--coupling", "8", "--member", "3", "--plan", "clower,cupper")])
+def test_verify_passes_at_many_levels(capsys, argv):
+    # at 30 levels two levels can fall in one step of the 240-point scan,
+    # which then brackets neither; every closed level also seeds a secant at
+    # itself, so the level the scan misses is found.  Seeding only complex
+    # levels and non-PT members left these short by a level or more (exit 2)
+    code, out, _ = run_cli(capsys, "verify", *argv, "--levels", "30")
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
 
 
 @pytest.mark.parametrize("coupling", ["10", "20"])

@@ -29,7 +29,7 @@ from ptwell import (
 from ptwell import oracle_verifier
 from ptwell.cli import main as cli_main
 from ptwell.oracle_verifier import (BLOCK, DELTA, GRID_RESOLUTION, ROOT_TOL, SAMPLE_CHUNK,
-                                    _box_minima_candidates, _exponent, _horner, _horner_degree,
+                                    _exponent, _horner, _horner_degree,
                                     _ordered_levels, _real_axis_starts, _rk4_step_product,
                                     _sampled_sides, _secant, _side_pairs, linspace, mismatches)
 from ptwell.susy_hierarchy import PiecewisePotential
@@ -371,7 +371,7 @@ def test_degree_table_counts_horner_steps(monkeypatch):
     monkeypatch.setattr(oracle_verifier, "_rk4_step_product", counting)
     for request in [(6.507848, "cupper,clower", 3), (1.012318, "real", 2),
                     (16.716984, "clower,cupper,real", 4)]:
-        args, seeds = _verify_search(*request, 3, True)
+        args, seeds = _verify_search(*request, 3, "bench")
         find_spectrum_numeric(*args, seeds=seeds)
     assert len(degrees) >= 3 * GRID_RESOLUTION and max(degrees) <= 6
 
@@ -731,7 +731,7 @@ def test_array_sampling_matches_list_reference_bit_for_bit(Z, plan, h, monkeypat
             assert (nodes.tobytes(), mids.tobytes(), hh, constant) == \
                 (want[0].tobytes(), want[1].tobytes(), want[2], want[3])
         assert own.blocks.tobytes() == ref.blocks.tobytes()
-    (V, count, box, cfg), seeds = _verify_search(Z, plan, len(chain), 3, True)
+    (V, count, box, cfg), seeds = _verify_search(Z, plan, len(chain), 3, "bench")
     cfg = ShootingConfig(h=h, p=cfg.p)
     own = find_spectrum_numeric(V, count, box, cfg, seeds)
     monkeypatch.setattr(oracle_verifier, "_sampled_sides", list_sampled_sides)
@@ -785,13 +785,17 @@ def test_conjugate_pair_ordered_lower_first_despite_rounding():
     assert _ordered_levels([23.5 + 0j, upper, lower]) == [lower, upper, 23.5 + 0j]
 
 
-def test_complex_pair_found_by_box_scan():
-    # off-axis box exercises the minima-seeded route, no closed-form hints
-    spec = classify_spectrum(8.0, 1)
+def test_seedless_off_axis_search_raises():
+    # a box off the real axis is not scanned, and without seeds no secant
+    # starts: the search finds nothing and says where it looked
     V = square_well_potential(8.0)
     cfg = ShootingConfig(p=V.endpoint_exponent)
-    found = find_spectrum_numeric(V, 1, (complex(3.0, -9.0), complex(11.0, -2.0)), cfg)
-    assert abs(found[0] - spec.levels[0].energy) < 1e-7
+    lo, hi = complex(3.0, -9.0), complex(11.0, -2.0)
+    with pytest.raises(ConvergenceError) as err:
+        find_spectrum_numeric(V, 1, (lo, hi), cfg)
+    assert err.value.stage == "search box"
+    assert err.value.iterate == ()
+    assert err.value.bracket == (lo, hi)
 
 
 def test_fourth_member_isospectral_with_bare_well():
@@ -898,11 +902,17 @@ def test_partner_search_energy_count(monkeypatch):
     assert sum(count for _, count in products) == 256
 
 
-def test_verify_energy_count(monkeypatch, capsys):
-    # the Z = 8 clower member is not PT-symmetric, so `ptwell verify` seeds
-    # a secant at each of its 3 closed levels: their residuals (3 energies),
-    # the seeds' start values (6), then 2 lockstep rounds (3, then 1).
-    # Seeds a twentieth of a level gap off took 25 energies in 8 calls
+@pytest.mark.parametrize("argv, energies, calls", [
+    (("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3"), 13, 4),
+    (("--coupling", "2", "--member", "2", "--levels", "4"), 273, 6)])
+def test_verify_energy_count(monkeypatch, capsys, argv, energies, calls):
+    # `ptwell verify` seeds a secant at each closed level.  The Z = 8 clower
+    # member is not PT-symmetric, so nothing is scanned: the 3 levels'
+    # residuals (3 energies), the seeds' start values (6), then 2 lockstep
+    # rounds (3, then 1); seeds a twentieth of a level gap off took 25
+    # energies in 8 calls.  The Z = 2 member is scanned too: 4 residuals,
+    # 8 start values with the 240 scan points, then the scan's and the
+    # seeds' runs in lockstep.  Seeding only complex levels it took 260 in 6
     batches = []
     counted = oracle_verifier.mismatches
 
@@ -911,33 +921,36 @@ def test_verify_energy_count(monkeypatch, capsys):
         return counted(V, Es, *args, **kw)
 
     monkeypatch.setattr(oracle_verifier, "mismatches", counting)
-    assert cli_main(["verify", "--coupling", "8", "--member", "2", "--plan", "clower",
-                     "--levels", "3"]) == 0
+    assert cli_main(["verify", *argv]) == 0
     assert json.loads(capsys.readouterr().out)["all_pass"] is True
-    assert (sum(batches), len(batches)) == (13, 4)
+    assert (sum(batches), len(batches)) == (energies, calls)
 
 
 def _verify_search(Z, plan, depth, levels, seeded):
     """find_spectrum_numeric's arguments for one member in `ptwell verify`'s box, at h = 1e-3.
 
-    Seeded, it seeds the member's complex levels at 1.05 E, as the oracle
-    benchmark does, and not at the levels themselves, as `ptwell verify` does.
+    seeded "verify" seeds every closed level at itself, as `ptwell verify`
+    does; "bench" seeds only the complex levels, at 1.05 E, as the oracle
+    benchmark does, and passes no seeds when there are none.  Either way a
+    PT-symmetric member is also scanned on the real axis.
     """
     member = build_hierarchy(Z, EliminationPlan.from_text(plan), depth, levels + depth - 1)[-1]
     closed = [lv.energy for lv in member.spectrum.levels[:levels]]
     box = (complex(min(E.real for E in closed) - 2.0, min(0.0, min(E.imag for E in closed)) - 1.0),
            complex(max(E.real for E in closed) + 5.0, max(0.0, max(E.imag for E in closed)) + 1.0))
-    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12] if seeded else []
     cfg = ShootingConfig(h=1e-3, p=member.potential.endpoint_exponent)
+    if seeded == "verify":
+        return (member.potential, levels, box, cfg), closed
+    seeds = [E * 1.05 for E in closed if abs(E.imag) > 1e-12]
     return (member.potential, levels, box, cfg), seeds or None
 
 
 # the scan path (members 2-5 at Z = 2), the seed path (member 4 at Z = 17),
-# the box-minima path (member 2 at Z = 8, not PT-symmetric), a mirrored
-# pair-eliminated scan (member 3 at Z = 8) and the bare well
-_SEARCHES = [(2.0, "real,real,real,real", depth, 3, True) for depth in (2, 3, 4, 5)] + [
-    (17.0, "clower,cupper,real", 4, 3, True), (8.0, "clower", 2, 3, False),
-    (8.0, "clower,cupper", 3, 3, True)]
+# seeds alone (member 2 at Z = 8, not PT-symmetric, so not scanned), a
+# mirrored pair-eliminated scan (member 3 at Z = 8) and the bare well
+_SEARCHES = [(2.0, "real,real,real,real", depth, 3, "bench") for depth in (2, 3, 4, 5)] + [
+    (17.0, "clower,cupper,real", 4, 3, "bench"), (8.0, "clower", 2, 3, "verify"),
+    (8.0, "clower,cupper", 3, 3, "bench")]
 
 
 @pytest.mark.parametrize("search", _SEARCHES + ["bare"])
@@ -959,7 +972,7 @@ def test_seed_starts_ride_in_the_scan_call(monkeypatch):
     # member 4 at Z = 17 is seeded and scanned: its seeds' start values go
     # through the scan's `mismatches` call, one step product fewer than a
     # call of their own, and the roots are the same bits either way
-    args, seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, True)
+    args, seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, "bench")
     starts = 2 * len(seeds)
     products = _count_sides(monkeypatch)
     joined = find_spectrum_numeric(*args, seeds=seeds)
@@ -985,12 +998,30 @@ def test_pair_roots_from_conjugate_seeds_are_exact_conjugates():
     # member 4 at Z = 17 keeps a conjugate pair; it mirrors, so its mismatch
     # at conj E is the exact conjugate of the value at E, and the secant
     # runs from conjugate seeds stay exact conjugates
-    (V, count, box, _), seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, True)
+    (V, count, box, _), seeds = _verify_search(17.0, "clower,cupper,real", 4, 3, "bench")
     assert seeds[1] == seeds[0].conjugate()
     cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
     lower, upper, _ = find_spectrum_numeric(V, count, box, cfg, seeds=seeds)
     assert lower.imag < 0.0
     assert (upper.real.hex(), upper.imag.hex()) == (lower.real.hex(), (-lower.imag).hex())
+
+
+@pytest.mark.parametrize("Z, plan, depth", [(2.0, "real,real,real,real", depth)
+                                            for depth in (1, 2, 3, 4, 5)]
+                         + [(8.0, "clower,cupper", 3), (17.0, "clower,cupper,real", 4)])
+def test_seeds_leave_scan_roots_bit_for_bit(Z, plan, depth):
+    # PT-symmetric members are scanned and seeded at every closed level; the
+    # scan's runs come first, so a seed that converges to a level the scan
+    # found is dropped, and the roots are those of seeding the complex
+    # levels alone, bit for bit, every real one exactly real
+    args, seeds = _verify_search(Z, plan, depth, 6, "verify")
+    every = find_spectrum_numeric(*args, seeds=seeds)
+    complex_only = find_spectrum_numeric(*args, seeds=[E for E in seeds if abs(E.imag) > 1e-12])
+    assert [(E.real.hex(), E.imag.hex()) for E in every] == \
+        [(E.real.hex(), E.imag.hex()) for E in complex_only]
+    closed_real = [abs(E.imag) <= 1e-12 for E in seeds]
+    assert any(closed_real)
+    assert all(E.imag == 0.0 for E, real in zip(every, closed_real) if real)
 
 
 def _linspace_cases():
@@ -1009,25 +1040,3 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
     for lo, hi, count in _linspace_cases():
         got = [x.hex() for x in linspace(lo, hi, count)]
         assert got == [float(x).hex() for x in np.linspace(lo, hi, count)], (lo, hi, count)
-
-
-def test_box_minima_candidates_match_array_reference():
-    # the landscape and 3x3 minimum test as numpy arrays, the reference the
-    # plain-list version reproduces
-    def reference(V, lo, hi, cfg):
-        res = np.linspace(lo.real, hi.real, 48)
-        ims = np.linspace(lo.imag, hi.imag, 25)
-        mag = np.empty((25, 48))
-        for i, b in enumerate(ims):
-            for j, a in enumerate(res):
-                mag[i, j] = abs(mismatch(V, complex(a, b), cfg).normalized)
-        return [complex(res[j], ims[i]) for i in range(25) for j in range(48)
-                if mag[i, j] == mag[max(0, i - 1):i + 2, max(0, j - 1):j + 2].min()
-                and mag[i, j] < 0.5]
-
-    V = square_well_potential(8.0)
-    cfg = ShootingConfig(p=V.endpoint_exponent)
-    for lo, hi in ((complex(3.0, -9.0), complex(11.0, -2.0)), (complex(0.0, -7.0), complex(60.0, 7.0))):
-        seeds = _box_minima_candidates(V, lo, hi, cfg)
-        assert seeds
-        assert seeds == reference(V, lo, hi, cfg)
