@@ -10,17 +10,16 @@ _EXPORTS = {
     "spectral_core": (
         "Branch", "ConvergenceError", "CriticalCoupling", "IllegalPlanError",
         "SpectralLevel", "Spectrum", "WaveNumber", "classify_spectrum",
-        "curve_X", "curve_Y", "curve_point", "find_critical_coupling",
-        "kappa_from_energy", "matching_residual", "solve_complex_pair",
-        "solve_real_spectrum"),
+        "find_critical_coupling", "kappa_from_energy", "matching_residual",
+        "solve_complex_pair", "solve_real_spectrum"),
     "wavefunctions": (
         "PiecewiseEigenfunction", "chebyshev_grid", "gegenbauer_eval",
-        "limit_form", "pt_defect", "pt_transform", "schrodinger_residual"),
+        "limit_form", "pt_defect", "pt_transform"),
     "susy_hierarchy": (
         "EliminationPlan", "HierarchyMember", "LevelAnnihilated",
         "PiecewisePotential", "PlanChoice", "Superpotential", "build_hierarchy",
-        "hierarchy_relations_check", "intertwine", "partner_potential",
-        "square_well_eigenfunction", "square_well_potential"),
+        "hierarchy_relations_check", "intertwine", "square_well_eigenfunction",
+        "square_well_potential"),
     "oracle_verifier": (
         "MismatchValue", "ShootingConfig", "Side", "find_spectrum_numeric",
         "integrate_side", "mismatch"),

@@ -123,32 +123,6 @@ def matching_residual_dt(t: float, Z: float) -> float:
     return -(s / t) * (math.sinh(2 * s) + 2 * s * math.cosh(2 * s)) + math.sin(2 * t) + 2 * t * math.cos(2 * t)
 
 
-def curve_X(T: float) -> float:
-    """Coupling-independent curve S = arcsinh(0.5*sqrt(-pi T sin(pi T))).
-
-    Defined on the bands 2m-1 <= T <= 2m, m >= 1, where the radicand is
-    nonnegative; zero at band endpoints.
-    """
-    m = math.ceil(T / 2.0)
-    if m < 1 or not (2 * m - 1 <= T <= 2 * m):
-        raise ValueError(f"T={T} outside the bands [2m-1, 2m]")
-    r = -math.pi * T * math.sin(math.pi * T)
-    return math.asinh(0.5 * math.sqrt(max(r, 0.0)))
-
-
-def curve_Y(Z: float, T: float) -> float:
-    """Coupling-dependent curve S = arcsinh(sqrt((Z/(2 pi T)) sinh(2Z/(pi T))))."""
-    if T <= 0 or Z < 0:
-        raise ValueError("need T > 0 and Z >= 0")
-    return math.asinh(math.sqrt((Z / (2 * math.pi * T)) * math.sinh(2 * Z / (math.pi * T))))
-
-
-def curve_point(kappa: WaveNumber):
-    """(T, S) of a real level's kappa = s - i t: T = 2t/pi, sinh^2 S = s sinh(2s)/2."""
-    s, t = kappa.value.real, -kappa.value.imag
-    return 2 * t / math.pi, math.asinh(math.sqrt(s * math.sinh(2 * s) / 2))
-
-
 def band_bounds(nu: int):
     """Open band ((2 nu + 1) pi/2, (nu + 1) pi) holding root pair nu."""
     return (2 * nu + 1) * math.pi / 2, (nu + 1) * math.pi

@@ -164,8 +164,12 @@ def _extend(h, lam):
 def _horner(h, j: int, buckets: int):
     """Per bucket, Horner coefficients (value, slope), highest power first, of column
     j >= 1: G_j = u^(2j+1) sum_d h_d t^d/(2d+2j+1)! and G_j' = u^(2j) sum_d h_d t^d/(2d+2j)!,
-    t = u^2, h_d = h_d(lam_0..lam_j)."""
+    t = u^2, h_d = h_d(lam_0..lam_j).  ConvergenceError where 1/(2d+2j+1)! is past
+    the float range, from j = 62 on."""
     terms = len(h)
+    if 2 * terms + 2 * j - 1 >= len(_INV_FACTORIAL):
+        raise ConvergenceError(f"Crum table of {j + 1} columns needs 1/{2 * terms + 2 * j - 1}!, "
+                               "past the float range", stage="Crum table")
     coefficients = [(h[d] * _INV_FACTORIAL[2 * d + 2 * j + 1], h[d] * _INV_FACTORIAL[2 * d + 2 * j])
                     for d in reversed(range(terms))]
     return [coefficients[terms - _series_terms(b):] for b in range(buckets)]
@@ -372,24 +376,6 @@ def _elim_level(spectrum: Spectrum, choice: PlanChoice) -> SpectralLevel:
             return lv
     raise IllegalPlanError("no real level left to eliminate" if want is Branch.REAL
                            else f"no {want.value} level in the spectrum")
-
-
-def partner_potential(W: Superpotential, endpoint_exponent: int,
-                      pt_symmetric: bool) -> PiecewisePotential:
-    """V = W^2 + W' + E_f composed from the superpotential's parts.
-
-    A cross-check of the hierarchy's own potentials; the caller states the
-    endpoint exponent and PT symmetry, which W alone does not carry.
-    """
-    Ef = W.factorization_energy
-
-    def side(w_side):
-        def V(x):
-            w, dw = w_side(x)
-            return w ** 2 + dw + Ef
-        return V
-
-    return PiecewisePotential(side(W.right), side(W.left), endpoint_exponent, pt_symmetric)
 
 
 def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigenfunction:

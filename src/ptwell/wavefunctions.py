@@ -91,16 +91,6 @@ def pt_defect(f, grid) -> float:
     return max(abs(complex(f(x)) - complex(f(-x)).conjugate()) for x in grid) / amax
 
 
-def schrodinger_residual(f, V, E: complex, x: float, h: float) -> complex:
-    """Central-stencil residual -f'' + (V - E) f at x; the stencil must stay in one region."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    if abs(x) < h or abs(x) > 1.0 - h:
-        raise ValueError("stencil crosses x = 0 or a wall")
-    lap = (complex(f(x + h)) - 2.0 * complex(f(x)) + complex(f(x - h))) / h ** 2
-    return -lap + (complex(V(x)) - E) * complex(f(x))
-
-
 def gegenbauer_eval(n: int, m: int, x: float) -> float:
     """C_n^(m)(x) by the three-term recurrence."""
     if n < 0 or m < 1:

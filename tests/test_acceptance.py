@@ -16,8 +16,6 @@ from ptwell import (
     build_hierarchy,
     chebyshev_grid,
     classify_spectrum,
-    curve_X,
-    curve_Y,
     find_critical_coupling,
     find_spectrum_numeric,
     hierarchy_relations_check,
@@ -31,10 +29,11 @@ from ptwell import (
     square_well_eigenfunction,
     square_well_potential,
 )
-from ptwell.spectral_core import curve_point, kappa_condition_residual
+from ptwell.spectral_core import kappa_condition_residual
 from ptwell.wavefunctions import limit_form
 
 from oracle_reference import rk4_order_estimate
+from well_reference import curve_X, curve_Y, curve_point
 
 _T0 = time.perf_counter()
 

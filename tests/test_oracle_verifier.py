@@ -116,7 +116,11 @@ def _start(cfg, side):
 
 # members 2-4 of a real-phase chain, and of a broken-phase one at Z = 8
 _PLANS = {0.0: "real,real,real", 2.0: "real,real,real", 8.0: "clower,cupper,real"}
-_ENERGIES = [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -1e5]
+_ENERGIES = [3.0, 3.0 + 0.5j, 150.0 - 3.0j, -50.0 + 2.0j, -53336.73, -6e4, -1e5]
+# per energy, the members 1..k whose step loop grows past 1e100 from their wall
+# start DELTA^p; the bare well's constant power renormalizes at -1e5 in its
+# squaring, at -6e4 in its running product and at -53336.73 in its result
+_RENORMALIZED = {-53336.73: 1, -6e4: 3, -1e5: 4}
 
 
 def _close(got, want):
@@ -128,7 +132,7 @@ def _close(got, want):
 @pytest.mark.parametrize("E", _ENERGIES)
 def test_constant_side_power_matches_step_loop(Z, E):
     # the bare well takes the constant power, members 2-4 the step-matrix
-    # product; E = -1e5 grows past 1e100 and exercises the renormalization
+    # product; the energies of _RENORMALIZED grow past 1e100
     members = build_hierarchy(Z, EliminationPlan.from_text(_PLANS[Z]), 4, levels=8)
     for mem in members:
         V = mem.potential
@@ -139,7 +143,7 @@ def test_constant_side_power_matches_step_loop(Z, E):
             nodes, mids, hh, constant = sides[side]
             assert (constant is not None) == (mem.depth == 1)
             loop = _step_loop(nodes, mids, complex(E), hh, *_start(cfg, side))
-            assert (loop[2] > 0.0) == (E == -1e5)
+            assert (loop[2] > 0.0) == (mem.depth <= _RENORMALIZED.get(E, 0))
             want = _restored(*loop)
             assert _close(integrate_side(V, E, side, cfg), want)
             # batched with E = -1e5, which rescales whole tree levels, E keeps its own exponent
@@ -796,6 +800,20 @@ def test_seedless_off_axis_search_raises():
     assert err.value.stage == "search box"
     assert err.value.iterate == ()
     assert err.value.bracket == (lo, hi)
+
+
+def test_unconverged_secants_count_no_level():
+    # NaN samples make every mismatch the sentinel 1, so each seeded secant
+    # stops at once with residual 1 >= ROOT_TOL; its start lies in the box,
+    # and only the residual keeps it from being counted as a level
+    V = PiecewisePotential(lambda x: complex(math.nan, x), lambda x: complex(math.nan, -x), 1,
+                           False)
+    cfg = ShootingConfig(p=V.endpoint_exponent)
+    lo, hi = complex(1.0, -1.0), complex(20.0, 1.0)
+    with pytest.raises(ConvergenceError) as err:
+        find_spectrum_numeric(V, 1, (lo, hi), cfg, seeds=[3.0, 10.0 + 0.5j])
+    assert err.value.stage == "search box"
+    assert err.value.iterate == ()
 
 
 def test_fourth_member_isospectral_with_bare_well():

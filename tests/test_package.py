@@ -14,6 +14,20 @@ def test_every_export_is_its_submodules_object():
     assert set(ptwell.__all__) <= set(dir(ptwell))
 
 
+def test_public_names_are_pinned():
+    # README's "Python API" section lists the same names: change both together
+    assert ptwell.__all__ == [
+        "Branch", "ConvergenceError", "CriticalCoupling", "EliminationPlan", "HierarchyMember",
+        "IllegalPlanError", "LevelAnnihilated", "MismatchValue", "PiecewiseEigenfunction",
+        "PiecewisePotential", "PlanChoice", "ShootingConfig", "Side", "SpectralLevel", "Spectrum",
+        "Superpotential", "WaveNumber", "build_hierarchy", "chebyshev_grid", "classify_spectrum",
+        "find_critical_coupling", "find_spectrum_numeric", "gegenbauer_eval",
+        "hierarchy_relations_check", "integrate_side", "intertwine", "kappa_from_energy",
+        "limit_form", "matching_residual", "mismatch", "pt_defect", "pt_transform",
+        "solve_complex_pair", "solve_real_spectrum", "square_well_eigenfunction",
+        "square_well_potential"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ptwell.no_such_name  # noqa: B018

@@ -13,9 +13,6 @@ from ptwell import (
     ShootingConfig,
     build_hierarchy,
     classify_spectrum,
-    curve_X,
-    curve_Y,
-    curve_point,
     find_critical_coupling,
     find_spectrum_numeric,
     solve_complex_pair,
@@ -38,6 +35,8 @@ from ptwell.spectral_core import (
     matching_residual,
     matching_residual_dt,
 )
+
+from well_reference import curve_X, curve_Y, curve_point
 
 
 def test_coth_matches_direct_ratio():
@@ -106,23 +105,6 @@ def test_pair_derivative_against_difference_quotient():
             assert _kappa_condition_dE(E, Z) == pytest.approx(fd, rel=1e-7)
         fd = (kappa_condition_residual(E, Z + h) - kappa_condition_residual(E, Z - h)) / (2 * h)
         assert _kappa_condition_dZ(E, Z) == pytest.approx(fd, rel=1e-7)
-
-
-def test_curve_x_frozen_and_band_domain():
-    assert curve_X(1.5) == pytest.approx(0.9404913963875541, rel=1e-15)
-    assert curve_X(1.0) == pytest.approx(0.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        curve_X(0.5)
-    with pytest.raises(ValueError):
-        curve_X(2.5)
-
-
-def test_curve_y_frozen_and_domain():
-    assert curve_Y(2.0, math.pi) == pytest.approx(0.2040020311734531, rel=1e-15)
-    with pytest.raises(ValueError):
-        curve_Y(1.0, 0.0)
-    with pytest.raises(ValueError):
-        curve_Y(-1.0, 2.0)
 
 
 def test_curve_point_lands_on_both_curves():

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 from ptwell import (
@@ -16,12 +17,12 @@ from ptwell import (
     find_critical_coupling,
     hierarchy_relations_check,
     intertwine,
-    partner_potential,
     square_well_potential,
 )
 from ptwell import susy_hierarchy
 from ptwell.susy_hierarchy import _CrumColumn, _seed_table, _sides
-from ptwell.wavefunctions import chebyshev_grid, limit_form, schrodinger_residual
+from ptwell.wavefunctions import chebyshev_grid, limit_form
+from well_reference import schrodinger_residual
 
 INTERIOR = (-0.85, -0.4, -0.15, 0.2, 0.55, 0.9)
 # at the crossover each basis is 1e-14 to 2e-13 from a 40-digit referee,
@@ -34,6 +35,15 @@ CHAINS = ((0.0, "real"), (0.5, "real"), (2.0, "real"), (4.0, "real"), (8.0, "clo
 def _w1(Z: float):
     """The well's superpotential built on its lowest real level."""
     return build_hierarchy(Z, EliminationPlan.from_text("real"), 1)[0].superpotential
+
+
+def partner_potential(W):
+    """V = W^2 + W' + E_f, composed from the superpotential's parts: a referee
+    for the next member's own potential."""
+    def V(x):
+        w, dw = W.value_and_slope(x)
+        return w ** 2 + dw + W.factorization_energy
+    return V
 
 
 def _padded(plan: str, steps: int) -> str:
@@ -84,7 +94,7 @@ def test_factorization_recovers_source_potential():
 
 def test_partner_potential_identity_against_difference_quotient():
     W = _w1(2.0)
-    V2 = partner_potential(W, 2, True)
+    V2 = partner_potential(W)
     h = 1e-6
     for x in INTERIOR:
         dW = (W(x + h) - W(x - h)) / (2 * h)
@@ -248,6 +258,22 @@ def test_eigenfunctions_past_the_float_range_refuse(Z):
             assert (err.value.stage, err.value.iterate) == ("Crum table", 0.0)
 
 
+def test_deep_members_refuse_past_the_factorial_table():
+    # column j of the near-wall series reads 1/(2d + 2j + 1)!, and 170! is the
+    # last float, so from j = 62 on the table raises the typed error: member
+    # 64's V (seed columns up to 62), on points and on arrays, and member
+    # 63's levels (column 62).  At x = 0.5 the far basis runs and no series
+    # is built
+    members = build_hierarchy(0.0, EliminationPlan.from_text(",".join(["real"] * 63)), 64, 64)
+    V64 = members[63].potential
+    for evaluate in (V64, lambda x: V64.arrays[0](np.array([x])), members[62].eigenfunctions(0)):
+        with pytest.raises(ConvergenceError) as err:
+            evaluate(0.999)
+        assert err.value.stage == "Crum table"
+    assert cmath.isfinite(members[62].potential(0.999))
+    assert cmath.isfinite(V64(0.5))
+
+
 def test_intertwine_drops_index_and_matches_closed_form():
     h = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=8)
     W = h[0].superpotential
@@ -307,7 +333,7 @@ def test_superpotential_slope_builds_one_table(x, monkeypatch):
     W(x)
     assert len(built) == 1
     W.derivative(x)
-    partner_potential(W, 4, True)(x)
+    partner_potential(W)(x)
     assert len(built) == 1
     h[3].potential(x)
     assert len(built) == 2

@@ -14,13 +14,12 @@ from ptwell import (
     limit_form,
     pt_defect,
     pt_transform,
-    schrodinger_residual,
     solve_real_spectrum,
     square_well_eigenfunction,
     square_well_potential,
 )
 from ptwell.wavefunctions import normalize_sides
-from well_reference import well_eigenfunction
+from well_reference import schrodinger_residual, well_eigenfunction
 
 EPS = 2.0 ** -52
 # the grid on which the well's Crum columns were compared with its closed form
@@ -147,18 +146,6 @@ def test_schrodinger_residual_small_on_eigenfunctions():
         for x in (-0.7, -0.2, 0.35, 0.8):
             r = schrodinger_residual(f, V, level.energy, x, 1e-5)
             assert abs(r) < 1e-5 * (1 + abs(level.energy))
-
-
-def test_schrodinger_residual_stencil_guards():
-    level = solve_real_spectrum(1.0, 1)[0]
-    f = square_well_eigenfunction(level)
-    V = square_well_potential(1.0)
-    with pytest.raises(ValueError):
-        schrodinger_residual(f, V, level.energy, 0.0, 1e-5)
-    with pytest.raises(ValueError):
-        schrodinger_residual(f, V, level.energy, 0.9999999, 1e-5)
-    with pytest.raises(ValueError):
-        schrodinger_residual(f, V, level.energy, 0.5, 0.0)
 
 
 def test_pt_transform_fixed_point():

@@ -1,4 +1,4 @@
-"""The well's eigenfunctions in closed form, a referee for the zero-seed Crum member.
+"""Closed forms of the well, and the Schrodinger stencil: referees for the library.
 
 Not a test module.  Tests import it by name, like ``crum_reference``.
 
@@ -7,6 +7,9 @@ sinh[rho(1 - x)] on the right and sinh[sigma(1 + x)] on the left, each side
 over its origin constant (`wavefunctions.origin_scales`).  At Z = 0 the odd
 levels have sinh(rho) = 0, and the origin-value form is indeterminate; the
 continuity limit sin(t x)/t takes over there (slope-pinned, psi'(0) = i).
+
+A real level's matching condition G = 0 is also the crossing of two curves
+in (T, S), T = 2t/pi: X(T), which no coupling enters, and Y(Z, T).
 """
 import cmath
 import math
@@ -50,3 +53,27 @@ def well_eigenfunction(level):
         return ev
 
     return scaled(right, cR), scaled(left, cL)
+
+
+def curve_X(T: float) -> float:
+    """S = arcsinh(0.5 sqrt(-pi T sin(pi T))), on the bands 2m-1 <= T <= 2m where the
+    radicand is >= 0."""
+    r = -math.pi * T * math.sin(math.pi * T)
+    return math.asinh(0.5 * math.sqrt(max(r, 0.0)))
+
+
+def curve_Y(Z: float, T: float) -> float:
+    """S = arcsinh(sqrt((Z/(2 pi T)) sinh(2Z/(pi T)))), for T > 0 and Z >= 0."""
+    return math.asinh(math.sqrt((Z / (2 * math.pi * T)) * math.sinh(2 * Z / (math.pi * T))))
+
+
+def curve_point(kappa):
+    """(T, S) of a real level's WaveNumber kappa = s - i t: T = 2t/pi, sinh^2 S = s sinh(2s)/2."""
+    s, t = kappa.value.real, -kappa.value.imag
+    return 2 * t / math.pi, math.asinh(math.sqrt(s * math.sinh(2 * s) / 2))
+
+
+def schrodinger_residual(f, V, E: complex, x: float, h: float) -> complex:
+    """Central-stencil residual -f'' + (V - E) f at x; x +- h must lie on x's side, inside the walls."""
+    lap = (complex(f(x + h)) - 2.0 * complex(f(x)) + complex(f(x - h))) / h ** 2
+    return -lap + (complex(V(x)) - E) * complex(f(x))
