@@ -5,8 +5,6 @@ stdout; CSV is available for potential samples.  Exit codes: 0 success,
 1 usage, 2 solver failure, 3 verification failure.
 """
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -25,33 +23,52 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# each type _render takes, and what a subclass of it (an IntEnum, numpy's
+# float64) renders as: the first base it is an instance of, in this order
+_RENDERED = (dict, list, tuple, complex, bool, type(None), int, str, float)
+_KEY_TEXT = {}  # JSON text of each dict key: the keys are the program's own, so it stays small
+
+
 def _render(obj, indent=0) -> str:
     """JSON text with floats at fixed significant digits, insertion-ordered."""
+    kind = type(obj)
+    if kind not in _RENDERED:
+        kind = next((base for base in _RENDERED if isinstance(obj, base)), None)
     pad = "  " * indent
-    if isinstance(obj, dict):
+    if kind is dict:
         if not obj:
             return "{}"
-        items = [f'{pad}  {json.dumps(str(k))}: {_render(v, indent + 1)}'
-                 for k, v in obj.items()]
+        items = []
+        for k, v in obj.items():
+            k = str(k)
+            key = _KEY_TEXT.get(k) or _KEY_TEXT.setdefault(k, json.dumps(k))
+            items.append(f"{pad}  {key}: "
+                         f"{_fmt_float(v) if type(v) is float else _render(v, indent + 1)}")
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         if not obj:
             return "[]"
-        items = [f"{pad}  {_render(v, indent + 1)}" for v in obj]
+        items = [f"{pad}  {_fmt_float(v) if type(v) is float else _render(v, indent + 1)}"
+                 for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, complex):
+    if kind is complex:
         return _render({"re": obj.real, "im": obj.imag}, indent)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
-    if isinstance(obj, float):
+    if kind is float:
         return _fmt_float(obj)
-    raise TypeError(f"cannot render {type(obj)!r}")
+    if kind is None:
+        raise TypeError(f"cannot render {type(obj)!r}")
+    return json.dumps(obj)
 
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # the usage code, like a refused argument
+            print(f"ptwell: error: cannot write --out {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            raise SystemExit(1) from None
     else:
         print(text)
 
@@ -113,15 +130,15 @@ def cmd_hierarchy(args) -> int:
     members = build_hierarchy(args.coupling, plan, args.depth, levels)
     xs = linspace(-0.999, 0.999, args.samples)
     if args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["member", "x", "re_v", "im_v"])
+        # csv.writer's rows, built directly: numbers need no quoting, and each
+        # row ends in "\r\n", the last one's "\n" from _emit
+        rows = ["member,x,re_v,im_v"]
         for mem in members:
             for x in xs:
                 v = mem.potential(x)
-                writer.writerow([mem.depth, _fmt_float(x),
-                                 _fmt_float(v.real), _fmt_float(v.imag)])
-        _emit(args, buf.getvalue().rstrip("\n"))
+                rows.append(f"{mem.depth},{_fmt_float(x)},"
+                            f"{_fmt_float(v.real)},{_fmt_float(v.imag)}")
+        _emit(args, "\r\n".join(rows) + "\r")
         return 0
     report = None
     c0 = find_critical_coupling(0)

@@ -61,7 +61,6 @@ never integrates a partner potential, runs without it.
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
@@ -107,25 +106,26 @@ class Side(Enum):
     LEFT = "L"
 
 
-@dataclass(frozen=True)
-class ShootingConfig:
-    h: float = 2e-4
-    p: int = 1
+class ShootingConfig(namedtuple("ShootingConfig", "h p")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, h: float = 2e-4, p: int = 1):
         # raised, not asserted: `python -O` would accept a negative step
-        if not 0.0 < self.h < 1e-2:
-            raise ValueError(f"RK4 step h must lie in (0, 1e-2), got {self.h!r}")
-        if self.p < 1:
-            raise ValueError(f"endpoint exponent p must be at least 1, got {self.p!r}")
+        if not 0.0 < h < 1e-2:
+            raise ValueError(f"RK4 step h must lie in (0, 1e-2), got {h!r}")
+        if p < 1:
+            raise ValueError(f"endpoint exponent p must be at least 1, got {p!r}")
+        return super().__new__(cls, h, p)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple's _make, which _replace calls too, would skip __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class MismatchValue:
+class MismatchValue(namedtuple("MismatchValue", "E wronskian scale")):
     """Wronskian psi_L psi_R' - psi_L' psi_R at 0, with its natural scale."""
-    E: complex
-    wronskian: complex
-    scale: float
+    __slots__ = ()
 
     @property
     def normalized(self) -> complex:

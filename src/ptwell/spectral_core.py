@@ -8,6 +8,7 @@ found from the two-sided wavenumber condition instead.
 """
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -37,9 +38,7 @@ class Branch(Enum):
     COMPLEX_PAIR_UPPER = "ComplexPairUpper"
 
 
-@dataclass(frozen=True)
-class WaveNumber:
-    value: complex
+WaveNumber = namedtuple("WaveNumber", "value")
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,7 @@ class Spectrum:
                      and levels[i + 1].branch is Branch.COMPLEX_PAIR_UPPER)
 
 
-@dataclass(frozen=True)
-class CriticalCoupling:
-    nu: int
-    z_crit: float
-    t_merge: float
-    e_merge: float
+CriticalCoupling = namedtuple("CriticalCoupling", "nu z_crit t_merge e_merge")
 
 
 def coth(z: complex) -> complex:

@@ -20,6 +20,7 @@ eliminated energies are closed under conjugation.
 """
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -41,9 +42,8 @@ class PlanChoice(Enum):
     COMPLEX_UPPER = "cupper"
 
 
-@dataclass(frozen=True)
-class EliminationPlan:
-    choices: tuple
+class EliminationPlan(namedtuple("EliminationPlan", "choices")):
+    __slots__ = ()
 
     @classmethod
     def from_text(cls, text: str) -> "EliminationPlan":
@@ -58,28 +58,28 @@ class EliminationPlan:
                                    "use real|clower|cupper") from None
 
 
-@dataclass(frozen=True, eq=False)
 class PiecewisePotential:
     """V by side, right_eval on x >= 0 and left_eval on x < 0.  arrays, when
     given, is the (right, left) pair of the same evaluators over numpy
     arrays of x, for samplers that have numpy loaded."""
-    right_eval: object
-    left_eval: object
-    endpoint_exponent: int
-    pt_symmetric: bool
-    arrays: tuple = None
+    __slots__ = ("right_eval", "left_eval", "endpoint_exponent", "pt_symmetric", "arrays")
+
+    def __init__(self, right_eval, left_eval, endpoint_exponent: int, pt_symmetric: bool,
+                 arrays: tuple = None):
+        self.right_eval, self.left_eval, self.arrays = right_eval, left_eval, arrays
+        self.endpoint_exponent, self.pt_symmetric = endpoint_exponent, pt_symmetric
 
     def __call__(self, x: float) -> complex:
         # x = 0 takes the right branch
         return self.right_eval(x) if x >= 0 else self.left_eval(x)
 
 
-@dataclass(frozen=True, eq=False)
 class Superpotential(PiecewisePair):
     """W by side: right(x) and left(x) each return (W, W') at x."""
-    right: object
-    left: object
-    factorization_energy: complex
+    __slots__ = ("right", "left", "factorization_energy")
+
+    def __init__(self, right, left, factorization_energy: complex):
+        self.right, self.left, self.factorization_energy = right, left, factorization_energy
 
 
 @dataclass(frozen=True, eq=False)

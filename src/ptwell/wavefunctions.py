@@ -8,7 +8,6 @@ origin, psi(0) = 1.  When the origin value is negligible against the slope
 (odd levels of the real well) the slope is pinned instead, psi'(0) = i.
 """
 import math
-from dataclasses import dataclass
 
 from .spectral_core import SpectralLevel
 
@@ -19,6 +18,7 @@ class PiecewisePair:
 
     Subclasses provide right and left.
     """
+    __slots__ = ()
 
     def value_and_slope(self, x: float):
         # x = 0 takes the right side; a value is continuous there, W' is not
@@ -31,12 +31,12 @@ class PiecewisePair:
         return self.value_and_slope(x)[1]
 
 
-@dataclass(frozen=True, eq=False)
 class PiecewiseEigenfunction(PiecewisePair):
     """An eigenfunction whose sides return (psi, psi')."""
-    level: SpectralLevel
-    right: object
-    left: object
+    __slots__ = ("level", "right", "left")
+
+    def __init__(self, level: SpectralLevel, right, left):
+        self.level, self.right, self.left = level, right, left
 
 
 def origin_scales(right0, left0):

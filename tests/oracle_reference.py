@@ -2,7 +2,6 @@
 
 Not a test module.  Tests import it by name, like ``crum_reference``.
 """
-import dataclasses
 import math
 from functools import lru_cache
 from itertools import accumulate
@@ -102,7 +101,7 @@ def rk4_order_estimate(V, E: complex, cfg: ShootingConfig = ShootingConfig(),
     E should sit near, not on, an eigenvalue: at a root the leading error
     terms cancel and the ratio turns into noise.
     """
-    vals = [mismatch(V, E, dataclasses.replace(cfg, h=h)).normalized for h in ladder]
+    vals = [mismatch(V, E, ShootingConfig(h=h, p=cfg.p)).normalized for h in ladder]
     diffs = [abs(vals[i] - vals[i + 1]) for i in range(len(vals) - 1)]
     exps = [math.log2(diffs[i] / diffs[i + 1]) for i in range(len(diffs) - 1)]
     return sum(exps) / len(exps)

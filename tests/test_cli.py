@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 
@@ -97,13 +98,79 @@ def test_hierarchy_json_relations_in_window(capsys):
     assert rel["member3_pt_symmetric"] is True
 
 
-def test_hierarchy_csv(capsys):
-    code, out, _ = run_cli(capsys, "hierarchy", "--coupling", "2", "--samples", "3",
-                           "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "member,x,re_v,im_v"
-    assert len(lines) == 1 + 2 * 3
+def test_hierarchy_csv():
+    # the exact bytes of a process's stdout: csv.writer's "\r\n" after every row
+    proc = subprocess.run([sys.executable, "-m", "ptwell.cli", "hierarchy", "--coupling", "2",
+                           "--samples", "3", "--format", "csv"], capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (b"member,x,re_v,im_v\r\n"
+                           b"1,-0.999,0,2\r\n"
+                           b"1,0,0,-2\r\n"
+                           b"1,0.999,0,-2\r\n"
+                           b"2,-0.999,2000001.9294419596,0.66666512349383611\r\n"
+                           b"2,0,3.6570679341323848,2.0000000000000018\r\n"
+                           b"2,0.999,2000001.9294419596,-0.66666512349383611\r\n")
+
+
+class _Float(float):
+    pass
+
+
+class _Complex(complex):
+    pass
+
+
+# _render's exact text on each of its branches
+_GOLDEN = [
+    ({}, "{}"),
+    ([], "[]"),
+    ((), "[]"),
+    ({"a": {}, "b": [], "c": {"d": [1, 2.5, (3, -0.0)]}},
+     '{\n  "a": {},\n  "b": [],\n  "c": {\n    "d": [\n      1,\n      2.5,\n      [\n'
+     '        3,\n        -0\n      ]\n    ]\n  }\n}'),
+    ([[], [{}], [[1]]], "[\n  [],\n  [\n    {}\n  ],\n  [\n    [\n      1\n    ]\n  ]\n]"),
+    ((1, "x"), '[\n  1,\n  "x"\n]'),
+    (1.5 - 2j, '{\n  "re": 1.5,\n  "im": -2\n}'),
+    (complex(0.0, -0.0), '{\n  "re": 0,\n  "im": -0\n}'),
+    ({"c": 0.5 - 1j}, '{\n  "c": {\n    "re": 0.5,\n    "im": -1\n  }\n}'),
+    (True, "true"),
+    (False, "false"),
+    (None, "null"),
+    (0, "0"),
+    (-7, "-7"),
+    (2 ** 70, "1180591620717411303424"),
+    ('he said "hi"\\ \n\t', '"he said \\"hi\\"\\\\ \\n\\t"'),
+    ("caf\u00e9 \u03ba\u00b2 \U0001d49c", '"caf\\u00e9 \\u03ba\\u00b2 \\ud835\\udc9c"'),
+    (-0.0, "-0"),
+    (0.1, "0.10000000000000001"),
+    (1e300, "1.0000000000000001e+300"),
+    (5e-324, "4.9406564584124654e-324"),
+    ({"k\u00e9y \"q\"": 1.0, "2": "v"}, '{\n  "k\\u00e9y \\"q\\"": 1,\n  "2": "v"\n}'),
+    ({"top": [{"re": 1.0, "im": 2.0}], "flag": True, "none": None},
+     '{\n  "top": [\n    {\n      "re": 1,\n      "im": 2\n    }\n  ],\n  "flag": true,\n'
+     '  "none": null\n}'),
+    ([True, None, 3, "a"], '[\n  true,\n  null,\n  3,\n  "a"\n]'),
+    ({3: 1.0, None: 2, True: 1, 1.5: "x"}, '{\n  "3": 1,\n  "None": 2,\n  "True": 1,\n  "1.5": "x"\n}'),
+    # a subclass renders as its base type
+    ([_Float(-0.0), _Float(0.5)], "[\n  -0,\n  0.5\n]"),
+    ({"z": _Complex(2.0, 1.0)}, '{\n  "z": {\n    "re": 2,\n    "im": 1\n  }\n}'),
+]
+
+
+@pytest.mark.parametrize("obj, text", _GOLDEN)
+def test_render_golden(obj, text):
+    from ptwell.cli import _render
+    assert _render(obj) == text
+
+
+def test_render_refuses_what_json_cannot_hold():
+    from ptwell.cli import _render
+    for bad in (math.nan, math.inf, -math.inf, [1.0, math.nan], {"x": complex(math.inf, 0.0)}):
+        with pytest.raises(ValueError, match="non-finite value in output"):
+            _render(bad)
+    for bad in (object(), {1, 2}, b"x"):
+        with pytest.raises(TypeError, match="cannot render"):
+            _render(bad)
 
 
 def test_hierarchy_out_file(tmp_path, capsys):
@@ -114,6 +181,16 @@ def test_hierarchy_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["members"][0]["depth"] == 1
+
+
+def test_hierarchy_out_file_that_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "missing" / "chain.json"
+    with pytest.raises(SystemExit) as err:
+        main(["hierarchy", "--coupling", "2", "--samples", "3", "--out", str(target)])
+    assert err.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"ptwell: error: cannot write --out {target}: No such file or directory\n"
 
 
 def test_verify_passes_at_default_tolerance(capsys):
@@ -276,7 +353,7 @@ from ptwell.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main({argv!r})
 print(repr((code, sorted(m for m in sys.modules if m.partition(".")[0] == "ptwell"),
-            "numpy" in sys.modules)))
+            "numpy" in sys.modules, "csv" in sys.modules)))
 """
 
 _PARTNER_SIDE = """
@@ -304,7 +381,8 @@ def _fresh(script: str) -> str:
 def test_cli_runs_without_numpy_until_a_partner_side():
     # a CLI process compiles only the modules its subcommand runs, and numpy,
     # most of a process's start-up, only for the step product of a
-    # non-constant (partner-potential) side; one fresh interpreter per argv
+    # non-constant (partner-potential) side; csv never, since CSV rows are
+    # f-strings; one fresh interpreter per argv
     cases = [(["spectrum", "--coupling", "8", "--levels", "4"], _SPECTRAL),
              (["critical", "--index", "1"], _SPECTRAL),
              (["hierarchy", "--coupling", "8", "--depth", "3", "--plan", "clower,cupper",
@@ -315,8 +393,8 @@ def test_cli_runs_without_numpy_until_a_partner_side():
              (["limit", "--m", "2", "--n", "1"], _HIERARCHY),
              (["verify", "--coupling", "2", "--member", "1", "--levels", "3"], _EVERY)]
     for argv, modules in cases:
-        code, loaded, numpy = ast.literal_eval(_fresh(_SUBCOMMAND_ALONE.format(argv=argv)))
-        assert (code, loaded, numpy) == (0, modules, False), argv
+        code, loaded, numpy, csv = ast.literal_eval(_fresh(_SUBCOMMAND_ALONE.format(argv=argv)))
+        assert (code, loaded, numpy, csv) == (0, modules, False, False), argv
     sides = ast.literal_eval(_fresh(_PARTNER_SIDE))
     # (psi(0), psi'(0)) of each member-2 side at E = 6 + 0.5i
     expected = [(0.5852201300188641 - 0.027773524202855126j, -0.6376355641305693 - 0.035227505177624185j),

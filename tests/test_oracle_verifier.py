@@ -40,13 +40,20 @@ from oracle_reference import (cut_degree, list_positions, list_sampled_sides, po
 
 
 def test_config_validation():
-    # ValueError, not assert, so `python -O` cannot accept these
-    with pytest.raises(ValueError):
-        ShootingConfig(h=0.0)
-    with pytest.raises(ValueError):
-        ShootingConfig(h=-1e-3)
-    with pytest.raises(ValueError):
-        ShootingConfig(p=0)
+    # ValueError, not assert, so `python -O` cannot accept these; a namedtuple's
+    # _make and _replace build without __new__ unless ShootingConfig routes them there
+    good = ShootingConfig()
+    for h, p in ((0.0, 1), (-1e-3, 1), (1e-2, 1), (0.5, 2), (2e-4, 0), (2e-4, -3)):
+        changed = {"h": h} if h != good.h else {"p": p}
+        for build in (lambda: ShootingConfig(h=h, p=p), lambda: ShootingConfig(h, p),
+                      lambda: ShootingConfig._make((h, p)), lambda: good._replace(h=h, p=p),
+                      lambda: good._replace(**changed)):
+            with pytest.raises(ValueError):
+                build()
+    assert good == (2e-4, 1)
+    assert ShootingConfig._make((1e-3, 2)) == ShootingConfig(1e-3, 2) == good._replace(h=1e-3, p=2)
+    with pytest.raises(TypeError):
+        ShootingConfig._make((1e-3,) * 3)
 
 
 def test_config_for_potential_reads_exponent():

@@ -28,6 +28,18 @@ def test_public_names_are_pinned():
         "square_well_potential"]
 
 
+def test_only_three_public_types_are_dataclasses():
+    # the dataclass code generator costs each CLI process start-up time, so the
+    # other record types are namedtuples or __slots__ classes. These three stay:
+    # tests/test_package.py, tests/test_spectral_core.py and bench/tests/test_bench.py
+    # call dataclasses.replace on them
+    import dataclasses
+
+    assert [name for name in ptwell.__all__
+            if dataclasses.is_dataclass(getattr(ptwell, name))] == [
+        "HierarchyMember", "SpectralLevel", "Spectrum"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ptwell.no_such_name  # noqa: B018
