@@ -163,21 +163,21 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle_verifier import ShootingConfig, find_spectrum_numeric, mismatches
+    from .oracle_verifier import ShootingConfig, _search
     from .susy_hierarchy import build_hierarchy
     plan = _parse_plan(args.plan, args.depth - 1)
     members = build_hierarchy(args.coupling, plan, args.depth, args.levels + args.depth - 1)
     member = members[-1]
     closed = [lv.energy for lv in member.spectrum.levels[:args.levels]]
     sh = ShootingConfig(p=member.potential.endpoint_exponent)
-    res = [abs(m.normalized) for m in mismatches(member.potential, closed, sh)]
     lo_re = min(E.real for E in closed) - 2.0
     hi_re = max(E.real for E in closed) + 5.0
     lo_im = min(0.0, min(E.imag for E in closed)) - 1.0
     hi_im = max(0.0, max(E.imag for E in closed)) + 1.0
-    oracle = find_spectrum_numeric(member.potential, len(closed),
-                                   (complex(lo_re, lo_im), complex(hi_re, hi_im)),
-                                   sh, seeds=closed)
+    # the search's first start value at each closed level is its mismatch residual
+    oracle, at_closed = _search(member.potential, len(closed),
+                                (complex(lo_re, lo_im), complex(hi_re, hi_im)), sh, closed)
+    res = [abs(v) for v in at_closed]
     rows = []
     ok = True
     for n, (Ec, Eo, r) in enumerate(zip(closed, oracle, res)):
@@ -199,7 +199,7 @@ def _limit_stats(Z: float, m: int, n: int) -> dict:
     member = members[-1]
     psi = member.eigenfunctions(n)
     grid = linspace(-0.95, 0.95, 20)
-    mu, var = ratio_stats(psi, lambda x: limit_form(m, n, x), grid)
+    mu, var = ratio_stats([psi(x) for x in grid], [complex(limit_form(m, n, x)) for x in grid])
     out = {"ratio_variance": var, "ratio_mean": mu}
     if m > 1:
         strength = (math.pi ** 2 / 4.0) * m * (m - 1)

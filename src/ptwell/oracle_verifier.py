@@ -635,6 +635,12 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     which is certain for an unscanned box without seeds, raises
     ConvergenceError.
     """
+    return _search(V, count, search_box, cfg, seeds)[0]
+
+
+def _search(V, count: int, search_box, cfg: ShootingConfig, seeds):
+    """`find_spectrum_numeric`'s levels, and the normalized mismatch at each seed,
+    which its first start value is."""
     lo, hi = complex(search_box[0]), complex(search_box[1])
     lo, hi = complex(min(lo.real, hi.real), min(lo.imag, hi.imag)), \
         complex(max(lo.real, hi.real), max(lo.imag, hi.imag))
@@ -664,5 +670,5 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
         raise ConvergenceError(
             f"only {len(found)} of {count} levels converged in the search box",
             stage="search box", iterate=tuple(found), bracket=(lo, hi))
-    return found[:count]
+    return found[:count], vals[:2 * len(starts):2]
 

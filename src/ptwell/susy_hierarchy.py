@@ -28,8 +28,7 @@ from functools import lru_cache
 from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, SpectralLevel,
                             Spectrum, classify_spectrum, find_critical_coupling)
 from .wavefunctions import (PiecewiseEigenfunction, PiecewisePair, chebyshev_grid,
-                            normalize_sides, origin_scales, pt_defect, pt_transform,
-                            ratio_stats)
+                            normalize_sides, origin_scales, ratio_stats, sampled_pt_defect)
 
 
 class LevelAnnihilated(Exception):
@@ -96,8 +95,10 @@ _ANNIHILATION_PROBE = tuple(chebyshev_grid(50))
 _SERIES_TOL = 1e-17  # a series stops where the bound on its next term over its first is below
 _INV_FACTORIAL = [1.0 / math.factorial(m) for m in range(171)]  # 170! is the last float
 # seed tables kept across sides: a member's 200-point grid, both sides, with
-# the points where a level's basis is not V's, twice over, since
-# hierarchy_relations_check reads two members point by point
+# the points where a level's basis is not V's, twice over.
+# hierarchy_relations_check reads 529 tables (both orders' member 2 and
+# member 3, at x and -x) in one grid sweep per eigenfunction and orientation,
+# coming back to most of them once per level; at this bound it builds each once
 _SEED_TABLES = 512
 _NO_SEEDS = (0j, (), (), ())  # `_darboux` of no seed columns, at every x
 
@@ -337,7 +338,8 @@ class _CrumColumn:
 
 
 # one object per equal side, so the seed-table cache hashes sides by identity;
-# hierarchy_relations_check holds 12 at once, and an evicted side builds its own
+# hierarchy_relations_check holds 12 at once, 8 of them distinct (both orders
+# share the well and member 3), and an evicted side builds its own
 _side = lru_cache(maxsize=32)(_CrumSide)
 
 
@@ -435,7 +437,12 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
         raise ValueError("need at least `depth` levels so every member keeps one")
     if len(plan.choices) < depth - 1:
         raise IllegalPlanError(f"plan has {len(plan.choices)} steps, depth {depth} needs {depth - 1}")
-    spectrum = classify_spectrum(Z, levels)
+    return _chain(classify_spectrum(Z, levels), plan, depth)
+
+
+def _chain(spectrum: Spectrum, plan: EliminationPlan, depth: int):
+    """Members 1..depth of the chain `plan` (depth - 1 steps or more) makes of the well's spectrum."""
+    Z = spectrum.coupling
     eliminated = ()
     members = []
     for m in range(1, depth + 1):
@@ -464,18 +471,21 @@ def hierarchy_relations_check(Z: float, levels: int = 3) -> dict:
     Valid between the first two critical couplings, where exactly one pair
     is complex.  Reports the member-2 mirror relation, the member-3
     coincidence, eigenfunction mirror ratios, and the PT diagnostics of the
-    lower-first chain's members.  Numbers are reported as found; the caller
-    judges them.
+    lower-first chain's members, for the lowest `levels` >= 1 levels of each
+    member.  Numbers are reported as found; the caller judges them.
     """
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
     c0 = find_critical_coupling(0)
     c1 = find_critical_coupling(1)
     if not c0.z_crit < Z < c1.z_crit:
         raise ValueError(f"need a coupling in ({c0.z_crit:.4f}, {c1.z_crit:.4f})")
-    lower_first = build_hierarchy(
-        Z, EliminationPlan((PlanChoice.COMPLEX_LOWER, PlanChoice.COMPLEX_UPPER)), 3, levels + 2)
-    upper_first = build_hierarchy(
-        Z, EliminationPlan((PlanChoice.COMPLEX_UPPER, PlanChoice.COMPLEX_LOWER)), 3, levels + 2)
+    spectrum = classify_spectrum(Z, levels + 2)
+    lower, upper = PlanChoice.COMPLEX_LOWER, PlanChoice.COMPLEX_UPPER
+    lower_first = _chain(spectrum, EliminationPlan((lower, upper)), 3)
+    upper_first = _chain(spectrum, EliminationPlan((upper, lower)), 3)
     grid = chebyshev_grid(101)
+    mirrored = [-x for x in grid]
 
     report = {"coupling": Z}
     v2a, v2b = lower_first[1].potential, upper_first[1].potential
@@ -486,24 +496,29 @@ def hierarchy_relations_check(Z: float, levels: int = 3) -> dict:
     report["member2_pt_symmetric"] = lower_first[1].potential.pt_symmetric
     report["member3_pt_symmetric"] = lower_first[2].potential.pt_symmetric
 
-    # each of these is read at x and -x several times below
-    lower = {(m, n): lru_cache(maxsize=None)(lower_first[m - 1].eigenfunctions(n))
-             for m in (2, 3) for n in range(levels)}
-    mirror = {}
-    for m in (2, 3):
-        for n in range(levels):
-            mu, var = ratio_stats(pt_transform(lower[m, n]),
-                                  upper_first[m - 1].eigenfunctions(n), grid)
-            mirror[f"member{m}_level{n}"] = {
-                "ratio_variance": var, "ratio_imag_frac": abs(mu.imag) / abs(mu)}
-    report["eigenfunction_mirror"] = mirror
-
-    member3_pt = {}
+    # Each eigenfunction is sampled once at each point it needs: the
+    # lower-first member 2 at -x (level 0 at x too), the upper-first one at
+    # x, and member 3 at both.  Both orders' member 3 is one member (the
+    # same levels on one interned pair of sides), so its mirror ratio is its
+    # own PT ratio.
+    mirror, member3_pt = {}, {}
     for n in range(levels):
-        f = lower[3, n]
-        mu, var = ratio_stats(pt_transform(f), f, grid)
-        member3_pt[f"level{n}"] = {
-            "pt_ratio_variance": var, "pt_defect": pt_defect(f, grid)}
+        psi, image = lower_first[1].eigenfunctions(n), upper_first[1].eigenfunctions(n)
+        at_minus_x = [psi(x) for x in mirrored]
+        if n == 0:
+            member2_defect = sampled_pt_defect([psi(x) for x in grid], at_minus_x)
+        mu, var = ratio_stats([v.conjugate() for v in at_minus_x], [image(x) for x in grid])
+        mirror[f"member2_level{n}"] = {"ratio_variance": var,
+                                       "ratio_imag_frac": abs(mu.imag) / abs(mu)}
+    for n in range(levels):
+        psi = lower_first[2].eigenfunctions(n)
+        at_x, at_minus_x = [psi(x) for x in grid], [psi(x) for x in mirrored]
+        mu, var = ratio_stats([v.conjugate() for v in at_minus_x], at_x)
+        mirror[f"member3_level{n}"] = {"ratio_variance": var,
+                                       "ratio_imag_frac": abs(mu.imag) / abs(mu)}
+        member3_pt[f"level{n}"] = {"pt_ratio_variance": var,
+                                   "pt_defect": sampled_pt_defect(at_x, at_minus_x)}
+    report["eigenfunction_mirror"] = mirror
     report["member3_eigenfunction_pt"] = member3_pt
-    report["member2_eigenfunction_pt_defect"] = pt_defect(lower[2, 0], grid)
+    report["member2_eigenfunction_pt_defect"] = member2_defect
     return report

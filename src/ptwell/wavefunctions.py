@@ -73,11 +73,20 @@ def pt_transform(f):
     return g
 
 
-def ratio_stats(f, g, grid):
-    """Mean mu of f/g over the grid, and the ratio's variance over |mu|^2."""
-    rat = [complex(f(x)) / complex(g(x)) for x in grid]
+def ratio_stats(fs, gs):
+    """Mean mu of the ratios f/g of two equal-length value lists, and the
+    ratios' variance over |mu|^2."""
+    rat = [f / g for f, g in zip(fs, gs)]
     mu = sum(rat) / len(rat)
     return mu, sum(abs(r - mu) ** 2 for r in rat) / len(rat) / abs(mu) ** 2
+
+
+def sampled_pt_defect(values, mirrored) -> float:
+    """`pt_defect` of f from its values f(x) over a grid and f(-x) at the same points."""
+    amax = max(abs(v) for v in values)
+    if amax == 0.0:
+        return 0.0
+    return max(abs(v - m.conjugate()) for v, m in zip(values, mirrored)) / amax
 
 
 def pt_defect(f, grid) -> float:
@@ -85,10 +94,7 @@ def pt_defect(f, grid) -> float:
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
-    amax = max(abs(complex(f(x))) for x in grid)
-    if amax == 0.0:
-        return 0.0
-    return max(abs(complex(f(x)) - complex(f(-x)).conjugate()) for x in grid) / amax
+    return sampled_pt_defect([complex(f(x)) for x in grid], [complex(f(-x)) for x in grid])
 
 
 def gegenbauer_eval(n: int, m: int, x: float) -> float:

@@ -928,16 +928,17 @@ def test_partner_search_energy_count(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, energies, calls", [
-    (("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3"), 13, 4),
-    (("--coupling", "2", "--member", "2", "--levels", "4"), 273, 6)])
+    (("--coupling", "8", "--member", "2", "--plan", "clower", "--levels", "3"), 10, 3),
+    (("--coupling", "2", "--member", "2", "--levels", "4"), 269, 5)])
 def test_verify_energy_count(monkeypatch, capsys, argv, energies, calls):
-    # `ptwell verify` seeds a secant at each closed level.  The Z = 8 clower
-    # member is not PT-symmetric, so nothing is scanned: the 3 levels'
-    # residuals (3 energies), the seeds' start values (6), then 2 lockstep
-    # rounds (3, then 1); seeds a twentieth of a level gap off took 25
-    # energies in 8 calls.  The Z = 2 member is scanned too: 4 residuals,
-    # 8 start values with the 240 scan points, then the scan's and the
-    # seeds' runs in lockstep.  Seeding only complex levels it took 260 in 6
+    # `ptwell verify` seeds a secant at each closed level, and a seed's
+    # first start value is that level's mismatch residual.  The Z = 8 clower
+    # member is not PT-symmetric, so nothing is scanned: the seeds' start
+    # values (6 energies), then 2 lockstep rounds (3, then 1); seeds a
+    # twentieth of a level gap off took 25 energies in 8 calls, and a
+    # separate residual call 13 in 4.  The Z = 2 member is scanned too: 8
+    # start values with the 240 scan points, then the scan's and the seeds'
+    # runs in lockstep.  Seeding only complex levels it took 260 in 6
     batches = []
     counted = oracle_verifier.mismatches
 

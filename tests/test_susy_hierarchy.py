@@ -531,6 +531,8 @@ def test_relations_check_window_guard():
         hierarchy_relations_check(2.0)
     with pytest.raises(ValueError):
         hierarchy_relations_check(14.0)
+    with pytest.raises(ValueError, match="levels must be at least 1"):
+        hierarchy_relations_check(8.0, levels=0)
 
 
 def test_relations_deviations_are_zero_by_construction():
@@ -542,6 +544,86 @@ def test_relations_deviations_are_zero_by_construction():
     for Z in [lo + 1e-3, 4.48, 12.8] + [rng.uniform(lo, hi) for _ in range(12)]:
         rel = hierarchy_relations_check(Z, levels=1)
         assert (rel["member2_mirror_dev"], rel["member3_same_dev"]) == (0.0, 0.0), Z
+
+
+def _leaves(report, prefix=""):
+    """(dotted key, value) of every entry of a relations report, in its order."""
+    for key, value in report.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+# hierarchy_relations_check(Z, levels=3) as float.hex, in the report's order,
+# at Z_crit(0) + 1e-3, 8.0 and 12.8: which points are sampled how often may
+# change, the arithmetic and its order may not
+_RELATIONS_HEX = {
+    "above_crit0": (
+        '0x0.0p+0', '0x0.0p+0', '0x1.0c3f2af1ba0e0p-112', '0x1.610d4a0945065p-61',
+        '0x1.5f665d53f06bap-115', '0x1.778e263ae1fd4p-61', '0x1.498e9a7a59819p-120',
+        '0x1.ea058769b0b9ep-64', '0x1.75a9b7c4bc099p-93', '0x1.a64341036e164p-54',
+        '0x1.2c4d0994c6819p-91', '0x1.cbb29ff4c348bp-45', '0x1.05d3ea64543a5p-90',
+        '0x1.c883581560512p-48', '0x1.75a9b7c4bc099p-93', '0x1.fbd085bc5746bp-48',
+        '0x1.2c4d0994c6819p-91', '0x1.c78870696b96ap-45', '0x1.05d3ea64543a5p-90',
+        '0x1.dddf8e874dca3p-46', '0x1.ea09709da944fp-7'),
+    8.0: (
+        '0x0.0p+0', '0x0.0p+0', '0x1.bc30e2a2c8b4bp-115', '0x1.754ce248bf321p-61',
+        '0x1.b6875e5d60e5fp-114', '0x1.63d6b68152000p-64', '0x1.2165e267ce11dp-115',
+        '0x1.1eab80771ce2cp-62', '0x1.042801625376ep-101', '0x1.789faf753424cp-56',
+        '0x1.2a96593c5e5d7p-101', '0x1.0dfaaf73cc872p-50', '0x1.2de306bb8c4eap-102',
+        '0x1.18027c4e8ab25p-53', '0x1.042801625376ep-101', '0x1.3b25b455b17dbp-51',
+        '0x1.2a96593c5e5d7p-101', '0x1.3a6b6fa809e59p-50', '0x1.2de306bb8c4eap-102',
+        '0x1.49a4bc7575bf5p-51', '0x1.6714459de2ac8p-1'),
+    12.8: (
+        '0x0.0p+0', '0x0.0p+0', '0x1.24c7011cf4a96p-113', '0x1.0746251f745ebp-60',
+        '0x1.0e4f7d398502dp-113', '0x1.9038b99cdc11bp-62', '0x1.c45042c9d47b1p-113',
+        '0x1.67b9d2646c877p-60', '0x1.d9d0fd62f2dd2p-102', '0x1.2ec152f370656p-52',
+        '0x1.dcdbe9411d2aap-101', '0x1.939cf284e091bp-54', '0x1.c1b089ed7f3b9p-102',
+        '0x1.bcf7a31e190f1p-53', '0x1.d9d0fd62f2dd2p-102', '0x1.614a13391b818p-51',
+        '0x1.dcdbe9411d2aap-101', '0x1.bb2b6000d1dc7p-51', '0x1.c1b089ed7f3b9p-102',
+        '0x1.14b686ec8178bp-51', '0x1.c3c2c81cdb652p-1'),
+}
+
+
+@pytest.mark.parametrize("at", list(_RELATIONS_HEX))
+def test_relations_report_bit_for_bit(at):
+    Z = find_critical_coupling(0).z_crit + 1e-3 if at == "above_crit0" else at
+    leaves = list(_leaves(hierarchy_relations_check(Z, levels=3)))
+    assert [key for key, _ in leaves] == (
+        ["coupling", "member2_mirror_dev", "member3_same_dev", "member2_pt_symmetric",
+         "member3_pt_symmetric"]
+        + [f"eigenfunction_mirror.member{m}_level{n}.{stat}" for m in (2, 3) for n in range(3)
+           for stat in ("ratio_variance", "ratio_imag_frac")]
+        + [f"member3_eigenfunction_pt.level{n}.{stat}" for n in range(3)
+           for stat in ("pt_ratio_variance", "pt_defect")]
+        + ["member2_eigenfunction_pt_defect"])
+    assert [leaves[i][1] for i in (0, 3, 4)] == [Z, False, True]
+    assert tuple(value.hex() for _, value in leaves[1:3] + leaves[5:]) == _RELATIONS_HEX[at]
+
+
+def test_relations_check_work_counts(monkeypatch):
+    # one check at Z = 8 from an empty seed-table cache: both orders' chains
+    # come from one spectrum, and each eigenfunction is built once and
+    # sampled once at each point it needs (1,496 columns when member 2 was
+    # read at x and -x through per-point caches and member 3 once per order)
+    columns, spectra = [0], [0]
+    column, classify = _CrumColumn._column, susy_hierarchy.classify_spectrum
+
+    def counting_column(self, x, unit):
+        columns[0] += 1
+        return column(self, x, unit)
+
+    def counting_classify(*args):
+        spectra[0] += 1
+        return classify(*args)
+
+    monkeypatch.setattr(_CrumColumn, "_column", counting_column)
+    monkeypatch.setattr(susy_hierarchy, "classify_spectrum", counting_classify)
+    _seed_table.cache_clear()
+    hierarchy_relations_check(8.0)
+    assert (columns[0], spectra[0]) == (1331, 1)
+    assert _seed_table.cache_info().misses <= 529
 
 
 def test_relations_check_structure():

@@ -165,6 +165,19 @@ def test_pt_defect_trivial_cases():
         pt_defect(lambda x: x, [])
 
 
+def test_pt_defect_samples_each_point_once():
+    # f at x and at -x, once each, for the maximum and the defect alike
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return complex(math.cos(x), x)
+
+    grid = chebyshev_grid(31)
+    assert pt_defect(f, grid) == 0.0
+    assert sorted(seen) == sorted(grid + [-x for x in grid])
+
+
 def test_unbroken_levels_are_pt_symmetric():
     grid = chebyshev_grid(51)
     for level in solve_real_spectrum(3.0, 4):
