@@ -14,7 +14,7 @@ _EXPORTS = {
         "solve_complex_pair", "solve_real_spectrum"),
     "wavefunctions": (
         "PiecewiseEigenfunction", "chebyshev_grid", "gegenbauer_eval",
-        "limit_form", "pt_defect", "pt_transform"),
+        "limit_form", "pt_defect"),
     "susy_hierarchy": (
         "EliminationPlan", "HierarchyMember", "LevelAnnihilated",
         "PiecewisePotential", "PlanChoice", "Superpotential", "build_hierarchy",

@@ -113,8 +113,15 @@ def matching_residual(t: float, Z: float) -> float:
 
 def matching_residual_dt(t: float, Z: float) -> float:
     """Analytic dG/dt at fixed Z (s = Z/2t depends on t)."""
+    return _matching_terms(t, Z)[1]
+
+
+def _matching_terms(t: float, Z: float):
+    """(G, dG/dt) at t, from one s, sinh 2s and sin 2t: a Newton iterate's pair."""
     s = Z / (2.0 * t)
-    return -(s / t) * (math.sinh(2 * s) + 2 * s * math.cosh(2 * s)) + math.sin(2 * t) + 2 * t * math.cos(2 * t)
+    sinh_2s, sin_2t = math.sinh(2 * s), math.sin(2 * t)
+    return (s * sinh_2s + t * sin_2t,
+            -(s / t) * (sinh_2s + 2 * s * math.cosh(2 * s)) + sin_2t + 2 * t * math.cos(2 * t))
 
 
 def band_bounds(nu: int):
@@ -129,35 +136,36 @@ def kappa_condition_residual(E: complex, Z: float) -> complex:
     return rho * coth(rho) + sigma * coth(sigma)
 
 
-def _newton(f, df, x, tol, what: str):
-    """Damped Newton for a complex root of f, df its derivative: each step is
-    halved until |f| falls.  Once |f| < tol(x, f'(x)), `_polish` takes f to
-    its rounding floor.  A step that no halving improves is a stall, raised
-    with the stage `what` and the last iterate.
+def _newton(evaluate, x, tol, what: str):
+    """Damped Newton for a complex root of f, where evaluate(x) returns
+    (f, f', scale) at x from one pass: each step is halved until |f| falls.
+    Once |f| < tol(x, f', scale), `_polish` takes f to its rounding floor.
+    A step that no halving improves is a stall, raised with the stage `what`
+    and the last iterate.
     """
-    fx = f(x)
+    fx, d, scale = evaluate(x)
     for _ in range(100):
-        d = df(x)
-        if abs(fx) < tol(x, d):
-            return _polish(f, df, x, fx, d)
+        if abs(fx) < tol(x, d, scale):
+            return _polish(evaluate, x, fx, d)
         if d == 0:
             break
         step = fx / d
         for _ in range(60):
             xn = x - step
-            fn = f(xn)
+            fn, dn, sn = evaluate(xn)
             if abs(fn) < abs(fx):
                 break
             step *= 0.5
         else:
             break
-        x, fx = xn, fn
+        x, fx, d, scale = xn, fn, dn, sn
     raise ConvergenceError(f"{what} Newton stalled at {x}", stage=what, iterate=x)
 
 
-def _polish(f, df, x, fx, d):
+def _polish(evaluate, x, fx, d):
     """x moved by plain Newton steps while |f| strictly falls, at most 8, from
-    a root search's stop (fx and d are f and f' at x) to f's rounding floor.
+    a root search's stop (fx and d are f and f' at x) to f's rounding floor;
+    evaluate(x) returns f and f' first.
     An ill-conditioned root needs them: just above an exceptional point f' is
     proportional to Im E, and a stop at |f| < 1e-10 left 14 % of Im E there.
     """
@@ -165,17 +173,18 @@ def _polish(f, df, x, fx, d):
         if d == 0:
             break
         xn = x - fx / d
-        fn = f(xn)
+        fn, dn = evaluate(xn)[:2]
         if not abs(fn) < abs(fx):
             break
-        x, fx, d = xn, fn, df(xn)
+        x, fx, d = xn, fn, dn
     return x
 
 
-def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str,
+def _bracketed_newton(evaluate, neg: float, pos: float, tol: float, what: str,
                       start: float) -> float:
-    """Root of f inside a sign change f(neg) < 0 < f(pos); the ends may come
-    in either order, and f is never evaluated at them.
+    """Root of f inside a sign change f(neg) < 0 < f(pos), where evaluate(x)
+    returns (f, f') at x from one pass; the ends may come in either order,
+    and f is never evaluated at them.
 
     Newton starts at `start` if it lies strictly inside the bracket, else
     at the bracket's midpoint.  Every iterate shrinks the bracket by the
@@ -186,10 +195,9 @@ def _bracketed_newton(f, df, neg: float, pos: float, tol: float, what: str,
     """
     x = start if min(neg, pos) < start < max(neg, pos) else 0.5 * (neg + pos)
     for _ in range(100):
-        fx = f(x)
-        d = df(x)
+        fx, d = evaluate(x)
         if abs(fx) < tol:
-            return _polish(f, df, x, fx, d)
+            return _polish(evaluate, x, fx, d)
         if fx < 0:
             neg = x
         else:
@@ -269,19 +277,13 @@ def _band_roots(Z: float, nu: int):
     if split is None:
         return []
 
-    def G(t):
-        return matching_residual(t, Z)
-
-    def dG(t):
-        return matching_residual_dt(t, Z)
-
     def start(end, slope):
         s = Z / (2 * end)
         return end - s * math.sinh(2 * s) / slope
 
     tol = max(1e-12, 8 * 2.0 ** -52 * hi * hi)
-    return [_bracketed_newton(G, dG, split, end, tol, f"matching-residual (Z={Z})",
-                              start(end, slope))
+    return [_bracketed_newton(lambda t: _matching_terms(t, Z), split, end, tol,
+                              f"matching-residual (Z={Z})", start(end, slope))
             for end, slope in ((lo, -2 * lo), (hi, 2 * hi))]
 
 
@@ -302,10 +304,15 @@ def _verified_level(t: float, Z: float) -> SpectralLevel:
     return SpectralLevel(E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
 
 
+def _check_coupling(Z: float):
+    """The CLI's rule for a coupling, shared by every spectrum entry point."""
+    if not 0 <= Z < math.inf:
+        raise ValueError("coupling must be finite and >= 0")
+
+
 def solve_real_spectrum(Z: float, count: int):
     """First `count` real levels, increasing; bands whose pair went complex are skipped."""
-    if Z < 0:
-        raise ValueError("coupling must be nonnegative")
+    _check_coupling(Z)
     levels = []
     nu = 0
     while len(levels) < count:
@@ -328,9 +335,12 @@ def _curve_s(t: float) -> float:
     """
     r = max(-t * math.sin(2 * t), 0.0)
     s0 = min(math.sqrt(r / 2), max(0.5, math.asinh(2 * r) / 2))
-    return _bracketed_newton(lambda s: s * math.sinh(2 * s) - r,
-                             lambda s: math.sinh(2 * s) + 2 * s * math.cosh(2 * s),
-                             0.0, 2 * s0, 1e-13 * (1 + r), "G = 0 curve", s0)
+
+    def evaluate(s):
+        sinh_2s = math.sinh(2 * s)
+        return s * sinh_2s - r, sinh_2s + 2 * s * math.cosh(2 * s)
+
+    return _bracketed_newton(evaluate, 0.0, 2 * s0, 1e-13 * (1 + r), "G = 0 curve", s0)
 
 
 def _merge_residual_dt(t: float, s: float) -> float:
@@ -354,47 +364,51 @@ def find_critical_coupling(nu: int) -> CriticalCoupling:
     dG/dt runs from -2 lo at the lower band edge to 2 hi at the upper one,
     so the band brackets that zero for one bracketed Newton from its
     midpoint.  s(t) is solved once per point (`_curve_s`): Newton's
-    residual and derivative at an iterate, and the returned s at the last
-    one, share it.
+    residual and derivative at an iterate, and the returned s at the root,
+    share it.
     """
     if nu < 0:
         raise ValueError("band index must be nonnegative")
     lo, hi = band_bounds(nu)
-    curve_s = lru_cache(maxsize=1)(_curve_s)
+    curve = {}  # s(t) at each iterate t
 
-    def residual(t):
-        return matching_residual_dt(t, 2 * t * curve_s(t))
+    def evaluate(t):
+        if t not in curve:
+            curve[t] = _curve_s(t)
+        s = curve[t]
+        return matching_residual_dt(t, 2 * t * s), _merge_residual_dt(t, s)
 
-    def residual_dt(t):
-        return _merge_residual_dt(t, curve_s(t))
-
-    t = _bracketed_newton(residual, residual_dt, lo, hi, 2e-11 * hi, f"tangency (band {nu})",
+    t = _bracketed_newton(evaluate, lo, hi, 2e-11 * hi, f"tangency (band {nu})",
                           0.5 * (lo + hi))
-    s = curve_s(t)
+    s = curve[t]
     return CriticalCoupling(nu, 2 * t * s, t, t * t - s * s)
 
 
-def _r_coth_r_dr(r: complex) -> complex:
-    """d(r coth r)/dr = coth r - r csch^2 r."""
-    return coth(r) - r * cosech(r) ** 2
+def _r_coth_r_dr(r: complex, coth_r: complex) -> complex:
+    """d(r coth r)/dr = coth r - r csch^2 r, given coth r."""
+    return coth_r - r * cosech(r) ** 2
 
 
-def _kappa_condition_dE(E: complex, Z: float) -> complex:
-    """d/dE of kappa_condition_residual: sum of d(r coth r)/dr (-1/2r).
+def _pair_terms(E: complex, Z: float):
+    """(F, F_E, |rho coth rho| + |sigma coth sigma|) at E from one rho, sigma
+    and coth of each; F is kappa_condition_residual, the last its scale.
 
-    Each term r coth r is even in r, so the sum is holomorphic in E whatever
-    square-root branch gives rho and sigma.
+    F_E sums d(r coth r)/dr (-1/2r); each r coth r is even in r, so F_E is
+    holomorphic in E whatever square-root branch gives rho and sigma.
     """
-    total = 0j
-    for r in (halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)):
-        total += _r_coth_r_dr(r) / (-2 * r)
-    return total
+    rho, sigma = halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)
+    coth_rho, coth_sigma = coth(rho), coth(sigma)
+    f_rho, f_sigma = rho * coth_rho, sigma * coth_sigma
+    f_E = 0j
+    for r, coth_r in ((rho, coth_rho), (sigma, coth_sigma)):
+        f_E += _r_coth_r_dr(r, coth_r) / (-2 * r)
+    return f_rho + f_sigma, f_E, abs(f_rho) + abs(f_sigma)
 
 
 def _kappa_condition_dZ(E: complex, Z: float) -> complex:
     """d/dZ of kappa_condition_residual, from d rho/dZ = -i/2rho, d sigma/dZ = i/2sigma."""
     rho, sigma = halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)
-    return 0.5j * (_r_coth_r_dr(sigma) / sigma - _r_coth_r_dr(rho) / rho)
+    return 0.5j * (_r_coth_r_dr(sigma, coth(sigma)) / sigma - _r_coth_r_dr(rho, coth(rho)) / rho)
 
 
 def _pair_newton(E: complex, Z: float, nu: int) -> complex:
@@ -404,14 +418,12 @@ def _pair_newton(E: complex, Z: float, nu: int) -> complex:
     The first term, a few ulps of E times the slope, is the rounding floor
     of F at large Z; the term sizes are the floor next to an exceptional
     point, where F_E is proportional to Im E.  `_newton` then polishes E.
+    All three come from one `_pair_terms` per iterate.
     """
-    def tol(E, dE):
-        terms = sum(abs(r * coth(r)) for r in (halfplane_sqrt(-E - 1j * Z),
-                                                halfplane_sqrt(1j * Z - E)))
+    def tol(E, dE, terms):
         return 16 * 2.0 ** -52 * (abs(E) * abs(dE) + terms)
 
-    E = _newton(lambda E: kappa_condition_residual(E, Z), lambda E: _kappa_condition_dE(E, Z),
-                E, tol, f"pair {nu} (Z={Z})")
+    E = _newton(lambda E: _pair_terms(E, Z), E, tol, f"pair {nu} (Z={Z})")
     return complex(E.real, -abs(E.imag))
 
 
@@ -432,7 +444,7 @@ def _pair_seed(nu: int, Z: float, crit: CriticalCoupling = None) -> complex:
     """
     if crit is not None and Z - crit.z_crit < 0.05:
         e0, z0, h = complex(crit.e_merge), crit.z_crit, 1e-4
-        f_ee = (_kappa_condition_dE(e0 + h, z0) - _kappa_condition_dE(e0 - h, z0)) / (2 * h)
+        f_ee = (_pair_terms(e0 + h, z0)[1] - _pair_terms(e0 - h, z0)[1]) / (2 * h)
         de = cmath.sqrt(-2 * _kappa_condition_dZ(e0, z0) * (Z - z0) / f_ee)
         return e0 + (de if de.imag < 0 else -de)
     y0 = (nu + 1) * math.pi
@@ -454,6 +466,7 @@ def solve_complex_pair(Z: float, nu: int):
     critical coupling is not solved: the seed is the one-sided one it would
     have chosen anyway.
     """
+    _check_coupling(Z)
     crit = None if _far_above_critical(Z, nu) else find_critical_coupling(nu)
     stage = f"pair {nu} (Z={Z})"
     if crit is not None and Z <= crit.z_crit:
@@ -483,8 +496,7 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
     the one before it in Re E, or the solve left its band and
     `ConvergenceError` names it.
     """
-    if Z < 0:
-        raise ValueError("coupling must be nonnegative")
+    _check_coupling(Z)
     entries = []
     nu = 0
     while 2 * len(entries) < count and _band_split(Z, nu) is None:

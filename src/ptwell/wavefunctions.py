@@ -66,13 +66,6 @@ def normalize_sides(level: SpectralLevel, right, left) -> PiecewiseEigenfunction
     return PiecewiseEigenfunction(level, scaled(right, cR), scaled(left, cL))
 
 
-def pt_transform(f):
-    """The PT image of a callable: x -> conj(f(-x))."""
-    def g(x):
-        return complex(f(-x)).conjugate()
-    return g
-
-
 def ratio_stats(fs, gs):
     """Mean mu of the ratios f/g of two equal-length value lists, and the
     ratios' variance over |mu|^2."""

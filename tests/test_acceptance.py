@@ -24,7 +24,6 @@ from ptwell import (
     matching_residual,
     mismatch,
     pt_defect,
-    pt_transform,
     solve_real_spectrum,
     square_well_eigenfunction,
     square_well_potential,
@@ -33,7 +32,7 @@ from ptwell.spectral_core import kappa_condition_residual
 from ptwell.wavefunctions import limit_form
 
 from oracle_reference import rk4_order_estimate
-from well_reference import curve_X, curve_Y, curve_point
+from well_reference import curve_X, curve_Y, curve_point, pt_transform
 
 _T0 = time.perf_counter()
 

@@ -23,7 +23,7 @@ def test_public_names_are_pinned():
         "Superpotential", "WaveNumber", "build_hierarchy", "chebyshev_grid", "classify_spectrum",
         "find_critical_coupling", "find_spectrum_numeric", "gegenbauer_eval",
         "hierarchy_relations_check", "integrate_side", "intertwine", "kappa_from_energy",
-        "limit_form", "matching_residual", "mismatch", "pt_defect", "pt_transform",
+        "limit_form", "matching_residual", "mismatch", "pt_defect",
         "solve_complex_pair", "solve_real_spectrum", "square_well_eigenfunction",
         "square_well_potential"]
 

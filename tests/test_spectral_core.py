@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -24,8 +25,9 @@ from ptwell.spectral_core import (
     _band_roots,
     _bracketed_newton,
     _far_above_critical,
-    _kappa_condition_dE,
     _kappa_condition_dZ,
+    _matching_terms,
+    _pair_terms,
     band_bounds,
     cosech,
     coth,
@@ -36,6 +38,7 @@ from ptwell.spectral_core import (
     matching_residual_dt,
 )
 
+from conftest import counted
 from well_reference import curve_X, curve_Y, curve_point
 
 
@@ -78,15 +81,32 @@ def test_kappa_from_energy_rejects_nonpositive_zero_coupling():
         kappa_from_energy(-1.0, 0.0)
 
 
-def test_negative_coupling_raises():
-    with pytest.raises(ValueError):
-        classify_spectrum(-0.5, 3)
-    with pytest.raises(ValueError):
-        solve_real_spectrum(-0.5, 3)
+@pytest.mark.parametrize("Z", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda Z: classify_spectrum(Z, 4),
+    lambda Z: solve_real_spectrum(Z, 4),
+    lambda Z: solve_complex_pair(Z, 0),
+], ids=["classify_spectrum", "solve_real_spectrum", "solve_complex_pair"])
+def test_invalid_coupling_is_refused(solve, Z):
+    # the CLI's own rule at every entry point: a NaN or infinite Z would
+    # otherwise stall a Newton, and a negative one read as a "still real" pair
+    with pytest.raises(ValueError, match=r"^coupling must be finite and >= 0$"):
+        solve(Z)
 
 
 def test_matching_residual_frozen_value():
     assert matching_residual(2.0, 1.0) == pytest.approx(-1.3833311642424195, rel=1e-15)
+
+
+def test_newton_evaluators_match_the_public_residuals():
+    # one evaluation per Newton iterate gives the same bits as the separate calls
+    for t, Z in ((2.3, 1.0), (4.9, 3.0), (7.8, 0.5), (91.1, 100.0)):
+        assert _matching_terms(t, Z) == (matching_residual(t, Z), matching_residual_dt(t, Z))
+    for E, Z in ((6.45 - 1.89j, 5.0), (31.1 - 4.4j, 14.0), (3.0 + 0.5j, 2.0)):
+        F, _, scale = _pair_terms(E, Z)
+        rho, sigma = halfplane_sqrt(-E - 1j * Z), halfplane_sqrt(1j * Z - E)
+        assert F == kappa_condition_residual(E, Z)
+        assert scale == abs(rho * coth(rho)) + abs(sigma * coth(sigma))
 
 
 def test_matching_residual_dt_against_difference_quotient():
@@ -102,7 +122,7 @@ def test_pair_derivative_against_difference_quotient():
         h = 1e-6
         for dz in (h, 1j * h):
             fd = (kappa_condition_residual(E + dz, Z) - kappa_condition_residual(E - dz, Z)) / (2 * dz)
-            assert _kappa_condition_dE(E, Z) == pytest.approx(fd, rel=1e-7)
+            assert _pair_terms(E, Z)[1] == pytest.approx(fd, rel=1e-7)
         fd = (kappa_condition_residual(E, Z + h) - kappa_condition_residual(E, Z - h)) / (2 * h)
         assert _kappa_condition_dZ(E, Z) == pytest.approx(fd, rel=1e-7)
 
@@ -170,6 +190,47 @@ def test_critical_couplings_frozen():
     assert c2.z_crit == pytest.approx(22.633436438001297, rel=1e-10)
 
 
+# sha256 (first 16 hex digits) of float.hex of each level's energy and both
+# wavenumbers, real and imaginary parts in order, and the critical couplings of
+# bands 0-3 as (z_crit, t_merge, e_merge) in float.hex.  Captured before the
+# root loops took f and f' from one evaluation per iterate
+_SPECTRUM_DIGESTS = {
+    "0": (8, "4ce92e1c88f777c0"),
+    "1e-4": (21, "61fafa37b8da4c24"),
+    "2": (21, "f88c48d0bcf416bd"),
+    "below_crit0": (8, "012d5f9465801d3d"),
+    "above_crit0": (8, "b615e79dda7f8902"),
+    "8": (12, "b30621defaef4b61"),
+    "14": (12, "820891c24dff103f"),
+    "300": (8, "27f70a9796ec38a3"),
+}
+_CRITICAL_HEX = [
+    ("0x1.1e6b74c57b5c4p+2", "0x1.5538e75d20eeep+1", "0x1.99b8c88326fffp+2"),
+    ("0x1.99a640273f2e3p+3", "0x1.6b735ef039267p+2", "0x1.eface8f913c9dp+4"),
+    ("0x1.6a228e3f14f6fp+4", "0x1.18930328e66cdp+3", "0x1.2cd80d4eca09dp+6"),
+    ("0x1.0b31251bc2043p+5", "0x1.7c33568c16085p+3", "0x1.1660c24f269d3p+7"),
+]
+
+
+def test_critical_couplings_bit_for_bit():
+    for nu, expected in enumerate(_CRITICAL_HEX):
+        c = find_critical_coupling(nu)
+        assert (c.z_crit.hex(), c.t_merge.hex(), c.e_merge.hex()) == expected, nu
+
+
+@pytest.mark.parametrize("at", list(_SPECTRUM_DIGESTS))
+def test_spectrum_bit_for_bit(at):
+    z0 = find_critical_coupling(0).z_crit
+    Z = {"below_crit0": z0 * (1 - 1e-9), "above_crit0": z0 + 1e-3}.get(at) or float(at)
+    count, digest = _SPECTRUM_DIGESTS[at]
+    spec = classify_spectrum(Z, count)
+    words = [v.hex() for lv in spec.levels
+             for z in (lv.energy, lv.kappa_right.value, lv.kappa_left.value)
+             for v in (z.real, z.imag)]
+    assert len(spec.levels) == count
+    assert hashlib.sha256(" ".join(words).encode()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("nu", [0, 1, 2, 5, 10, 20, 40])
 def test_critical_point_sits_on_tangency(nu):
     c = find_critical_coupling(nu)
@@ -200,10 +261,10 @@ def test_bracketed_newton_stall_is_typed():
 
     def step(x):
         calls.append(x)
-        return -1.0 if x < 1.3 else 1.0
+        return (-1.0 if x < 1.3 else 1.0), 0.0
 
     with pytest.raises(ConvergenceError, match=r"jump Newton stalled at ") as err:
-        _bracketed_newton(step, lambda x: 0.0, 1.0, 2.0, 1e-12, "jump", start=1.5)
+        _bracketed_newton(step, 1.0, 2.0, 1e-12, "jump", start=1.5)
     assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(1.3, abs=1e-15)
     assert len(calls) < 100
     # the fields say the same as the message, and the bracket still holds the jump
@@ -303,19 +364,21 @@ def test_classify_second_pair_appears_past_second_critical():
     assert spec.levels[2].energy.imag < 0 < spec.levels[3].energy.imag
 
 
+def _rootless(monkeypatch):
+    # the pair evaluator with F = 1 everywhere and its true slope and scale
+    real_terms = spectral_core._pair_terms
+    monkeypatch.setattr(spectral_core, "_pair_terms",
+                        lambda E, Z: (1.0 + 0j,) + real_terms(E, Z)[1:])
+
+
 @pytest.mark.parametrize("offset", [0.01, 3.5])
 def test_pair_solve_failure_names_band(monkeypatch, offset):
     # a residual without a root, reached from the square-root seed (offset 0.01)
     # or the one-sided seed (3.5), must end in a typed error naming the band and
     # the coupling, after a bounded number of calls
     Z = find_critical_coupling(0).z_crit + offset
-    calls = []
-
-    def rootless(E, Z):
-        calls.append(E)
-        return 1.0 + 0j
-
-    monkeypatch.setattr(spectral_core, "kappa_condition_residual", rootless)
+    _rootless(monkeypatch)
+    calls = counted(monkeypatch, spectral_core, "_pair_terms")
     with pytest.raises(ConvergenceError, match=rf"pair 0 \(Z={Z!r}\) Newton stalled"):
         solve_complex_pair(Z, 0)
     assert len(calls) < 100
@@ -332,7 +395,7 @@ def test_classify_certifies_band_order(monkeypatch):
 
 def _pair_stall(monkeypatch):
     Z = find_critical_coupling(0).z_crit + 3.5
-    monkeypatch.setattr(spectral_core, "kappa_condition_residual", lambda E, Z: 1.0 + 0j)
+    _rootless(monkeypatch)
     return lambda: solve_complex_pair(Z, 0), f"pair 0 (Z={Z!r})", complex, None
 
 
@@ -400,18 +463,12 @@ def test_pair_residual_count(monkeypatch, Z, budget):
     # sqrt(Z - Z_crit) sized from the last correction took 956 and 2,590 (for
     # every broken pair).  The direct solve at Z of the four pairs took 25 and
     # 24 with one last step after the stop and a separate polish that
-    # re-evaluated the residual; with one shared polish it takes 21 and 17
+    # re-evaluated the residual; with one shared polish it takes 21 and 17.
+    # Each call gives the residual, its slope and its scale at one iterate
     spectral_core.find_critical_coupling.cache_clear()
-    real_residual = spectral_core.kappa_condition_residual
-    calls = [0]
-
-    def counting(E, Z):
-        calls[0] += 1
-        return real_residual(E, Z)
-
-    monkeypatch.setattr(spectral_core, "kappa_condition_residual", counting)
+    calls = counted(monkeypatch, spectral_core, "_pair_terms")
     classify_spectrum(Z, 8)
-    assert calls[0] <= budget
+    assert len(calls) <= budget
 
 
 @pytest.mark.parametrize("Z, count, budget", [(2.0, 21, 1), (98.0, 8, 0), (17.0, 8, 0)])
@@ -430,14 +487,7 @@ def test_critical_coupling_solves_the_curve_once_per_point(monkeypatch, nu):
     # Newton's residual and derivative at an iterate share one s(t); solving it
     # for each took 12-14 solves per band, and bisecting to 0.1 before Newton 8
     spectral_core.find_critical_coupling.cache_clear()
-    real_curve_s = spectral_core._curve_s
-    calls = []
-
-    def counting(t):
-        calls.append(t)
-        return real_curve_s(t)
-
-    monkeypatch.setattr(spectral_core, "_curve_s", counting)
+    calls = counted(monkeypatch, spectral_core, "_curve_s")
     find_critical_coupling(nu)
     spectral_core.find_critical_coupling.cache_clear()
     assert len(calls) <= 6
@@ -448,18 +498,14 @@ def test_real_level_residual_count(monkeypatch, Z):
     # one bracketed Newton per root, started at the root of G's linearization
     # about its band end; bisecting each root to 1e-8 before Newton took 672
     # calls at Z = 2, and Newton from the bracket's midpoint 193, 233, 338
-    # and 182 at these couplings
+    # and 182 at these couplings.  Each call gives G and dG/dt at one iterate
+    # (77, 62, 50 and 86 here); the critical couplings are solved first, so
+    # only the roots' calls are counted
     spectral_core.find_critical_coupling.cache_clear()
-    real_residual = spectral_core.matching_residual
-    calls = [0]
-
-    def counting(t, Z):
-        calls[0] += 1
-        return real_residual(t, Z)
-
-    monkeypatch.setattr(spectral_core, "matching_residual", counting)
     classify_spectrum(Z, 21)
-    assert calls[0] <= 100
+    calls = counted(monkeypatch, spectral_core, "_matching_terms")
+    classify_spectrum(Z, 21)
+    assert len(calls) <= 100
 
 
 @pytest.mark.parametrize("Z, bands", [
@@ -480,8 +526,8 @@ def test_roots_where_the_linearized_start_is_refused_against_mpmath(monkeypatch,
     real_newton = spectral_core._bracketed_newton
     calls = []
 
-    def recording(f, df, neg, pos, tol, what, start):
-        root = real_newton(f, df, neg, pos, tol, what, start)
+    def recording(evaluate, neg, pos, tol, what, start):
+        root = real_newton(evaluate, neg, pos, tol, what, start)
         if what.startswith("matching-residual"):
             calls.append((neg, pos, start, root))
         return root
@@ -597,7 +643,7 @@ def _pair_floor(E, Z):
     # of the pair residual, at large Z and next to an exceptional point
     rho, sigma = cmath.sqrt(-E - 1j * Z), cmath.sqrt(1j * Z - E)
     terms = abs(rho * coth(rho)) + abs(sigma * coth(sigma))
-    return 16 * 2.0 ** -52 * (abs(E) * abs(_kappa_condition_dE(E, Z)) + terms)
+    return 16 * 2.0 ** -52 * (abs(E) * abs(_pair_terms(E, Z)[1]) + terms)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -22,6 +22,7 @@ from ptwell import (
 from ptwell import susy_hierarchy
 from ptwell.susy_hierarchy import _CrumColumn, _seed_table, _sides
 from ptwell.wavefunctions import chebyshev_grid, limit_form
+from conftest import counted
 from well_reference import schrodinger_residual
 
 INTERIOR = (-0.85, -0.4, -0.15, 0.2, 0.55, 0.9)
@@ -199,25 +200,17 @@ def test_deep_member_hyperbolic_call_counts(monkeypatch):
     # psi's seed table and calls none
     h = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real,real"), 5, levels=8)
     psi, V = h[4].eigenfunctions(0), h[4].potential
-    calls = [0]
-
-    def counted(fn):
-        def wrapper(z):
-            calls[0] += 1
-            return fn(z)
-        return wrapper
-
-    monkeypatch.setattr(cmath, "sinh", counted(cmath.sinh))
-    monkeypatch.setattr(cmath, "cosh", counted(cmath.cosh))
+    sinh, cosh = counted(monkeypatch, cmath, "sinh"), counted(monkeypatch, cmath, "cosh")
     _seed_table.cache_clear()
     psi(0.3)
-    assert calls[0] <= 10
-    calls[0] = 0
+    assert len(sinh) + len(cosh) <= 10
+    sinh.clear()
+    cosh.clear()
     V(0.3)
-    assert calls[0] == 0
+    assert len(sinh) + len(cosh) == 0
     _seed_table.cache_clear()
     V(0.3)
-    assert calls[0] <= 8
+    assert len(sinh) + len(cosh) <= 8
 
 
 @pytest.mark.parametrize("x", [0.3, -0.3, 0.995])
@@ -607,22 +600,11 @@ def test_relations_check_work_counts(monkeypatch):
     # come from one spectrum, and each eigenfunction is built once and
     # sampled once at each point it needs (1,496 columns when member 2 was
     # read at x and -x through per-point caches and member 3 once per order)
-    columns, spectra = [0], [0]
-    column, classify = _CrumColumn._column, susy_hierarchy.classify_spectrum
-
-    def counting_column(self, x, unit):
-        columns[0] += 1
-        return column(self, x, unit)
-
-    def counting_classify(*args):
-        spectra[0] += 1
-        return classify(*args)
-
-    monkeypatch.setattr(_CrumColumn, "_column", counting_column)
-    monkeypatch.setattr(susy_hierarchy, "classify_spectrum", counting_classify)
+    columns = counted(monkeypatch, _CrumColumn, "_column")
+    spectra = counted(monkeypatch, susy_hierarchy, "classify_spectrum")
     _seed_table.cache_clear()
     hierarchy_relations_check(8.0)
-    assert (columns[0], spectra[0]) == (1331, 1)
+    assert (len(columns), len(spectra)) == (1331, 1)
     assert _seed_table.cache_info().misses <= 529
 
 

@@ -13,13 +13,12 @@ from ptwell import (
     gegenbauer_eval,
     limit_form,
     pt_defect,
-    pt_transform,
     solve_real_spectrum,
     square_well_eigenfunction,
     square_well_potential,
 )
 from ptwell.wavefunctions import normalize_sides
-from well_reference import schrodinger_residual, well_eigenfunction
+from well_reference import pt_transform, schrodinger_residual, well_eigenfunction
 
 EPS = 2.0 ** -52
 # the grid on which the well's Crum columns were compared with its closed form

@@ -1,4 +1,4 @@
-"""Closed forms of the well, and the Schrodinger stencil: referees for the library.
+"""Closed forms of the well, the Schrodinger stencil and the PT image: referees for the library.
 
 Not a test module.  Tests import it by name, like ``crum_reference``.
 
@@ -77,3 +77,10 @@ def schrodinger_residual(f, V, E: complex, x: float, h: float) -> complex:
     """Central-stencil residual -f'' + (V - E) f at x; x +- h must lie on x's side, inside the walls."""
     lap = (complex(f(x + h)) - 2.0 * complex(f(x)) + complex(f(x - h))) / h ** 2
     return -lap + (complex(V(x)) - E) * complex(f(x))
+
+
+def pt_transform(f):
+    """The PT image of a callable: x -> conj(f(-x))."""
+    def g(x):
+        return complex(f(-x)).conjugate()
+    return g
