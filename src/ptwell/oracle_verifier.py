@@ -86,9 +86,11 @@ BLOCK = 16
 ROOT_TOL = 1e-10       # |normalized mismatch| below which a secant run has converged
 DELTA = 1e-6           # start offset from each wall, where psi = DELTA^p
 # relative deviation of a left sample from its right partner's conjugate up
-# to which a potential integrates one side: pair-eliminated members deviate
-# by at most 4e-14, members within 1e-4 of Z_crit(0) by 1.6e-12 to 3.5e-8
-# (docs/decisions.md)
+# to which a potential integrates one side.  A PT-symmetric Crum member's
+# left side conjugates its right one, so its samples mirror exactly; the
+# tolerance is for other potentials.  Built from their own seeds, left sides
+# of pair-eliminated members deviated by at most 4e-14, and within 1e-4 of
+# Z_crit(0) by 1.6e-12 to 3.5e-8 (docs/decisions.md)
 MIRROR_TOL = 1e-12
 # share of a block entry's terms up to E^K, at the power of two above |E|,
 # that its terms above E^K may sum to for Horner's rule to stop at E^K: below
@@ -618,9 +620,8 @@ def find_spectrum_numeric(V, count: int, search_box, cfg: ShootingConfig = Shoot
     is scanned for real roots at GRID_RESOLUTION points; the scan is the
     one place the pt_symmetric flag is read: it asks whether the mismatch
     is real on the real axis, which holds for every PT-symmetric
-    potential, also for the members just above Z_crit(0) whose samples
-    differ from their mirror image by more than MIRROR_TOL and so take
-    both sides.  Seeds (`ptwell verify` passes every closed level) start
+    potential, also for one whose samples differ from their mirror image
+    by more than MIRROR_TOL and so take both sides.  Seeds (`ptwell verify` passes every closed level) start
     the other runs.  Every root comes from one damped secant (`_secant`):
     on the real mismatch from a scan bracket's two points, so real roots
     stay exactly real, and on the complex mismatch from E and

@@ -95,9 +95,11 @@ def halfplane_sqrt(w: complex) -> complex:
 def kappa_from_energy(E: float, Z: float):
     """Map a real energy to the WaveNumber kappa = s - i t, 2st = Z, t^2 - s^2 = E.
 
-    kappa^2 = -E - iZ; s >= 0 and t > 0 (fourth quadrant).  Raises for
-    E <= 0 at Z = 0 where t would vanish.
+    kappa^2 = -E - iZ; s >= 0 and t > 0 (fourth quadrant).  Raises
+    ValueError for a coupling `_check_coupling` refuses, and for E <= 0 at
+    Z = 0 where t would vanish.
     """
+    _check_coupling(Z)
     if Z == 0 and E <= 0:
         raise ValueError("E must be positive when Z = 0")
     t = math.sqrt((E + math.hypot(E, Z)) / 2.0)
@@ -310,9 +312,17 @@ def _check_coupling(Z: float):
         raise ValueError("coupling must be finite and >= 0")
 
 
+def _check_count(count: int):
+    """A level count is a nonnegative int: a negative one would return no
+    levels, and a float fail as a slice bound."""
+    if not (isinstance(count, int) and count >= 0):
+        raise ValueError(f"level count must be a nonnegative integer, not {count!r}")
+
+
 def solve_real_spectrum(Z: float, count: int):
     """First `count` real levels, increasing; bands whose pair went complex are skipped."""
     _check_coupling(Z)
+    _check_count(count)
     levels = []
     nu = 0
     while len(levels) < count:
@@ -467,6 +477,8 @@ def solve_complex_pair(Z: float, nu: int):
     have chosen anyway.
     """
     _check_coupling(Z)
+    if nu < 0:
+        raise ValueError("band index must be nonnegative")
     crit = None if _far_above_critical(Z, nu) else find_critical_coupling(nu)
     stage = f"pair {nu} (Z={Z})"
     if crit is not None and Z <= crit.z_crit:
@@ -497,6 +509,7 @@ def classify_spectrum(Z: float, count: int) -> Spectrum:
     `ConvergenceError` names it.
     """
     _check_coupling(Z)
+    _check_count(count)
     entries = []
     nu = 0
     while 2 * len(entries) < count and _band_split(Z, nu) is None:

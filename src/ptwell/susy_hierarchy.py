@@ -16,14 +16,17 @@ member's seeds; its potential, each of its eigenfunctions and its next
 step's superpotential read that table.  Member 1, the well, is the member
 with no seeds: its columns are the sinh(kappa u) themselves.
 Since sigma(E) = conj rho(E*), a member is PT-symmetric exactly when its
-eliminated energies are closed under conjugation.
+eliminated energies are closed under conjugation.  Such a member's left side
+is the conjugate mirror of its right one (`_sides`): V(-x) = conj V(x), and
+each real level has psi(-x) = conj psi(x), both exactly, from one
+evaluation per mirror pair of points.
 """
 import cmath
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .spectral_core import (Branch, ConvergenceError, IllegalPlanError, SpectralLevel,
                             Spectrum, classify_spectrum, find_critical_coupling)
@@ -100,6 +103,10 @@ _INV_FACTORIAL = [1.0 / math.factorial(m) for m in range(171)]  # 170! is the la
 # member 3, at x and -x) in one grid sweep per eigenfunction and orientation,
 # coming back to most of them once per level; at this bound it builds each once
 _SEED_TABLES = 512
+# right-side eigenfunction values kept for the left side at -x: a sweep over a
+# grid symmetric under x -> -x, hierarchy_relations_check's 101 points or the
+# benchmark's 200, reads each value twice within 101 distinct points
+_MIRROR_VALUES = 512
 _NO_SEEDS = (0j, (), (), ())  # `_darboux` of no seed columns, at every x
 
 
@@ -199,11 +206,16 @@ class _CrumSide:
     (docs/decisions.md).  V has n = k; a level has n = k + 1 with its own
     kappa in the max, so at one x a level may read the near table where V
     reads the far one.  The series reaches the levels' crossover, no further.
+
+    A left side with `mirror`, the right side of a PT-symmetric member, has
+    the conjugate seeds in the right side's order: its table at x is the
+    conjugate of the right side's at -x (the same u), and its V there
+    c + conj U reads the right side's table itself.
     """
 
-    def __init__(self, c: complex, sign: float, attr: str, kappas: tuple):
+    def __init__(self, c: complex, sign: float, attr: str, kappas: tuple, mirror=None):
         self.c, self.sign, self.attr = c, sign, attr  # the well's value on this side; +1 on the right
-        self.kappas = kappas
+        self.kappas, self.mirror = kappas, mirror
         self.lams = lams = [k * k for k in self.kappas]
         self.steps = [(lam, [m - lam for m in lams[s + 1:]]) for s, lam in enumerate(lams)]
         k = len(lams)
@@ -249,20 +261,25 @@ class _CrumSide:
 
     def potential(self, x: float) -> complex:
         u = 1.0 - self.sign * x
-        return self.c + _seed_table(self, x, int(abs(u) * self.per_u) < self.v_buckets)[0]
+        near = int(abs(u) * self.per_u) < self.v_buckets
+        if self.mirror is None:
+            return self.c + _seed_table(self, x, near)[0]
+        return self.c + _seed_table(self.mirror, -x, near)[0].conjugate()
 
     def potential_array(self, x):
         """V over a float64 numpy array of x, each bucket's points at once."""
         import numpy as np  # callers that pass arrays have it loaded already
 
+        source = self.mirror or self
         u = 1.0 - self.sign * x
         buckets = (abs(u) * self.per_u).astype(int)
         buckets[buckets >= self.v_buckets] = -1
         V = np.empty(u.shape, dtype=np.complex128)
         for bucket in np.unique(buckets).tolist():
             points = buckets == bucket
-            fs, ds = self._columns(u[points], bucket, np)
-            V[points] = self.c + _darboux(fs, ds, self.steps, bucket >= 0)[0]
+            fs, ds = source._columns(u[points], bucket, np)
+            U = _darboux(fs, ds, source.steps, bucket >= 0)[0]
+            V[points] = self.c + (U if source is self else U.conjugate())
         return V
 
 
@@ -270,6 +287,10 @@ class _CrumSide:
 def _seed_table(side: _CrumSide, x: float, near: bool):
     """`_darboux` of the side's seed columns at x, in the near-wall basis if near.
     Every reader of the side at x gets the same lists: they are read-only."""
+    if side.mirror is not None:
+        U, ws, w2s, last = _seed_table(side.mirror, -x, near)
+        return (U.conjugate(), [w.conjugate() for w in ws], [w2.conjugate() for w2 in w2s],
+                [f.conjugate() for f in last])
     u = 1.0 - side.sign * x
     fs, ds = side._columns(u, int(abs(u) * side.per_u) if near else -1, cmath)
     return _darboux(fs, ds, side.steps, near)
@@ -341,13 +362,21 @@ class _CrumColumn:
 # hierarchy_relations_check holds 12 at once, 8 of them distinct (both orders
 # share the well and member 3), and an evicted side builds its own
 _side = lru_cache(maxsize=32)(_CrumSide)
+# (psi, psi') of a real level's right column, by column and x; see `_eigenfunction`
+_mirror_value = lru_cache(maxsize=_MIRROR_VALUES)(_CrumColumn.eigenfunction)
 
 
 def _sides(Z: float, seeds):
-    """The right and left _CrumSide of the levels `seeds`."""
-    return [_side(c, sign, attr, tuple(getattr(lv, attr).value for lv in seeds))
-            for c, sign, attr in ((complex(0.0, -Z), 1.0, "kappa_right"),
-                                  (complex(0.0, Z), -1.0, "kappa_left"))]
+    """The right and left _CrumSide of the levels `seeds`: when their energies
+    are closed under conjugation, the left side mirrors the right one."""
+    right = _side(complex(0.0, -Z), 1.0, "kappa_right", tuple(lv.kappa_right.value for lv in seeds))
+    # pair members are exact conjugates (spectral_core); real levels have Im E = 0
+    energies = [lv.energy for lv in seeds]
+    if all(E.conjugate() in energies for E in energies):
+        return [right, _side(complex(0.0, Z), -1.0, "kappa_left",
+                             tuple(k.conjugate() for k in right.kappas), right)]
+    return [right, _side(complex(0.0, Z), -1.0, "kappa_left",
+                         tuple(lv.kappa_left.value for lv in seeds))]
 
 
 def _canonical(levels) -> list:
@@ -355,12 +384,10 @@ def _canonical(levels) -> list:
     return sorted(levels, key=lambda lv: (lv.energy.real, lv.energy.imag))
 
 
-def _crum_potential(sides, eliminated) -> PiecewisePotential:
+def _crum_potential(sides) -> PiecewisePotential:
     right, left = sides
-    # pair members are exact conjugates (spectral_core); real levels have Im E = 0
-    energies = [lv.energy for lv in eliminated]
-    return PiecewisePotential(right.potential, left.potential, len(eliminated) + 1,
-                              all(E.conjugate() in energies for E in energies),
+    return PiecewisePotential(right.potential, left.potential, len(right.kappas) + 1,
+                              left.mirror is not None,
                               (right.potential_array, left.potential_array))
 
 
@@ -409,11 +436,30 @@ def intertwine(W: Superpotential, psi: PiecewiseEigenfunction) -> PiecewiseEigen
 
 
 def _eigenfunction(level: SpectralLevel, sides) -> PiecewiseEigenfunction:
-    """The eigenfunction of `level` on the member with these sides: a column per side."""
+    """The eigenfunction of `level` on the member with these sides: a column per side.
+
+    On a mirrored member a real level has psi(-x) = conj psi(x) and
+    psi'(-x) = -conj psi'(x): the left side conjugates the right side's
+    values at -x, which `_mirror_value` keeps, so each mirror pair of
+    points is evaluated once.  The left wall, where psi = 0 and
+    conjugation would flip the signs of its zero parts, and the points
+    past it read the left column, normalized by the mirror of the right
+    side's origin values."""
     right, left = columns = [_CrumColumn(side, level) for side in sides]
-    right.norm, left.norm = origin_scales(*((f, d * -col.side.sign) for col in columns
-                                            for f, d, _ in [col._column(0.0, False)]))
-    return PiecewiseEigenfunction(level, right.eigenfunction, left.eigenfunction)
+    if sides[1].mirror is None or level.energy.imag:
+        right.norm, left.norm = origin_scales(*((f, d * -col.side.sign) for col in columns
+                                                for f, d, _ in [col._column(0.0, False)]))
+        return PiecewiseEigenfunction(level, right.eigenfunction, left.eigenfunction)
+    f, d, _ = right._column(0.0, False)  # d/dx = -sign d/du, as above
+    right.norm, left.norm = origin_scales((f, d * -1.0), (f.conjugate(), d.conjugate() * 1.0))
+
+    def mirrored(x):
+        if x <= -1.0:
+            return left.eigenfunction(x)
+        p, d = _mirror_value(right, -x)
+        return p.conjugate(), -d.conjugate()
+
+    return PiecewiseEigenfunction(level, partial(_mirror_value, right), mirrored)
 
 
 def square_well_eigenfunction(level: SpectralLevel) -> PiecewiseEigenfunction:
@@ -440,6 +486,13 @@ def build_hierarchy(Z: float, plan: EliminationPlan, depth: int, levels: int = 8
     return _chain(classify_spectrum(Z, levels), plan, depth)
 
 
+def _member_eigenfunction(levels, sides, n: int) -> PiecewiseEigenfunction:
+    """A member's `eigenfunctions(n)`: its level n's, for 0 <= n < len(levels)."""
+    if not 0 <= n < len(levels):
+        raise IndexError(f"level {n} of a member with {len(levels)} levels")
+    return _eigenfunction(levels[n], sides)
+
+
 def _chain(spectrum: Spectrum, plan: EliminationPlan, depth: int):
     """Members 1..depth of the chain `plan` (depth - 1 steps or more) makes of the well's spectrum."""
     Z = spectrum.coupling
@@ -448,16 +501,16 @@ def _chain(spectrum: Spectrum, plan: EliminationPlan, depth: int):
     for m in range(1, depth + 1):
         # V, every psi_n and W of a member read one pair of sides, and so share its seed tables
         sides = _sides(Z, _canonical(eliminated))
-        potential = _crum_potential(sides, eliminated) if eliminated else square_well_potential(Z)
+        potential = _crum_potential(sides) if eliminated else square_well_potential(Z)
         choice = plan.choices[m - 1] if m - 1 < len(plan.choices) else None
         W = None
         if choice is not None:
             level = _elim_level(spectrum, choice)
             W = Superpotential(*(_CrumColumn(side, level).superpotential for side in sides), level.energy)
         # the defaults bind this member's levels and sides, not the loop's last
-        members.append(HierarchyMember(
-            m, potential, W, spectrum,
-            lambda n, levels=spectrum.levels, sides=sides: _eigenfunction(levels[n], sides), eliminated))
+        members.append(HierarchyMember(m, potential, W, spectrum,
+                                       partial(_member_eigenfunction, spectrum.levels, sides),
+                                       eliminated))
         if m == depth:
             break
         eliminated += (level,)

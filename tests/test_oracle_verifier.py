@@ -619,7 +619,8 @@ def test_conjugate_energies_share_one_side(monkeypatch):
 
 
 def test_pair_eliminated_members_mirror_within_rounding():
-    # the Crum tables of a conjugate pair mirror each other to about 4e-14
+    # a member that eliminated a conjugate pair conjugates its right side
+    # on the left (its own seed tables mirrored each other to about 4e-14)
     for mem in build_hierarchy(8.0, EliminationPlan.from_text("clower,cupper,real,real"), 5,
                                levels=9)[2:]:
         V = mem.potential
@@ -637,15 +638,6 @@ def _non_pt_member():
     return build_hierarchy(8.0, EliminationPlan.from_text("clower"), 2, levels=5)[1].potential
 
 
-def _member_just_above_z_crit():
-    # the pair's tables cancel there: its sides are a mirror image only to
-    # about 2e-10
-    near = find_critical_coupling(0).z_crit + 1e-8
-    V = build_hierarchy(near, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
-    assert V.pt_symmetric
-    return V
-
-
 def _flagged_off_mirror():
     # member 2's right side, a left side conj V(-x) (1 + 1e-9) and the PT
     # flag set; without the factor the sides are mirrored
@@ -660,7 +652,7 @@ def _flagged_off_mirror():
     return flagged(1.0 + 1e-9)
 
 
-@pytest.mark.parametrize("build", [_non_pt_member, _member_just_above_z_crit, _flagged_off_mirror])
+@pytest.mark.parametrize("build", [_non_pt_member, _flagged_off_mirror])
 def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
     # the samples decide, never the pt_symmetric flag
     V = build()
@@ -671,6 +663,28 @@ def test_unmirrored_potentials_take_both_sides_bit_for_bit(build, monkeypatch):
     got = mismatches(V, Es, cfg)
     assert products == [(2, len(Es))]
     assert _bits(got) == _bits(two_sided_mismatches(V, Es, cfg))
+
+
+def test_member_just_above_z_crit_is_an_exact_mirror(monkeypatch):
+    # the pair's tables cancel there, and the left side, computed from its
+    # own seeds, was a mirror image only to about 2e-10, so both sides were
+    # integrated.  The left side now conjugates the right one: every left
+    # sample is the conjugate of its right partner, bit for bit, and one
+    # side is integrated, within rounding of both sides integrated
+    near = find_critical_coupling(0).z_crit + 1e-8
+    V = build_hierarchy(near, EliminationPlan.from_text("clower,cupper"), 3, levels=5)[2].potential
+    assert V.pt_symmetric
+    cfg = ShootingConfig(h=2e-3, p=V.endpoint_exponent)
+    sides = _sampled_sides(V, cfg.h).sides
+    for right, left in zip(sides[Side.RIGHT][:2], sides[Side.LEFT][:2]):
+        assert left.tobytes() == np.conj(right).tobytes()
+    assert _mirrored(V, cfg.h)
+    Es = _REAL_ENERGIES + _COMPLEX_ENERGIES
+    products = _count_sides(monkeypatch)
+    got = mismatches(V, Es, cfg)
+    assert products[0][0] == 1
+    for m, w in zip(got, two_sided_mismatches(V, Es, cfg)):
+        assert abs(m.normalized - w.normalized) <= 1e-12
 
 
 def test_partner_sides_are_not_constant():

@@ -81,6 +81,29 @@ def test_kappa_from_energy_rejects_nonpositive_zero_coupling():
         kappa_from_energy(-1.0, 0.0)
 
 
+@pytest.mark.parametrize("Z", [-1.0, -1e-300, math.nan, math.inf])
+def test_kappa_from_energy_refuses_an_invalid_coupling(Z):
+    # at Z = -1 it returned s < 0, -0.455 - 1.099i, outside its quadrant
+    with pytest.raises(ValueError, match="coupling must be finite and >= 0"):
+        kappa_from_energy(1.0, Z)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, "3", None])
+@pytest.mark.parametrize("solve", [classify_spectrum, solve_real_spectrum])
+def test_invalid_level_count_is_refused(solve, count):
+    # a negative count returned no levels, 2.5 raised a slice TypeError
+    with pytest.raises(ValueError, match="level count must be a nonnegative integer"):
+        solve(2.0, count)
+    assert len(solve(2.0, 0) if solve is solve_real_spectrum else solve(2.0, 0).levels) == 0
+
+
+@pytest.mark.parametrize("nu", [-1, -2])
+def test_complex_pair_refuses_a_negative_band(nu):
+    # band_bounds(-1) puts the band's top at t = 0: a ZeroDivisionError before
+    with pytest.raises(ValueError, match="band index must be nonnegative"):
+        solve_complex_pair(8.0, nu)
+
+
 @pytest.mark.parametrize("Z", [math.nan, math.inf, -math.inf, -1.0])
 @pytest.mark.parametrize("solve", [
     lambda Z: classify_spectrum(Z, 4),

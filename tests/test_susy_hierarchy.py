@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from ptwell import (
     square_well_potential,
 )
 from ptwell import susy_hierarchy
-from ptwell.susy_hierarchy import _CrumColumn, _seed_table, _sides
+from ptwell.susy_hierarchy import _CrumColumn, _mirror_value, _seed_table, _sides
 from ptwell.wavefunctions import chebyshev_grid, limit_form
 from conftest import counted
 from well_reference import schrodinger_residual
@@ -213,13 +214,15 @@ def test_deep_member_hyperbolic_call_counts(monkeypatch):
     assert len(sinh) + len(cosh) <= 8
 
 
-@pytest.mark.parametrize("x", [0.3, -0.3, 0.995])
-def test_warm_sample_call_counts(x):
+@pytest.mark.parametrize("x, psi_calls", [(0.3, 1), (-0.3, 2), (0.995, 1)])
+def test_warm_sample_call_counts(x, psi_calls):
     # Python calls of one warm sample, as sys.setprofile counts them: psi is
-    # PiecewisePair.__call__, the column's eigenfunction and its column
-    # evaluator, V is PiecewisePotential.__call__ and the side's potential.
-    # The seed table is a hit in a C cache that hashes the side by identity.
-    # With a wrapper per layer and a Python __hash__ they were 7 and 3
+    # PiecewisePair.__call__, and on the left the side that conjugates the
+    # right side's kept value; V is PiecewisePotential.__call__ and the
+    # side's potential.  The kept value and the seed table are hits in C
+    # caches that hash the column and the side by identity.  With a column
+    # evaluator per sample psi was 3 on both sides, and with a wrapper per
+    # layer and a Python __hash__ they were 7 and 3
     member = build_hierarchy(2.0, EliminationPlan.from_text("real,real,real"), 4, levels=6)[3]
     counts = {}
     for name, f in (("psi", member.eigenfunctions(0)), ("V", member.potential)):
@@ -235,7 +238,7 @@ def test_warm_sample_call_counts(x):
         finally:
             sys.setprofile(None)
         counts[name] = calls[0]
-    assert counts == {"psi": 3, "V": 2}
+    assert counts == {"psi": psi_calls, "V": 2}
 
 
 @pytest.mark.parametrize("Z", [5e5, 1e6, 1e8])
@@ -335,14 +338,22 @@ def test_superpotential_slope_builds_one_table(x, monkeypatch):
 @pytest.mark.parametrize("Z, plan", [(2.0, "real"), (8.0, "clower")])
 def test_the_well_builds_no_seed_table(Z, plan, monkeypatch):
     # the well has no seeds, so its table is one constant at every x: its
-    # eigenfunctions and W read no cache.  Member 2 still builds its own
+    # eigenfunctions and W read no cache.  Member 2 still builds its own.
+    # The well is PT-symmetric, so a real level's eigenfunction evaluates
+    # one column per mirror pair of points and one at the origin (202 per
+    # level before), and a complex level's both sides
     grid = [j * 0.0099 for j in range(-100, 101)]
     well, partner = build_hierarchy(Z, EliminationPlan.from_text(plan), 2, levels=4)
     built = _count_tables(monkeypatch)
+    columns = counted(monkeypatch, _CrumColumn, "_column")
+    per_level = []
     for n in range(4):
+        before = len(columns)
         psi = well.eigenfunctions(n)
         for x in grid:
             psi.value_and_slope(x)
+        per_level.append(len(columns) - before)
+    assert per_level == [102 if not lv.energy.imag else 203 for lv in well.spectrum.levels]
     for x in grid:
         well.superpotential.value_and_slope(x)
     assert built == [] and _seed_table.cache_info().currsize == 0
@@ -359,12 +370,15 @@ def test_potential_and_eigenfunctions_share_seed_tables(Z, plan, monkeypatch):
     # (u = 1), where it is normalized, and at grid points only in the near
     # basis where no earlier read used it.  In a real plan psi_1 has the
     # larger kappa, so its near points are psi_0's and it builds none.
+    # On a PT-symmetric member every table is the right side's, built once
+    # for both points of a mirror pair.
     grid = [j * 0.0099 for j in range(-100, 101) if j]
     for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)[1:]:
         built = _count_tables(monkeypatch)
         for x in grid:
             member.potential(x)
-        assert len(built) == len(grid)
+        mirrored = member.potential.pt_symmetric
+        assert len(built) == len(grid) // (2 if mirrored else 1)
         for n in range(2):
             before = len(built)
             psi = member.eigenfunctions(n)
@@ -374,20 +388,25 @@ def test_potential_and_eigenfunctions_share_seed_tables(Z, plan, monkeypatch):
             if n == 1 and "c" not in plan:
                 assert len(built) == before
         assert len(set(built)) == len(built)
+        if mirrored:
+            right = _sides(Z, member.eliminated)[0]
+            assert all(side is right for side, _, _ in built)
         monkeypatch.undo()
 
 
 def test_both_pair_orders_share_member_3_tables(monkeypatch):
     # the two orders that eliminate a pair reach one member 3: equal sides,
-    # so the second order's potential reads the first one's seed tables
+    # so the second order's potential reads the first one's seed tables.
+    # Member 3 is PT-symmetric, so both of its sides read the right side's
+    # tables, one per distinct |x|: 83 of the 101 points (101 before)
     a, b = (build_hierarchy(8.0, EliminationPlan.from_text(plan), 3)[2]
             for plan in ("clower,cupper", "cupper,clower"))
     grid = chebyshev_grid(101)
     built = _count_tables(monkeypatch)
     first = [a.potential(x) for x in grid]
-    assert len(built) == len(grid)
+    assert len(built) == len({abs(x) for x in grid}) == 83
     assert [b.potential(x) for x in grid] == first
-    assert len(built) == len(grid)
+    assert len(built) == 83
 
 
 def _bits(value):
@@ -550,32 +569,34 @@ def _leaves(report, prefix=""):
 
 # hierarchy_relations_check(Z, levels=3) as float.hex, in the report's order,
 # at Z_crit(0) + 1e-3, 8.0 and 12.8: which points are sampled how often may
-# change, the arithmetic and its order may not
+# change, the arithmetic and its order may not.  Member 3 mirrors its right
+# side exactly, so its PT defects are 0 and its ratio variances what the
+# division psi/psi leaves
 _RELATIONS_HEX = {
     "above_crit0": (
         '0x0.0p+0', '0x0.0p+0', '0x1.0c3f2af1ba0e0p-112', '0x1.610d4a0945065p-61',
         '0x1.5f665d53f06bap-115', '0x1.778e263ae1fd4p-61', '0x1.498e9a7a59819p-120',
-        '0x1.ea058769b0b9ep-64', '0x1.75a9b7c4bc099p-93', '0x1.a64341036e164p-54',
-        '0x1.2c4d0994c6819p-91', '0x1.cbb29ff4c348bp-45', '0x1.05d3ea64543a5p-90',
-        '0x1.c883581560512p-48', '0x1.75a9b7c4bc099p-93', '0x1.fbd085bc5746bp-48',
-        '0x1.2c4d0994c6819p-91', '0x1.c78870696b96ap-45', '0x1.05d3ea64543a5p-90',
-        '0x1.dddf8e874dca3p-46', '0x1.ea09709da944fp-7'),
+        '0x1.ea058769b0b9ep-64', '0x1.c374d31a0cc3ep-119', '0x1.9079a9d260512p-110',
+        '0x1.fb1b7f53f13aep-120', '0x1.7e88fc697bc00p-63', '0x1.c3fca9b3a73abp-115',
+        '0x1.00dd191a33144p-60', '0x1.c374d31a0cc3ep-119', '0x0.0p+0',
+        '0x1.fb1b7f53f13aep-120', '0x0.0p+0', '0x1.c3fca9b3a73abp-115',
+        '0x0.0p+0', '0x1.ea09709da944fp-7'),
     8.0: (
         '0x0.0p+0', '0x0.0p+0', '0x1.bc30e2a2c8b4bp-115', '0x1.754ce248bf321p-61',
         '0x1.b6875e5d60e5fp-114', '0x1.63d6b68152000p-64', '0x1.2165e267ce11dp-115',
-        '0x1.1eab80771ce2cp-62', '0x1.042801625376ep-101', '0x1.789faf753424cp-56',
-        '0x1.2a96593c5e5d7p-101', '0x1.0dfaaf73cc872p-50', '0x1.2de306bb8c4eap-102',
-        '0x1.18027c4e8ab25p-53', '0x1.042801625376ep-101', '0x1.3b25b455b17dbp-51',
-        '0x1.2a96593c5e5d7p-101', '0x1.3a6b6fa809e59p-50', '0x1.2de306bb8c4eap-102',
-        '0x1.49a4bc7575bf5p-51', '0x1.6714459de2ac8p-1'),
+        '0x1.1eab80771ce2cp-62', '0x1.5fd1b3f4e172ap-113', '0x1.a430788b171d5p-61',
+        '0x1.1cf011bae5ecfp-114', '0x1.8c8741ce27ef3p-60', '0x1.5cb14eadf2f72p-117',
+        '0x1.a6d31110889a5p-62', '0x1.5fd1b3f4e172ap-113', '0x0.0p+0',
+        '0x1.1cf011bae5ecfp-114', '0x0.0p+0', '0x1.5cb14eadf2f72p-117',
+        '0x0.0p+0', '0x1.6714459de2ac8p-1'),
     12.8: (
         '0x0.0p+0', '0x0.0p+0', '0x1.24c7011cf4a96p-113', '0x1.0746251f745ebp-60',
         '0x1.0e4f7d398502dp-113', '0x1.9038b99cdc11bp-62', '0x1.c45042c9d47b1p-113',
-        '0x1.67b9d2646c877p-60', '0x1.d9d0fd62f2dd2p-102', '0x1.2ec152f370656p-52',
-        '0x1.dcdbe9411d2aap-101', '0x1.939cf284e091bp-54', '0x1.c1b089ed7f3b9p-102',
-        '0x1.bcf7a31e190f1p-53', '0x1.d9d0fd62f2dd2p-102', '0x1.614a13391b818p-51',
-        '0x1.dcdbe9411d2aap-101', '0x1.bb2b6000d1dc7p-51', '0x1.c1b089ed7f3b9p-102',
-        '0x1.14b686ec8178bp-51', '0x1.c3c2c81cdb652p-1'),
+        '0x1.67b9d2646c877p-60', '0x1.c1fc3b07adbfdp-111', '0x1.535d39d9911ffp-60',
+        '0x1.7a3842c00415dp-111', '0x1.1d5cb0b3d2925p-58', '0x1.a2da8af307396p-114',
+        '0x1.e3ac9f8116654p-60', '0x1.c1fc3b07adbfdp-111', '0x0.0p+0',
+        '0x1.7a3842c00415dp-111', '0x0.0p+0', '0x1.a2da8af307396p-114',
+        '0x0.0p+0', '0x1.c3c2c81cdb652p-1'),
 }
 
 
@@ -596,16 +617,20 @@ def test_relations_report_bit_for_bit(at):
 
 
 def test_relations_check_work_counts(monkeypatch):
-    # one check at Z = 8 from an empty seed-table cache: both orders' chains
-    # come from one spectrum, and each eigenfunction is built once and
-    # sampled once at each point it needs (1,496 columns when member 2 was
-    # read at x and -x through per-point caches and member 3 once per order)
+    # one check at Z = 8 from empty caches: both orders' chains come from
+    # one spectrum, and each eigenfunction is built once and sampled once at
+    # each point it needs; member 3 is PT-symmetric, so its real levels take
+    # one column per mirror pair of points and its V one table.  (1,331
+    # columns and 529 tables when member 3 evaluated x and -x apart, 1,496
+    # columns when member 2 was read at x and -x through per-point caches
+    # and member 3 once per order)
     columns = counted(monkeypatch, _CrumColumn, "_column")
     spectra = counted(monkeypatch, susy_hierarchy, "classify_spectrum")
     _seed_table.cache_clear()
+    _mirror_value.cache_clear()
     hierarchy_relations_check(8.0)
-    assert (len(columns), len(spectra)) == (1331, 1)
-    assert _seed_table.cache_info().misses <= 529
+    assert (len(columns), len(spectra)) == (971, 1)
+    assert _seed_table.cache_info().misses <= 436
 
 
 def test_relations_check_structure():
@@ -622,3 +647,137 @@ def test_relations_check_structure():
     for stats in rel["eigenfunction_mirror"].values():
         assert stats["ratio_variance"] < 1e-10
         assert stats["ratio_imag_frac"] < 1e-10
+
+
+# the benchmark's grid, symmetric under x -> -x, and the chains of
+# test_potential_and_eigenfunctions_share_seed_tables
+BENCH_GRID = [-(j * 0.0099) for j in range(100, 0, -1)] + [j * 0.0099 for j in range(1, 101)]
+MIRROR_CHAINS = ((0.0, "real,real,real,real"), (2.0, "real,real,real,real"),
+                 (8.0, "clower,cupper,real,real"), (18.0, "clower,cupper,clower,cupper"))
+
+
+def _oracle_positions(h):
+    """The right side's node positions of the oracle at step h, the origin node included."""
+    n = max(1, round((1.0 - 1e-6) / h))
+    return [(1.0 - 1e-6) * (n - k) / n for k in range(n + 1)]
+
+
+def test_pt_members_are_exact_mirrors():
+    # V(-x) = conj V(x) on every PT member, and psi(-x) = conj psi(x),
+    # psi'(-x) = -conj psi'(x) for its real levels, bit for bit, by each
+    # side's evaluator (the origin node sits on the right), and for V by
+    # the oracle's array evaluators too.  At Z = 0 V is real, and its left
+    # side c + conj U keeps the signs of zero imaginary parts it had before
+    # the mirror, which conj V(x) flips: there V is compared by value
+    for h in (1e-3, 2e-4):
+        positions = _oracle_positions(h)
+        xs = [x for x in BENCH_GRID if x > 0] + positions
+        for Z, plan in MIRROR_CHAINS:
+            for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8):
+                V = member.potential
+                if not V.pt_symmetric:
+                    continue
+                key = _bits if Z else complex
+                assert [key(V.left_eval(-x)) for x in xs] == [
+                    key(V.right_eval(x).conjugate()) for x in xs], (Z, plan, member.depth)
+                if V.arrays:
+                    right, left = (ev(np.array(positions) * sign) for ev, sign in zip(V.arrays, (1, -1)))
+                    if Z:
+                        assert left.tobytes() == np.conj(right).tobytes()
+                    else:
+                        assert np.array_equal(left, np.conj(right))
+                for n, level in enumerate(member.spectrum.levels[:2]):
+                    if level.energy.imag:
+                        continue
+                    f = member.eigenfunctions(n)
+                    for x in xs[::1 if h == 1e-3 else 7]:
+                        p, d = f.right(x)
+                        assert _bits(f.left(-x)) == _bits((p.conjugate(), -d.conjugate())), (
+                            Z, plan, member.depth, n, x)
+
+
+# sha256 of the float.hex of V, (psi, psi') of levels 0 and 1 and (W, W') on
+# the benchmark's grid, and of V's array samples at the oracle's positions
+# at h = 1e-3 (both sides), for every member of MIRROR_CHAINS that is not
+# PT-symmetric or eliminated real levels only: these read no mirror, or one
+# that conjugation leaves bit for bit, and were taken before the mirror.
+# At Z = 0 every level is real or imaginary, and the mirror sets the signs
+# of the left side's zero parts by conjugation; there psi is pinned with
+# -0.0 read as 0.0
+_KEPT_BITS = {
+    (0.0, 'real,real,real,real', 1): {'V': 'ca15620075e5c2ad', 'psi0': '9b7531c791c8ec07', 'psi1': '27f973d66d175939', 'W': 'dfc9597321d7b952'},
+    (0.0, 'real,real,real,real', 2): {'V': 'b20c76d40be69cad', 'Varr': '37fcf7b4d231139a', 'psi0': 'c073456229ce2e26', 'psi1': '43cc68904b2f9059', 'W': '9a8681a0f6818db0'},
+    (0.0, 'real,real,real,real', 3): {'V': '25a9bd8f6deeb2c6', 'Varr': '15e03beb0f12386f', 'psi0': 'f6ba5566cf4ef666', 'psi1': 'fe95e4f49fe9e350', 'W': 'f6ec885e89a2fe71'},
+    (0.0, 'real,real,real,real', 4): {'V': '25872c0927690c77', 'Varr': '240a0223dd042a1f', 'psi0': 'a4506a117484ad65', 'psi1': '89b9e045c8cfd7f5', 'W': '4355f61315e3ab1b'},
+    (0.0, 'real,real,real,real', 5): {'V': 'e007b23624f22af7', 'Varr': '6d4c0aa633775d44', 'psi0': 'ad7f52cafa4064e4', 'psi1': 'b9cce200ccedb5d8'},
+    (2.0, 'real,real,real,real', 1): {'V': '079f9f0c03ffdea4', 'psi0': '2e1b83e1a48fa6ed', 'psi1': 'df2f55db31782770', 'W': '5ce29dbb86948b15'},
+    (2.0, 'real,real,real,real', 2): {'V': '068654fffead6d50', 'Varr': 'c431e482172cca82', 'psi0': '2540bfa108dc07ab', 'psi1': '7125871f7745242d', 'W': 'a7d22a76a0b955a1'},
+    (2.0, 'real,real,real,real', 3): {'V': '8570105ff6b675c2', 'Varr': '63646b6cec503568', 'psi0': '7d3b5638e11cc9d5', 'psi1': '15ddc460ed495917', 'W': '1940105b8c013066'},
+    (2.0, 'real,real,real,real', 4): {'V': '339b72ef1c58a394', 'Varr': '98710adc269407bd', 'psi0': '415bc37b97434302', 'psi1': '751b19e4efa3350d', 'W': '8504dba2135e7fcc'},
+    (2.0, 'real,real,real,real', 5): {'V': '718460f115e246d8', 'Varr': '4a7e2a24381011ac', 'psi0': 'c82ee139b30236be', 'psi1': '7c0747a792e7a1cf'},
+    (8.0, 'clower,cupper,real,real', 1): {'V': 'be94347faaab27c4', 'psi0': '87e608a2d9f3c50e', 'psi1': '1e75d179e9db0c64', 'W': 'ecc5aa4456ec5d59'},
+    (8.0, 'clower,cupper,real,real', 2): {'V': '938dcce78ec7ff6d', 'Varr': '2e2324de991dce4d', 'psi0': '693c0f6ed5a88afa', 'psi1': '39228587d3be45fd', 'W': 'fd6f187240f39b2f'},
+    (18.0, 'clower,cupper,clower,cupper', 1): {'V': '2e955ab157a1d6c3', 'psi0': '50e8f0bf568bc315', 'psi1': 'a223b20178403901', 'W': 'a69ad4144b3c0e5f'},
+    (18.0, 'clower,cupper,clower,cupper', 2): {'V': 'a1f5d0d7de55cd75', 'Varr': 'bd3a42b55d2dc169', 'psi0': 'cd1894e44c263238', 'psi1': 'c104039170112563', 'W': 'c8ebbb487d1085c3'},
+    (18.0, 'clower,cupper,clower,cupper', 4): {'V': '64bfe90b672dbeca', 'Varr': '670d0ed36b9b35b3', 'psi0': '1a2f0b38bed5950d', 'psi1': '9c0b89a225ea16c4', 'W': '60a214b4db3cf624'},
+}
+
+
+def _digest(values, zero_signs=True):
+    values = [complex(v) for v in values]
+    if not zero_signs:
+        values = [complex(v.real + 0.0, v.imag + 0.0) for v in values]
+    return hashlib.sha256("".join(v.real.hex() + v.imag.hex() for v in values).encode()).hexdigest()[:16]
+
+
+def test_unmirrored_and_real_seed_members_keep_their_bits():
+    n = round((1.0 - 1e-6) / 1e-3)
+    positions = np.array([(1.0 - 1e-6) * (n - j / 2) / n for j in range(2 * n + 1)])
+    got = {}
+    for Z, plan in MIRROR_CHAINS:
+        for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8):
+            if member.potential.pt_symmetric and any(lv.energy.imag for lv in member.eliminated):
+                continue
+            V = member.potential
+            d = {"V": _digest(V(x) for x in BENCH_GRID)}
+            if V.arrays:
+                d["Varr"] = _digest(np.concatenate([V.arrays[0](positions), V.arrays[1](-positions)]))
+            for k in range(2):
+                f = member.eigenfunctions(k)
+                d[f"psi{k}"] = _digest((v for x in BENCH_GRID for v in f.value_and_slope(x)), Z != 0)
+            if member.superpotential is not None:
+                d["W"] = _digest(v for x in BENCH_GRID for v in member.superpotential.value_and_slope(x))
+            got[Z, plan, member.depth] = d
+    assert got == _KEPT_BITS
+
+
+def test_mirror_sweep_work_counts(monkeypatch):
+    # seed eliminations (`_darboux` calls) and level columns of one fixed
+    # sweep from empty caches: V, then psi_0, then psi_1 over the
+    # benchmark's grid for every member of MIRROR_CHAINS, then
+    # hierarchy_relations_check(8).  Each side of a mirror pair of points
+    # evaluated apart, they were 3,738 and 8,080, and 4,267 and 9,411
+    eliminations = counted(monkeypatch, susy_hierarchy, "_darboux")
+    columns = counted(monkeypatch, _CrumColumn, "_column")
+    _seed_table.cache_clear()
+    _mirror_value.cache_clear()
+    for Z, plan in MIRROR_CHAINS:
+        for member in build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8):
+            for x in BENCH_GRID:
+                member.potential(x)
+            for n in range(2):
+                psi = member.eigenfunctions(n)
+                for x in BENCH_GRID:
+                    psi(x)
+    assert (len(eliminations), len(columns)) == (2214, 5252)
+    hierarchy_relations_check(8.0)
+    assert (len(eliminations), len(columns)) == (2650, 6223)
+
+
+def test_eigenfunction_index_out_of_range():
+    # n < 0 once returned level len + n, the highest level for -1
+    member = build_hierarchy(2.0, EliminationPlan.from_text("real"), 2, levels=4)[1]
+    assert member.eigenfunctions(2).level is member.spectrum.levels[2]
+    for n in (-1, -3, 3):
+        with pytest.raises(IndexError, match="of a member with 3 levels"):
+            member.eigenfunctions(n)
