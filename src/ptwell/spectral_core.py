@@ -143,7 +143,8 @@ def _newton(evaluate, x, tol, what: str):
     (f, f', scale) at x from one pass: each step is halved until |f| falls.
     Once |f| < tol(x, f', scale), `_polish` takes f to its rounding floor.
     A step that no halving improves is a stall, raised with the stage `what`
-    and the last iterate.
+    and the last iterate; the halving stops where x - step rounds to x,
+    since every shorter step lands there too.
     """
     fx, d, scale = evaluate(x)
     for _ in range(100):
@@ -154,11 +155,13 @@ def _newton(evaluate, x, tol, what: str):
         step = fx / d
         for _ in range(60):
             xn = x - step
+            if xn == x:  # so does every shorter step, and f there is fx again
+                break
             fn, dn, sn = evaluate(xn)
             if abs(fn) < abs(fx):
                 break
             step *= 0.5
-        else:
+        if xn == x or not abs(fn) < abs(fx):
             break
         x, fx, d, scale = xn, fn, dn, sn
     raise ConvergenceError(f"{what} Newton stalled at {x}", stage=what, iterate=x)
@@ -167,7 +170,8 @@ def _newton(evaluate, x, tol, what: str):
 def _polish(evaluate, x, fx, d):
     """x moved by plain Newton steps while |f| strictly falls, at most 8, from
     a root search's stop (fx and d are f and f' at x) to f's rounding floor;
-    evaluate(x) returns f and f' first.
+    evaluate(x) returns f and f' first.  A step that rounds to x ends it
+    unevaluated: f there is fx again.
     An ill-conditioned root needs them: just above an exceptional point f' is
     proportional to Im E, and a stop at |f| < 1e-10 left 14 % of Im E there.
     """
@@ -175,6 +179,8 @@ def _polish(evaluate, x, fx, d):
         if d == 0:
             break
         xn = x - fx / d
+        if xn == x:  # f there is fx again, which cannot fall
+            break
         fn, dn = evaluate(xn)[:2]
         if not abs(fn) < abs(fx):
             break
@@ -255,8 +261,9 @@ def _band_split(Z: float, nu: int):
     return crit.t_merge if Z <= crit.z_crit else None
 
 
-def _band_roots(Z: float, nu: int):
+def _band_roots(Z: float, nu: int, keep: int = 2):
     """Roots of G in band nu, increasing; none once Z exceeds the band's critical coupling.
+    Only the lowest `keep` are solved: a root's Newton never reads another's.
 
     For 0 < Z <= Z_crit, G > 0 at both band ends, so each end and the split
     point of `_band_split` bracket one root, found by one bracketed Newton.
@@ -274,7 +281,7 @@ def _band_roots(Z: float, nu: int):
     lo, hi = band_bounds(nu)
     if Z == 0:
         # exact endpoint roots t = (2 nu + 1) pi / 2 and (nu + 1) pi
-        return [lo, hi]
+        return [lo, hi][:keep]
     split = _band_split(Z, nu)
     if split is None:
         return []
@@ -286,7 +293,7 @@ def _band_roots(Z: float, nu: int):
     tol = max(1e-12, 8 * 2.0 ** -52 * hi * hi)
     return [_bracketed_newton(lambda t: _matching_terms(t, Z), split, end, tol,
                               f"matching-residual (Z={Z})", start(end, slope))
-            for end, slope in ((lo, -2 * lo), (hi, 2 * hi))]
+            for end, slope in ((lo, -2 * lo), (hi, 2 * hi))[:keep]]
 
 
 def _verified_level(t: float, Z: float) -> SpectralLevel:
@@ -297,11 +304,15 @@ def _verified_level(t: float, Z: float) -> SpectralLevel:
         # guard against spurious roots: both formulations must agree; at
         # Z = 0 the roots are exact band endpoints and coth has poles there.
         # The wavenumber form equals G scaled by |sinh kappa|^-2, so near a
-        # band endpoint its raw value is rounding noise; judge the scaled one
-        res = kappa_condition_residual(E, Z)
-        sinh_sq = (math.cosh(2 * ks) - math.cos(2 * kt)) / 2.0
-        if abs(res) >= 1e-10 and abs(res) * sinh_sq >= 1e-12:
-            raise ConvergenceError(f"root t={t} fails the wavenumber condition ({abs(res):.2e})",
+        # band endpoint its raw value is rounding noise; judge the scaled one.
+        # At real E, sigma = conj rho to the bit (cmath's sqrt, cosh, sinh and
+        # exp and complex division commute with conjugation), so the form is
+        # h + conj h with h = rho coth rho, kappa_condition_residual's value
+        rho = halfplane_sqrt(-E - 1j * Z)
+        h = rho * coth(rho)
+        res = abs(h + h.conjugate())
+        if res >= 1e-10 and res * ((math.cosh(2 * ks) - math.cos(2 * kt)) / 2.0) >= 1e-12:
+            raise ConvergenceError(f"root t={t} fails the wavenumber condition ({res:.2e})",
                                    stage=f"wavenumber condition (Z={Z})", iterate=t)
     return SpectralLevel(E, kap, WaveNumber(kap.value.conjugate()), Branch.REAL)
 
@@ -320,15 +331,14 @@ def _check_count(count: int):
 
 
 def solve_real_spectrum(Z: float, count: int):
-    """First `count` real levels, increasing; bands whose pair went complex are skipped."""
+    """First `count` real levels, increasing; bands whose pair went complex are
+    skipped, and a band's upper root is not solved when the count ends at its lower one."""
     _check_coupling(Z)
     _check_count(count)
     levels = []
     nu = 0
     while len(levels) < count:
-        for t in _band_roots(Z, nu):
-            if len(levels) < count:
-                levels.append(_verified_level(t, Z))
+        levels += [_verified_level(t, Z) for t in _band_roots(Z, nu, count - len(levels))]
         nu += 1
         if nu > count + 64:
             raise ConvergenceError("ran out of bands before reaching the requested count",

@@ -107,6 +107,10 @@ _SEED_TABLES = 512
 # grid symmetric under x -> -x, hierarchy_relations_check's 101 points or the
 # benchmark's 200, reads each value twice within 101 distinct points
 _MIRROR_VALUES = 512
+# U arrays kept for a mirror left side, which the oracle samples after the
+# right one at the same u: its 2n + 1 positions per side come in chunks of
+# 2,048, one chunk at h = 1e-3 and five at its default 2e-4
+_OFFSET_ARRAYS = 8
 _NO_SEEDS = (0j, (), (), ())  # `_darboux` of no seed columns, at every x
 
 
@@ -267,20 +271,29 @@ class _CrumSide:
         return self.c + _seed_table(self.mirror, -x, near)[0].conjugate()
 
     def potential_array(self, x):
-        """V over a float64 numpy array of x, each bucket's points at once."""
-        import numpy as np  # callers that pass arrays have it loaded already
-
-        source = self.mirror or self
+        """V over a float64 numpy array of x.  A mirror side's u equals the
+        right side's at -x, so it reads the right side's U there."""
         u = 1.0 - self.sign * x
-        buckets = (abs(u) * self.per_u).astype(int)
-        buckets[buckets >= self.v_buckets] = -1
-        V = np.empty(u.shape, dtype=np.complex128)
-        for bucket in np.unique(buckets).tolist():
-            points = buckets == bucket
-            fs, ds = source._columns(u[points], bucket, np)
-            U = _darboux(fs, ds, source.steps, bucket >= 0)[0]
-            V[points] = self.c + (U if source is self else U.conjugate())
-        return V
+        U = _offset_array(self.mirror or self, u.tobytes()).reshape(u.shape)
+        return self.c + (U if self.mirror is None else U.conjugate())
+
+
+@lru_cache(maxsize=_OFFSET_ARRAYS)
+def _offset_array(side: _CrumSide, u_bytes: bytes):
+    """U = V - c over the float64 u whose bytes are `u_bytes`, each bucket's
+    points at once.  Every reader gets the same array: it is read-only."""
+    import numpy as np  # callers that pass arrays have it loaded already
+
+    u = np.frombuffer(u_bytes)
+    buckets = (abs(u) * side.per_u).astype(int)
+    buckets[buckets >= side.v_buckets] = -1
+    U = np.empty(u.shape, dtype=np.complex128)
+    for bucket in np.unique(buckets).tolist():
+        points = buckets == bucket
+        fs, ds = side._columns(u[points], bucket, np)
+        U[points] = _darboux(fs, ds, side.steps, bucket >= 0)[0]
+    U.flags.writeable = False
+    return U
 
 
 @lru_cache(maxsize=_SEED_TABLES)

@@ -696,6 +696,27 @@ def test_pt_members_are_exact_mirrors():
                             Z, plan, member.depth, n, x)
 
 
+@pytest.mark.parametrize("Z, plan", MIRROR_CHAINS[1:])
+def test_mirror_side_arrays_read_the_right_sides_offsets(monkeypatch, Z, plan):
+    # the oracle samples a PT member's left side after its right side, at the
+    # same u to the bit, in chunks of 2,048 positions (one at h = 1e-3, five
+    # at 2e-4): the left side reads the right side's U arrays and builds no
+    # seed column.  Re-running the right side's elimination built twice as
+    # many (4, 12, 14 and 22)
+    from ptwell.oracle_verifier import Side, _sampled_sides
+
+    members = build_hierarchy(Z, EliminationPlan.from_text(plan), 5, levels=8)
+    built = counted(monkeypatch, susy_hierarchy._CrumSide, "_columns")
+    for depth, h, columns in ((3, 1e-3, 2), (3, 2e-4, 6), (5, 1e-3, 7), (5, 2e-4, 11)):
+        V = members[depth - 1].potential
+        susy_hierarchy._offset_array.cache_clear()
+        _sampled_sides.cache_clear()
+        built.clear()
+        assert V.pt_symmetric and _sampled_sides(V, h).integrated == (Side.RIGHT,)
+        assert len(built) == columns, (depth, h)
+    _sampled_sides.cache_clear()
+
+
 # sha256 of the float.hex of V, (psi, psi') of levels 0 and 1 and (W, W') on
 # the benchmark's grid, and of V's array samples at the oracle's positions
 # at h = 1e-3 (both sides), for every member of MIRROR_CHAINS that is not
